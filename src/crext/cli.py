@@ -5,8 +5,10 @@ configurable parameter grid and emits one graded entry per check.  The
 configuration can come from a JSON file (--config), with individual flags
 overriding file values; the environment variable CREXT_VERIFY_OUT, when
 set, overrides the output path and nothing else.  Exit status is 0 when
-every check passed, 1 when any failed, and 2 when the configuration itself
-is invalid; configuration errors name the offending value.
+every check passed, 1 when any failed, 2 when the configuration itself is
+invalid, and 3 when a suite raised an unexpected exception (an internal
+error, not a graded failure); both error messages name the offending value
+or suite.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ from pathlib import Path
 
 import json
 
-import numpy as np
-
 from . import energy, extend, opalg, scatter, special, spectral
 from .report import CheckEntry, VerificationReport, render_json, render_table
 
-__all__ = ["ConfigError", "SuiteConfig", "load_config", "run_suites", "main"]
+__all__ = ["ConfigError", "SuiteError", "SuiteConfig", "load_config", "run_suites", "main"]
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending value."""
+
+
+class SuiteError(Exception):
+    """A suite raised an unexpected exception; the message names the suite."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,16 @@ class SuiteConfig:
 
 
 def _validate(cfg: SuiteConfig) -> SuiteConfig:
+    for name in (
+        "lambdas",
+        "levels",
+        "dimensions",
+        "spot_lambdas",
+        "spot_levels",
+        "spot_dimensions",
+    ):
+        if not getattr(cfg, name):
+            raise ConfigError(f"field {name} is empty; the mode grid needs at least one value")
     for g in cfg.gammas_low:
         if not 0.0 < g < 1.0:
             raise ConfigError(f"low-range order gamma = {g} must lie strictly inside (0, 1)")
@@ -310,9 +324,15 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
     entries = []
     full = cfg.full_modes()
     spot = cfg.spot_modes()
+    # Every numeric check of the suite reads its fits off one stacked solve.
+    pairs = [(g, mode) for g in cfg.gammas_low for mode in spot]
+    for g in cfg.gammas_high:
+        alpha = spectral.GammaParam(g).alpha
+        pairs += [(order, mode) for mode in spot for order in (1.0 + alpha, 1.0 - alpha)]
+    fits = iter(extend.fit_boundary_expansion(pairs))
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)
-        worst = max(extend.verify_dtn_theorem(param, mode, "closed") for mode in full)
+        worst = max(extend.verify_dtn_theorem(param, mode) for mode in full)
         entries.append(
             CheckEntry.graded(
                 f"dtn.closed.gamma={g}",
@@ -322,7 +342,7 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
                 1e-8,
             )
         )
-        worst = max(extend.verify_dtn_theorem(param, mode, "numeric") for mode in spot)
+        worst = max(extend.verify_dtn_theorem(param, mode, next(fits)) for mode in spot)
         entries.append(
             CheckEntry.graded(
                 f"dtn.numeric.gamma={g}",
@@ -334,9 +354,7 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
         )
     for g in cfg.gammas_high:
         param = spectral.GammaParam(g)
-        worst = max(
-            max(extend.verify_fourth_constants(param, mode, "closed")) for mode in full
-        )
+        worst = max(max(extend.verify_fourth_constants(param, mode)) for mode in full)
         entries.append(
             CheckEntry.graded(
                 f"dtn.fourth_constants.gamma={g}",
@@ -347,7 +365,8 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
             )
         )
         worst = max(
-            max(extend.verify_fourth_constants(param, mode, "numeric")) for mode in spot
+            max(extend.verify_fourth_constants(param, mode, (next(fits), next(fits))))
+            for mode in spot
         )
         entries.append(
             CheckEntry.graded(
@@ -441,7 +460,11 @@ SUITES = {
 def run_suites(cfg: SuiteConfig, names) -> VerificationReport:
     report = VerificationReport(seed=cfg.seed, suites=tuple(names))
     for name in names:
-        report.extend(SUITES[name](cfg))
+        try:
+            entries = SUITES[name](cfg)
+        except Exception as exc:
+            raise SuiteError(f"suite {name} raised {type(exc).__name__}: {exc}") from exc
+        report.extend(entries)
     return report
 
 
@@ -592,7 +615,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    report = run_suites(cfg, suite_names)
+    try:
+        report = run_suites(cfg, suite_names)
+    except SuiteError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = render_table(report) if args.format == "table" else render_json(report)
     out_path = os.environ.get("CREXT_VERIFY_OUT") or args.out
     if out_path:

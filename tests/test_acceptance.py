@@ -19,6 +19,7 @@ from crext.energy import (
 )
 from crext.extend import (
     exclusion_residuals,
+    fit_boundary_expansion,
     verify_dtn_theorem,
     verify_fourth_constants,
 )
@@ -94,30 +95,34 @@ def test_sublaplacian_eigenvalue_on_symbolic_modes():
 
 def test_low_range_boundary_derivative_constants():
     worst_closed = max(
-        verify_dtn_theorem(GammaParam(g), mode, "closed")
+        verify_dtn_theorem(GammaParam(g), mode)
         for g in LOW_GAMMAS
         for mode in FULL_MODES
     )
     _grade("low-range derivative constant, closed, full grid", worst_closed, 1e-8)
+    pairs = [(g, mode) for g in LOW_GAMMAS for mode in SPOT_MODES]
     worst_numeric = max(
-        verify_dtn_theorem(GammaParam(g), mode, "numeric")
-        for g in LOW_GAMMAS
-        for mode in SPOT_MODES
+        verify_dtn_theorem(GammaParam(g), mode, fit)
+        for (g, mode), fit in zip(pairs, fit_boundary_expansion(pairs))
     )
     _grade("low-range derivative constant, integrated, spot grid", worst_numeric, 1e-4)
 
 
 def test_high_range_constant_pair_and_exclusion():
     worst_closed = max(
-        max(verify_fourth_constants(GammaParam(g), mode, "closed"))
+        max(verify_fourth_constants(GammaParam(g), mode))
         for g in HIGH_GAMMAS
         for mode in FULL_MODES
     )
     _grade("high-range constant pair, closed, full grid", worst_closed, 1e-6)
+    points = [(GammaParam(g), mode) for g in HIGH_GAMMAS for mode in SPOT_MODES]
+    fits = iter(
+        fit_boundary_expansion(
+            [(order, mode) for p, mode in points for order in (1.0 + p.alpha, 1.0 - p.alpha)]
+        )
+    )
     worst_numeric = max(
-        max(verify_fourth_constants(GammaParam(g), mode, "numeric"))
-        for g in HIGH_GAMMAS
-        for mode in SPOT_MODES
+        max(verify_fourth_constants(p, mode, (next(fits), next(fits)))) for p, mode in points
     )
     _grade("high-range constant pair, integrated, spot grid", worst_numeric, 1e-6)
     worst_exclusion = max(

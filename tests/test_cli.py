@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crext import cli
 from crext.cli import (
     ConfigError,
     SuiteConfig,
@@ -58,6 +59,34 @@ def test_out_of_range_high_gamma_is_rejected(capsys):
 def test_invalid_grid_values_exit_with_config_errors(flags, capsys):
     assert main(["algebra", *flags]) == 2
     assert flags[1].split(",")[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["lambdas", "levels", "dimensions", "spot_lambdas", "spot_levels", "spot_dimensions"],
+)
+def test_empty_mode_grid_is_a_config_error_naming_the_field(field, capsys):
+    assert main(["dtn", "--" + field.replace("_", "-"), ","]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_empty_gamma_lists_give_an_empty_passing_dtn_report(capsys):
+    assert main(["dtn", "--gammas-low", ",", "--gammas-high", ","]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["entries"] == [] and payload["passed"] is True
+
+
+def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys):
+    def broken(cfg):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli.SUITES, "algebra", broken)
+    assert main(["algebra"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "algebra" in lines[0] and "OverflowError" in lines[0]
 
 
 def test_unknown_suite_name_is_a_config_error(capsys):

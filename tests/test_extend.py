@@ -15,7 +15,6 @@ from crext.extend import (
     ModeSolution,
     eval_boundary_ops,
     exclusion_residuals,
-    extract_dtn,
     fit_boundary_expansion,
     frobenius_series,
     verify_dtn_theorem,
@@ -110,31 +109,79 @@ def test_frobenius_rejects_integer_order():
 )
 def test_numeric_integration_recovers_closed_dtn(order, mode):
     closed = ModeSolution(order, mode).dtn
-    numeric = extract_dtn(order, mode)
-    assert numeric == pytest.approx(closed, rel=1e-9)
+    (fit,) = fit_boundary_expansion([(order, mode)])
+    assert fit.dtn == pytest.approx(closed, rel=1e-9)
 
 
 def test_numeric_fit_is_tight():
-    fit = fit_boundary_expansion(0.6, ModeIndex(0.5, 1, 1))
+    (fit,) = fit_boundary_expansion([(0.6, ModeIndex(0.5, 1, 1))])
     assert fit.fit_residual < 1e-9
     assert fit.c0 == pytest.approx(1.0, rel=0.1)  # normalization drift stays mild
+
+
+FULL_GRID = tuple(
+    ModeIndex(lam, k, n) for lam in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(9) for n in (1, 2, 3)
+)
+# The default low orders, and 1 +- alpha for each default high order.
+BATCH_ORDERS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
+
+
+@pytest.fixture(scope="module")
+def full_batch():
+    pairs = [(order, mode) for order in BATCH_ORDERS for mode in FULL_GRID]
+    return pairs, fit_boundary_expansion(pairs)
+
+
+def test_stacked_batch_recovers_every_closed_coefficient(full_batch):
+    pairs, fits = full_batch
+    assert len(fits) == len(pairs) == 810
+    worst = max(
+        abs(fit.c1 / fit.c0 / ModeSolution(order, mode).c1 - 1.0)
+        for (order, mode), fit in zip(pairs, fits)
+    )
+    assert worst < 1e-9
+
+
+def test_stacked_batch_fits_stay_tight(full_batch):
+    _, fits = full_batch
+    assert max(fit.fit_residual for fit in fits) < 1e-9
+
+
+@pytest.mark.parametrize("index", [0, 137, 404, 809])
+def test_singleton_batch_agrees_with_the_large_batch(full_batch, index):
+    pairs, fits = full_batch
+    (alone,) = fit_boundary_expansion([pairs[index]])
+    together = fits[index]
+    assert alone.c1 / alone.c0 == pytest.approx(together.c1 / together.c0, rel=1e-9)
+    assert alone.dtn == pytest.approx(together.dtn, rel=1e-9)
+
+
+def test_empty_batch_returns_no_fits():
+    assert fit_boundary_expansion([]) == []
+
+
+def test_batch_rejects_an_integer_order():
+    with pytest.raises(ValueError):
+        fit_boundary_expansion([(0.5, ModeIndex(1.0, 0, 1)), (1.0, ModeIndex(1.0, 0, 1))])
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 0.75])
 def test_dtn_identity_closed_form(g):
     param = GammaParam(g)
     for mode in (ModeIndex(0.25, 0, 1), ModeIndex(1.0, 5, 2), ModeIndex(4.0, 8, 3)):
-        assert verify_dtn_theorem(param, mode, "closed") < 1e-12
+        assert verify_dtn_theorem(param, mode) < 1e-12
 
 
 def test_dtn_identity_numeric_spot():
-    assert verify_dtn_theorem(GammaParam(0.5), ModeIndex(1.0, 1, 2), "numeric") < 1e-8
+    mode = ModeIndex(1.0, 1, 2)
+    (fit,) = fit_boundary_expansion([(0.5, mode)])
+    assert verify_dtn_theorem(GammaParam(0.5), mode, fit) < 1e-8
 
 
 def test_dtn_verifier_guards():
     with pytest.raises(ValueError):
         verify_dtn_theorem(GammaParam(1.5), ModeIndex(1.0, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the method= selector is gone; a fit selects the path
         verify_dtn_theorem(GammaParam(0.5), ModeIndex(1.0, 0, 1), method="guess")
     with pytest.raises(ValueError):
         verify_fourth_constants(GammaParam(0.5), ModeIndex(1.0, 0, 1))
@@ -164,15 +211,15 @@ def test_neumann_functionals_ignore_the_other_datum(g):
 def test_fourth_constants_closed_form(g):
     param = GammaParam(g)
     for mode in (ModeIndex(0.25, 0, 1), ModeIndex(1.0, 3, 2), ModeIndex(4.0, 8, 3)):
-        err_phi, err_psi = verify_fourth_constants(param, mode, "closed")
+        err_phi, err_psi = verify_fourth_constants(param, mode)
         assert err_phi < 1e-12
         assert err_psi < 1e-12
 
 
 def test_fourth_constants_numeric_spot():
-    err_phi, err_psi = verify_fourth_constants(
-        GammaParam(1.5), ModeIndex(1.0, 1, 1), "numeric"
-    )
+    mode = ModeIndex(1.0, 1, 1)
+    fits = fit_boundary_expansion([(1.5, mode), (0.5, mode)])
+    err_phi, err_psi = verify_fourth_constants(GammaParam(1.5), mode, tuple(fits))
     assert err_phi < 1e-8
     assert err_psi < 1e-8
 
