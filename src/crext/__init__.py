@@ -4,7 +4,7 @@ Layers, roughly bottom-up:
 
 * ``opalg``    exact noncommutative operator algebra in (rho, d_rho, d_t, Db)
 * ``scatter``  exact rational layer for the boundary expansion recursion
-* ``special``  confluent hypergeometric functions (Kummer M, Tricomi U)
+* ``special``  confluent hypergeometric functions (Tricomi U)
 * ``spectral`` joint-spectrum modes, eigenvalues, multiplier constants
 * ``extend``   mode ODE solves, branch coefficients, Dirichlet-to-Neumann checks
 * ``energy``   trace energies, Dirichlet principle, bilinear-form symmetry

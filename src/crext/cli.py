@@ -18,9 +18,10 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import json
 
@@ -41,17 +42,17 @@ class SuiteError(Exception):
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
-    gammas_low: tuple = (0.25, 0.5, 0.75)
-    gammas_high: tuple = (1.25, 1.5, 1.75)
-    lambdas: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    levels: tuple = tuple(range(9))
-    dimensions: tuple = (1, 2, 3)
-    spot_lambdas: tuple = (0.5, 2.0)
-    spot_levels: tuple = (0, 2)
-    spot_dimensions: tuple = (1, 2)
+    gammas_low: tuple[float, ...] = (0.25, 0.5, 0.75)
+    gammas_high: tuple[float, ...] = (1.25, 1.5, 1.75)
+    lambdas: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
+    levels: tuple[int, ...] = tuple(range(9))
+    dimensions: tuple[int, ...] = (1, 2, 3)
+    spot_lambdas: tuple[float, ...] = (0.5, 2.0)
+    spot_levels: tuple[int, ...] = (0, 2)
+    spot_dimensions: tuple[int, ...] = (1, 2)
     max_weight: int = 6
     expansion_orders: int = 8
-    expansion_dims: tuple = (2, 3, 4)
+    expansion_dims: tuple[int, ...] = (2, 3, 4)
     sample_count: int = 20
     perturbations: int = 20
 
@@ -90,8 +91,8 @@ def _validate(cfg: SuiteConfig) -> SuiteConfig:
         if not 1.0 < g < 2.0:
             raise ConfigError(f"high-range order gamma = {g} must lie strictly inside (1, 2)")
     for lam in cfg.lambdas + cfg.spot_lambdas:
-        if not lam > 0.0:
-            raise ConfigError(f"frequency lambda = {lam} must be positive")
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ConfigError(f"frequency lambda = {lam} must be positive and finite")
     for k in cfg.levels + cfg.spot_levels:
         if not (isinstance(k, int) and k >= 0):
             raise ConfigError(f"mode level k = {k} must be a nonnegative integer")
@@ -168,19 +169,12 @@ def _suite_algebra(cfg: SuiteConfig) -> list:
 
 
 def _sample_spectral_values(rng: random.Random, l_max: int, m: int, count: int):
+    poles = set(scatter.expansion_coefficient(l_max, m).poles())
     values = []
     while len(values) < count:
         s = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-        try:
-            scatter.check_expansion(1, m, s)
-        except ValueError:
-            continue
-        try:
-            for l in range(2, l_max + 1):
-                scatter.raw_recursion(l, m, s)
-        except ValueError:
-            continue
-        values.append(s)
+        if s not in poles:
+            values.append(s)
     return values
 
 
@@ -320,6 +314,12 @@ def _suite_spectral(cfg: SuiteConfig) -> list:
     return entries
 
 
+def _gamma_entry(check: str, anchor: str, g: float, modes, err, tol, **extra) -> CheckEntry:
+    """The entry `<check>.gamma=<g>` graded over `modes` at order g."""
+    parameters = {"gamma": g, "modes": len(modes), **extra}
+    return CheckEntry.graded(f"{check}.gamma={g}", anchor, parameters, err, tol)
+
+
 def _suite_dtn(cfg: SuiteConfig) -> list:
     entries = []
     full = cfg.full_modes()
@@ -333,117 +333,63 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)
         worst = max(extend.verify_dtn_theorem(param, mode) for mode in full)
-        entries.append(
-            CheckEntry.graded(
-                f"dtn.closed.gamma={g}",
-                _ANCHOR_DTN,
-                {"gamma": g, "modes": len(full)},
-                worst,
-                1e-8,
-            )
-        )
+        entries.append(_gamma_entry("dtn.closed", _ANCHOR_DTN, g, full, worst, 1e-8))
         worst = max(extend.verify_dtn_theorem(param, mode, next(fits)) for mode in spot)
-        entries.append(
-            CheckEntry.graded(
-                f"dtn.numeric.gamma={g}",
-                _ANCHOR_DTN,
-                {"gamma": g, "modes": len(spot)},
-                worst,
-                1e-4,
-            )
-        )
+        entries.append(_gamma_entry("dtn.numeric", _ANCHOR_DTN, g, spot, worst, 1e-4))
     for g in cfg.gammas_high:
         param = spectral.GammaParam(g)
         worst = max(max(extend.verify_fourth_constants(param, mode)) for mode in full)
         entries.append(
-            CheckEntry.graded(
-                f"dtn.fourth_constants.gamma={g}",
-                _ANCHOR_FOURTH,
-                {"gamma": g, "modes": len(full)},
-                worst,
-                1e-6,
-            )
+            _gamma_entry("dtn.fourth_constants", _ANCHOR_FOURTH, g, full, worst, 1e-6)
         )
         worst = max(
             max(extend.verify_fourth_constants(param, mode, (next(fits), next(fits))))
             for mode in spot
         )
         entries.append(
-            CheckEntry.graded(
-                f"dtn.fourth_constants_numeric.gamma={g}",
-                _ANCHOR_FOURTH,
-                {"gamma": g, "modes": len(spot)},
-                worst,
-                1e-6,
-            )
+            _gamma_entry("dtn.fourth_constants_numeric", _ANCHOR_FOURTH, g, spot, worst, 1e-6)
         )
         worst = max(max(extend.exclusion_residuals(param, mode)) for mode in spot)
-        entries.append(
-            CheckEntry.graded(
-                f"dtn.exclusion.gamma={g}",
-                _ANCHOR_EXCLUSION,
-                {"gamma": g, "modes": len(spot)},
-                worst,
-                1e-8,
-            )
-        )
+        entries.append(_gamma_entry("dtn.exclusion", _ANCHOR_EXCLUSION, g, spot, worst, 1e-8))
     return entries
 
 
 def _suite_energy(cfg: SuiteConfig) -> list:
     entries = []
     spot = cfg.spot_modes()
+    count = cfg.perturbations
     for g in cfg.gammas_low + cfg.gammas_high:
         param = spectral.GammaParam(g)
         worst = max(energy.trace_equality_check(param, mode) for mode in spot)
-        entries.append(
-            CheckEntry.graded(
-                f"energy.trace.gamma={g}",
-                _ANCHOR_TRACE,
-                {"gamma": g, "modes": len(spot)},
-                worst,
-                1e-6,
-            )
-        )
+        entries.append(_gamma_entry("energy.trace", _ANCHOR_TRACE, g, spot, worst, 1e-6))
         worst_gap = 0.0
         floor = math.inf
         for mode in spot:
-            gap, low = energy.dirichlet_principle_check(
-                param, mode, seed=cfg.seed, count=cfg.perturbations
-            )
+            gap, low = energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
             worst_gap = max(worst_gap, gap)
             floor = min(floor, low)
         entries.append(
-            CheckEntry.graded(
-                f"energy.dirichlet.gamma={g}",
-                _ANCHOR_DIRICHLET,
-                {"gamma": g, "modes": len(spot), "perturbations": cfg.perturbations},
-                worst_gap,
-                1e-6,
+            _gamma_entry(
+                "energy.dirichlet", _ANCHOR_DIRICHLET, g, spot, worst_gap, 1e-6, perturbations=count
             )
         )
         entries.append(
-            CheckEntry.graded(
-                f"energy.coercivity.gamma={g}",
+            _gamma_entry(
+                "energy.coercivity",
                 _ANCHOR_COERCIVE,
-                {"gamma": g, "modes": len(spot), "perturbations": cfg.perturbations},
+                g,
+                spot,
                 max(0.0, -floor),
                 0.0,
+                perturbations=count,
             )
         )
         if param.is_high:
             worst = max(
-                energy.q_symmetry_check(param, mode, seed=cfg.seed, count=cfg.perturbations)
-                for mode in spot
+                energy.q_symmetry_check(param, mode, seed=cfg.seed, count=count) for mode in spot
             )
             entries.append(
-                CheckEntry.graded(
-                    f"energy.symmetry.gamma={g}",
-                    _ANCHOR_SYMMETRY,
-                    {"gamma": g, "modes": len(spot), "pairs": cfg.perturbations},
-                    worst,
-                    1e-8,
-                )
+                _gamma_entry("energy.symmetry", _ANCHOR_SYMMETRY, g, spot, worst, 1e-8, pairs=count)
             )
     return entries
 
@@ -470,24 +416,23 @@ def run_suites(cfg: SuiteConfig, names) -> VerificationReport:
 
 # -- configuration loading ---------------------------------------------------
 
+_FIELD_TYPES = get_type_hints(SuiteConfig)
+# Element type of each tuple field, and the type of each scalar field.
 _LIST_FIELDS = {
-    "gammas_low": float,
-    "gammas_high": float,
-    "lambdas": float,
-    "levels": int,
-    "dimensions": int,
-    "spot_lambdas": float,
-    "spot_levels": int,
-    "spot_dimensions": int,
-    "expansion_dims": int,
+    name: get_args(hint)[0] for name, hint in _FIELD_TYPES.items() if get_origin(hint) is tuple
 }
 _SCALAR_FIELDS = {
-    "seed": int,
-    "max_weight": int,
-    "expansion_orders": int,
-    "sample_count": int,
-    "perturbations": int,
+    name: hint for name, hint in _FIELD_TYPES.items() if get_origin(hint) is not tuple
 }
+
+
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _is_number(value, kind) -> bool:
+    """JSON value check; a bool is an int to Python but no number here."""
+    allowed = int if kind is int else (int, float)
+    return isinstance(value, allowed) and not isinstance(value, bool)
 
 
 def _coerce_list(name: str, value, kind) -> tuple:
@@ -495,10 +440,8 @@ def _coerce_list(name: str, value, kind) -> tuple:
         raise ConfigError(f"field {name} = {value!r} must be a list")
     out = []
     for item in value:
-        if kind is int and not isinstance(item, int):
-            raise ConfigError(f"field {name} contains {item!r}, expected an integer")
-        if kind is float and not isinstance(item, (int, float)):
-            raise ConfigError(f"field {name} contains {item!r}, expected a number")
+        if not _is_number(item, kind):
+            raise ConfigError(f"field {name} contains {item!r}, expected {_EXPECTED[kind]}")
         out.append(kind(item))
     return tuple(out)
 
@@ -522,8 +465,9 @@ def _config_from_file(path: str) -> tuple[dict, list | None]:
         elif key in _LIST_FIELDS:
             updates[key] = _coerce_list(key, value, _LIST_FIELDS[key])
         elif key in _SCALAR_FIELDS:
-            if not isinstance(value, int):
-                raise ConfigError(f"field {key} = {value!r} must be an integer")
+            kind = _SCALAR_FIELDS[key]
+            if not _is_number(value, kind):
+                raise ConfigError(f"field {key} = {value!r} must be {_EXPECTED[kind]}")
             updates[key] = value
         else:
             raise ConfigError(f"unknown config field {key!r}")
@@ -543,19 +487,18 @@ def _parse_number_list(name: str, text: str, kind) -> tuple:
     return tuple(items)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _resolve_suites(names) -> list:
-    if not names:
-        return list(SUITES)
-    if "all" in names:
-        return list(SUITES)
-    resolved = []
     for name in names:
-        if name not in SUITES:
+        if name not in SUITES and name != "all":
             known = ", ".join(list(SUITES) + ["all"])
             raise ConfigError(f"unknown suite {name!r}; known suites: {known}")
-        if name not in resolved:
-            resolved.append(name)
-    return resolved
+    if not names or "all" in names:
+        return list(SUITES)
+    return list(dict.fromkeys(names))
 
 
 def load_config(args) -> tuple[SuiteConfig, list]:
@@ -566,7 +509,7 @@ def load_config(args) -> tuple[SuiteConfig, list]:
     for name, kind in _LIST_FIELDS.items():
         text = getattr(args, name, None)
         if text is not None:
-            updates[name] = _parse_number_list("--" + name.replace("_", "-"), text, kind)
+            updates[name] = _parse_number_list(_flag(name), text, kind)
     for name in _SCALAR_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -598,13 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "table"), default="json", help="report format"
     )
-    parser.add_argument("--seed", type=int, help="base seed for sampled checks")
-    parser.add_argument("--max-weight", dest="max_weight", type=int)
-    parser.add_argument("--expansion-orders", dest="expansion_orders", type=int)
-    parser.add_argument("--sample-count", dest="sample_count", type=int)
-    parser.add_argument("--perturbations", type=int)
+    for name, kind in _SCALAR_FIELDS.items():
+        help_text = "base seed for sampled checks" if name == "seed" else None
+        parser.add_argument(_flag(name), dest=name, type=kind, help=help_text)
     for name in _LIST_FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name)
+        parser.add_argument(_flag(name), dest=name)
     return parser
 
 

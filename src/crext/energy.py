@@ -286,7 +286,12 @@ def _low_workspace(gamma: float, mode: ModeIndex) -> _LowWorkspace:
     return _LowWorkspace(sol, 2.0 * gamma, rho_c, u_pair, du_pair, rho_t, wt_t, u_t, du_t)
 
 
-def _low_energy(ws: _LowWorkspace, u_pair, du_pair, u_t, du_t) -> float:
+def _low_parts(ws: _LowWorkspace):
+    return ws.u_pair, ws.du_pair, ws.u_t, ws.du_t
+
+
+def _low_energy(ws: _LowWorkspace, parts) -> float:
+    u_pair, du_pair, u_t, du_t = parts
     lam, nu = ws.sol.lam, ws.sol.nu
     potential = {0: _Branch(0, np.array([nu, 0.0, lam * lam]))}
     bulk = _series_lincomb(
@@ -399,6 +404,11 @@ def _high_bulk(ws: _HighWorkspace, partsU, partsV) -> float:
     return inner + float(np.sum(ws.wt_t * integrand))
 
 
+def _high_energy(ws: _HighWorkspace, parts, phi: float, psi: float) -> float:
+    """E2 of the solution with boundary data (phi, psi), given its parts."""
+    return _high_bulk(ws, parts, parts) + (2.0 * ws.nu / ws.param.alpha) * phi * psi
+
+
 # -- public functionals -----------------------------------------------------
 
 
@@ -407,7 +417,7 @@ def mode_energy_2(param: GammaParam, mode: ModeIndex) -> float:
     if param.is_high:
         raise ValueError("E1 is the functional for gamma in (0, 1)")
     ws = _low_workspace(param.gamma, mode)
-    return _low_energy(ws, ws.u_pair, ws.du_pair, ws.u_t, ws.du_t)
+    return _low_energy(ws, _low_parts(ws))
 
 
 def mode_energy_4(param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: float = 1.0) -> float:
@@ -415,9 +425,7 @@ def mode_energy_4(param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: flo
     if not param.is_high:
         raise ValueError("E2 is the functional for gamma in (1, 2)")
     ws = _high_workspace(param.gamma, mode)
-    parts = _high_parts(ws, phi, psi)
-    alpha = param.alpha
-    return _high_bulk(ws, parts, parts) + (2.0 * ws.nu / alpha) * phi * psi
+    return _high_energy(ws, _high_parts(ws, phi, psi), phi, psi)
 
 
 def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: ModeIndex) -> float:
@@ -445,27 +453,30 @@ def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: Mode
     return _closed_weighted_integral(poly, 1.0 - 2.0 * g, two_c)
 
 
+def _perturbation_parts(pert: Perturbation, param: GammaParam, ws) -> tuple:
+    """The perturbation in the parts layout of the range's workspace `ws`."""
+    u_pair, du_pair = pert.pair_series()
+    if not param.is_high:
+        return u_pair, du_pair, pert.value(ws.rho_t), pert.deriv(ws.rho_t)
+    al, lam_sq = param.alpha, ws.lam * ws.lam
+    return (
+        u_pair,
+        pert.lop_series(al, lam_sq, ws.nu),
+        pert.value(ws.rho_t),
+        pert.lop_value(ws.rho_t, al, lam_sq, ws.nu),
+    )
+
+
 def perturbation_energy_quadrature(
     pert: Perturbation, param: GammaParam, mode: ModeIndex
 ) -> float:
     """The same energy through the shared inner-series/tail-panel machinery."""
-    lam = abs(mode.lam)
-    nu = mode_eigenvalue(mode)
     if param.is_high:
         ws = _high_workspace(param.gamma, mode)
-        al = param.alpha
-        u_pair, du_pair = pert.pair_series()
-        lop_pair = pert.lop_series(al, lam * lam, nu)
-        parts = (
-            u_pair,
-            lop_pair,
-            pert.value(ws.rho_t),
-            pert.lop_value(ws.rho_t, al, lam * lam, nu),
-        )
+        parts = _perturbation_parts(pert, param, ws)
         return _high_bulk(ws, parts, parts)
     ws = _low_workspace(param.gamma, mode)
-    u_pair, du_pair = pert.pair_series()
-    return _low_energy(ws, u_pair, du_pair, pert.value(ws.rho_t), pert.deriv(ws.rho_t))
+    return _low_energy(ws, _perturbation_parts(pert, param, ws))
 
 
 def trace_equality_check(param: GammaParam, mode: ModeIndex) -> float:
@@ -492,53 +503,40 @@ def dirichlet_principle_check(
     zero and the second to be strictly positive.
     """
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    lam = abs(mode.lam)
-    nu = mode_eigenvalue(mode)
-    worst = 0.0
-    floor = math.inf
     if param.is_high:
         ws = _high_workspace(param.gamma, mode)
         phi, psi = 1.0, 0.6
-        base_parts = _high_parts(ws, phi, psi)
-        boundary = (2.0 * ws.nu / param.alpha) * phi * psi
-        e_base = _high_bulk(ws, base_parts, base_parts) + boundary
-        al = param.alpha
-        for _ in range(count):
-            pert = random_perturbation(rng, lam)
-            t = rng.uniform(0.3, 1.0)
-            e_w = perturbation_energy_closed(pert, param, mode)
-            u_pair, _ = pert.pair_series()
-            lop_pair = pert.lop_series(al, lam * lam, nu)
-            shifted = (
-                _series_lincomb([(1.0, base_parts[0]), (t, u_pair)]),
-                _series_lincomb([(1.0, base_parts[1]), (t, lop_pair)]),
-                base_parts[2] + t * pert.value(ws.rho_t),
-                base_parts[3] + t * pert.lop_value(ws.rho_t, al, lam * lam, nu),
-            )
-            e_shift = _high_bulk(ws, shifted, shifted) + boundary
-            gap = abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w))
-            worst = max(worst, gap)
-            floor = min(floor, e_w)
+        base = _high_parts(ws, phi, psi)
+
+        def energy_of(parts):
+            return _high_energy(ws, parts, phi, psi)
+
     else:
         ws = _low_workspace(param.gamma, mode)
-        e_base = _low_energy(ws, ws.u_pair, ws.du_pair, ws.u_t, ws.du_t)
-        for _ in range(count):
-            pert = random_perturbation(rng, lam)
-            t = rng.uniform(0.3, 1.0)
-            e_w = perturbation_energy_closed(pert, param, mode)
-            u_pair, du_pair = pert.pair_series()
-            shifted_u = _series_lincomb([(1.0, ws.u_pair), (t, u_pair)])
-            shifted_du = _series_lincomb([(1.0, ws.du_pair), (t, du_pair)])
-            e_shift = _low_energy(
-                ws,
-                shifted_u,
-                shifted_du,
-                ws.u_t + t * pert.value(ws.rho_t),
-                ws.du_t + t * pert.deriv(ws.rho_t),
-            )
-            gap = abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w))
-            worst = max(worst, gap)
-            floor = min(floor, e_w)
+        base = _low_parts(ws)
+
+        def energy_of(parts):
+            return _low_energy(ws, parts)
+
+    lam = abs(mode.lam)
+    e_base = energy_of(base)
+    worst = 0.0
+    floor = math.inf
+    for _ in range(count):
+        pert = random_perturbation(rng, lam)
+        t = rng.uniform(0.3, 1.0)
+        e_w = perturbation_energy_closed(pert, param, mode)
+        step = _perturbation_parts(pert, param, ws)
+        shifted = (
+            _series_lincomb([(1.0, base[0]), (t, step[0])]),
+            _series_lincomb([(1.0, base[1]), (t, step[1])]),
+            base[2] + t * step[2],
+            base[3] + t * step[3],
+        )
+        e_shift = energy_of(shifted)
+        gap = abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w))
+        worst = max(worst, gap)
+        floor = min(floor, e_w)
     return worst, floor
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .special import gamma_fn, kummer_m, kummer_u_batch
+from .special import gamma_fn, kummer_u_batch
 from .spectral import GammaParam, ModeIndex, gjms_symbol, mode_eigenvalue, theorem_constant
 
 __all__ = [
@@ -165,12 +165,6 @@ class ModeSolution:
 
     def deriv(self, rho) -> np.ndarray:
         return self.derivatives(rho, upto=1)[1]
-
-    def regular_value(self, rho) -> np.ndarray:
-        """The regular (boundary-value-1, growing) companion e^{-w/2} M."""
-        rho = np.asarray(rho, dtype=float)
-        w = self.lam * rho**2
-        return np.exp(-w / 2.0) * kummer_m(self.a, self.b, w)
 
 
 class NumericFit(NamedTuple):

@@ -13,7 +13,8 @@ Coefficients are polynomials in a formal weight g over the Gaussian
 rationals, stored as exact Fraction pairs.  The imaginary unit is needed
 because the factored products below carry shifts 2ic*d_t, while every
 assembled identity has to come out with real rational coefficients; that
-reality is itself one of the checks.
+reality is itself one of the checks.  The dense polynomial class behind them,
+`DensePoly`, also carries the rational polynomials in s of `scatter` (SPoly).
 
 The weighted operator family is
 
@@ -34,7 +35,9 @@ from typing import Iterator, NamedTuple
 
 __all__ = [
     "GaussRat",
+    "DensePoly",
     "GPoly",
+    "SPoly",
     "Monomial",
     "Operator",
     "IDENTITY_MONOMIAL",
@@ -94,65 +97,91 @@ I_UNIT = GaussRat(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
-class GPoly:
-    """Polynomial in the formal weight g with GaussRat coefficients.
+class DensePoly:
+    """Dense polynomial in one variable over the coefficient ring of a subclass.
 
-    coeffs[k] multiplies g^k; trailing zeros are stripped on construction so
-    equality is structural.
+    coeffs[k] multiplies the k-th power of the variable; trailing zeros are
+    stripped on construction so equality is structural.  A subclass fixes
+    the ring through `ring`, which coerces an int or a ring element, and
+    `zero`, the ring's zero.
     """
 
     coeffs: tuple = ()
 
     def __post_init__(self):
-        cs = tuple(GaussRat.of(c) for c in self.coeffs)
+        cs = tuple(self.ring(c) for c in self.coeffs)
         while cs and not cs[-1]:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @staticmethod
-    def of(x) -> "GPoly":
-        if isinstance(x, GPoly):
+    @classmethod
+    def of(cls, x):
+        if isinstance(x, cls):
             return x
-        return GPoly((GaussRat.of(x),))
+        return cls((cls.ring(x),))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other) -> "GPoly":
-        other = GPoly.of(other)
+    def __add__(self, other):
+        other = self.of(other)
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
-        a += (GaussRat(),) * (n - len(a))
-        b += (GaussRat(),) * (n - len(b))
-        return GPoly(tuple(x + y for x, y in zip(a, b)))
+        a += (self.zero,) * (n - len(a))
+        b += (self.zero,) * (n - len(b))
+        return type(self)(tuple(x + y for x, y in zip(a, b)))
 
-    def __neg__(self) -> "GPoly":
-        return GPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other) -> "GPoly":
-        return self + (-GPoly.of(other))
+    def __sub__(self, other):
+        return self + (-self.of(other))
 
-    def __mul__(self, other) -> "GPoly":
-        other = GPoly.of(other)
+    def __mul__(self, other):
+        other = self.of(other)
         if self.is_zero or other.is_zero:
-            return GPoly()
-        out = [GaussRat()] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)()
+        out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return GPoly(tuple(out))
+        return type(self)(tuple(out))
 
-    def eval(self, g_value) -> GaussRat:
-        """Substitute a concrete rational (or GaussRat) value for g."""
-        g = GaussRat.of(g_value)
-        acc = GaussRat()
+    __rmul__ = __mul__
+
+    def eval(self, x):
+        """Substitute a concrete ring element for the variable."""
+        x = self.ring(x)
+        acc = self.zero
         for c in reversed(self.coeffs):
-            acc = acc * g + c
+            acc = acc * x + c
         return acc
+
+    def compose_affine(self, a, b):
+        """The polynomial p(a + b*x)."""
+        lin = type(self)((a, b))
+        acc = type(self)()
+        for c in reversed(self.coeffs):
+            acc = acc * lin + c
+        return acc
+
+
+class SPoly(DensePoly):
+    """Polynomial in the spectral parameter s over Q."""
+
+    ring = staticmethod(_frac)
+    zero = Fraction(0)
+
+
+class GPoly(DensePoly):
+    """Polynomial in the formal weight g with GaussRat coefficients."""
+
+    ring = staticmethod(GaussRat.of)
+    zero = GaussRat()
 
 
 def g_linear(const, slope) -> GPoly:

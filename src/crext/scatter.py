@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .opalg import SPoly, _frac
+
 __all__ = [
     "SPoly",
     "UniPoly",
@@ -44,80 +46,6 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class SPoly:
-    """Dense polynomial in s over Q; trailing zeros stripped."""
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        cs = tuple(_frac(c) for c in self.coeffs)
-        while cs and not cs[-1]:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @staticmethod
-    def of(x) -> "SPoly":
-        if isinstance(x, SPoly):
-            return x
-        return SPoly((_frac(x),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other) -> "SPoly":
-        other = SPoly.of(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a += (Fraction(0),) * (n - len(a))
-        b += (Fraction(0),) * (n - len(b))
-        return SPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "SPoly":
-        return SPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "SPoly":
-        return self + (-SPoly.of(other))
-
-    def __mul__(self, other) -> "SPoly":
-        other = SPoly.of(other)
-        if self.is_zero or other.is_zero:
-            return SPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return SPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def eval(self, s) -> Fraction:
-        s = _frac(s)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
-    def compose_affine(self, a, b) -> "SPoly":
-        """The polynomial p(a + b*s)."""
-        lin = SPoly((_frac(a), _frac(b)))
-        acc = SPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + SPoly.of(c)
-        return acc
-
-
 # A univariate operator polynomial: index i holds the SPoly coefficient of x^i.
 UniPoly = list[SPoly]
 
@@ -132,36 +60,31 @@ def _validate_order(l: int, m: int) -> None:
         raise ValueError("dimension parameter m must be an integer >= 2")
 
 
-def recurrence_p(l: int, m: int) -> UniPoly:
-    """Coefficients (in x) of the monic polynomial p_l."""
-    _validate_order(l, m)
+def _three_term(l: int, factor: SPoly) -> UniPoly:
+    """Coefficients (in x) of q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(factor + l-1) q_{l-2}."""
     prev: UniPoly = [SPoly.of(1)]
     if l == 0:
         return prev
     cur: UniPoly = [SPoly(), SPoly.of(1)]
     for ell in range(2, l + 1):
-        drop = SPoly((Fraction(m + ell - 1), Fraction(-2))) * (ell - 1)
+        drop = (factor + (ell - 1)) * (ell - 1)
         nxt: UniPoly = [SPoly()] + cur
         for i, c in enumerate(prev):
             nxt[i] = nxt[i] - c * drop
         prev, cur = cur, nxt
     return cur
+
+
+def recurrence_p(l: int, m: int) -> UniPoly:
+    """Coefficients (in x) of the monic polynomial p_l."""
+    _validate_order(l, m)
+    return _three_term(l, SPoly((m, -2)))
 
 
 def recurrence_g(l: int, m: int) -> UniPoly:
     """Same recurrence with the reflected linear factor (2s - m + l - 1)."""
     _validate_order(l, m)
-    prev: UniPoly = [SPoly.of(1)]
-    if l == 0:
-        return prev
-    cur: UniPoly = [SPoly(), SPoly.of(1)]
-    for ell in range(2, l + 1):
-        drop = SPoly((Fraction(ell - 1 - m), Fraction(2))) * (ell - 1)
-        nxt: UniPoly = [SPoly()] + cur
-        for i, c in enumerate(prev):
-            nxt[i] = nxt[i] - c * drop
-        prev, cur = cur, nxt
-    return cur
+    return _three_term(l, SPoly((-m, 2)))
 
 
 def substitute_dual(poly: UniPoly, m: int) -> UniPoly:

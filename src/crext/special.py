@@ -1,7 +1,7 @@
 """Confluent hypergeometric kernels used by the extension solver.
 
 Only the decaying Kummer branch U(a, b, z) with a > 0, z > 0 is ever needed,
-together with its regular companion M(a, b, z) and the real gamma function.
+together with the real gamma function.
 
 Everything funnels through the Laplace representation
 
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
-__all__ = ["gamma_fn", "kummer_m", "kummer_u", "kummer_u_batch"]
+__all__ = ["gamma_fn", "kummer_u", "kummer_u_batch"]
 
 _FORM_SWITCH = 6.0
 _PANEL_NODES = 40
@@ -47,37 +47,6 @@ def gamma_fn(x: float) -> float:
     if x <= 0 and x.is_integer():
         raise ValueError(f"gamma has a pole at {x:g}")
     return math.gamma(x)
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0 and float(x).is_integer()
-
-
-def kummer_m(a: float, b: float, z):
-    """Regular confluent series M(a, b, z), vectorized over z.
-
-    The term ratio t_{j+1}/t_j = z (a+j) / ((b+j)(j+1)) is applied until the
-    tail is negligible twice in a row.  b at a nonpositive integer is a pole
-    of the series and is rejected.
-    """
-    if _is_nonpositive_integer(b):
-        raise ValueError(f"M(a, b, z) undefined at nonpositive integer b = {b:g}")
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    quiet = 0
-    for j in range(2000):
-        term = term * (z * (a + j) / ((b + j) * (j + 1)))
-        acc = acc + term
-        if np.max(np.abs(term)) <= 1e-18 * max(float(np.max(np.abs(acc))), 1.0):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise RuntimeError("confluent series failed to settle in 2000 terms")
-    return acc if acc.ndim else float(acc)
 
 
 def _validate_u_args(a: float, z_min: float) -> None:

@@ -39,14 +39,7 @@ __all__ = [
     "mode_eigenvalue_symbolic",
     "gjms_symbol",
     "theorem_constant",
-    "DEFAULT_LAMBDAS",
-    "DEFAULT_LEVELS",
-    "DEFAULT_DIMENSIONS",
 ]
-
-DEFAULT_LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0)
-DEFAULT_LEVELS = tuple(range(9))
-DEFAULT_DIMENSIONS = (1, 2, 3)
 
 
 @dataclass(frozen=True)

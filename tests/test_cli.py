@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,8 @@ def test_out_of_range_high_gamma_is_rejected(capsys):
         ("--dimensions", "0"),
         ("--max-weight", "7"),
         ("--perturbations", "0"),
+        ("--lambdas", "0.5,inf"),
+        ("--spot-lambdas", "inf"),
     ],
 )
 def test_invalid_grid_values_exit_with_config_errors(flags, capsys):
@@ -92,6 +95,8 @@ def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys
 def test_unknown_suite_name_is_a_config_error(capsys):
     assert main(["nonsense"]) == 2
     assert "nonsense" in capsys.readouterr().err
+    assert main(["all", "nonsense"]) == 2
+    assert "nonsense" in capsys.readouterr().err
 
 
 def test_unknown_config_field_is_named(tmp_path, capsys):
@@ -99,6 +104,25 @@ def test_unknown_config_field_is_named(tmp_path, capsys):
     path.write_text(json.dumps({"gamas_low": [0.5]}))
     assert main(["algebra", "--config", str(path)]) == 2
     assert "gamas_low" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["lambdas", "spot_lambdas"])
+def test_infinite_frequency_in_config_file_is_named(field, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{field}": [0.5, Infinity]}}')
+    assert main(["algebra", "--config", str(path)]) == 2
+    assert "inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"levels": [True]}, {"seed": True}, {"lambdas": [1.0, False]}, {"max_weight": True}],
+)
+def test_json_booleans_are_not_numbers(fields, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    assert main(["algebra", "--config", str(path)]) == 2
+    assert next(iter(fields)) in capsys.readouterr().err
 
 
 def test_config_file_values_lose_to_explicit_flags(tmp_path):
@@ -162,6 +186,28 @@ def test_sampled_probes_are_seed_deterministic():
     assert first == again
     assert first != other
     assert all(a > 1.0 and z > 0.0 for a, _, z in first)
+
+
+def _skeleton(payload: dict) -> dict:
+    """Everything of a report but its measured errors and the digits they feed."""
+    keys = ("check_id", "paper_anchor", "parameters", "tolerance", "passed")
+    return {
+        "entries": [{key: entry[key] for key in keys} for entry in payload["entries"]],
+        "summary": {
+            suite: {"checks": bucket["checks"], "failures": bucket["failures"]}
+            for suite, bucket in payload["summary"].items()
+        },
+    }
+
+
+def test_default_report_keeps_its_skeleton():
+    # The fixture holds _skeleton() of the default report.  Ids, anchors,
+    # parameters, tolerances, verdicts and their order are the report
+    # contract; measured errors may move in their last digits.  Regenerate
+    # the fixture only with a change that means to alter the contract.
+    fixture = Path(__file__).parent / "data" / "default_report_skeleton.json"
+    report = run_suites(SuiteConfig(), list(cli.SUITES))
+    assert _skeleton(json.loads(render_json(report))) == json.loads(fixture.read_text())
 
 
 def test_validation_accepts_the_default_configuration():

@@ -44,17 +44,6 @@ def test_closed_solution_matches_its_own_boundary_expansion(order, mode):
     np.testing.assert_allclose(sol.value(rho), series, rtol=1e-10)
 
 
-@pytest.mark.parametrize("order", [0.4, 0.75, 1.25, 1.6])
-def test_regular_companion_matches_frobenius_branch(order):
-    mode = ModeIndex(1.0, 1, 2)
-    sol = ModeSolution(order, mode)
-    coeff_a, _ = frobenius_series(order, sol.nu, sol.lam**2)
-    rho = np.array([0.1, 0.25, 0.4])
-    np.testing.assert_allclose(
-        sol.regular_value(rho), _series_eval(coeff_a, rho), rtol=1e-11
-    )
-
-
 @pytest.mark.parametrize("order", [0.3, 0.8, 1.45])
 def test_closed_solution_satisfies_the_mode_equation(order):
     mode = ModeIndex(1.5, 2, 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crext.special import gamma_fn, kummer_m, kummer_u, kummer_u_batch
+from crext.special import gamma_fn, kummer_u, kummer_u_batch
 
 # 30-digit references, frozen.
 FROZEN_U = [
@@ -24,7 +24,6 @@ FROZEN_U = [
     (0.75, 0.5, 2.5, 0.38839011219702548829),
     (2.5, -0.5, 0.3, 0.07761064183048089188),
 ]
-FROZEN_M = [(1.5, 0.25, 3.0, 390.33413846974504388)]
 
 
 @pytest.mark.parametrize("a,b,z,ref", FROZEN_U)
@@ -36,16 +35,6 @@ def test_reference_quadrature_hits_frozen_values(a, b, z, ref):
 def test_batch_path_hits_frozen_values(a, b, z, ref):
     got = kummer_u_batch(a, b, np.array([z]))[0]
     assert got == pytest.approx(ref, rel=1e-10)
-
-
-@pytest.mark.parametrize("a,b,z,ref", FROZEN_M)
-def test_regular_series_hits_frozen_value(a, b, z, ref):
-    assert kummer_m(a, b, z) == pytest.approx(ref, rel=1e-12)
-
-
-def test_regular_series_at_origin_is_one():
-    assert kummer_m(0.7, -0.3, 0.0) == pytest.approx(1.0, abs=0)
-    np.testing.assert_allclose(kummer_m(2.0, 0.5, np.zeros(3)), 1.0)
 
 
 GRID_A = [0.3, 1.2, 2.75, 5.5, 9.0, 13.75]
@@ -133,8 +122,6 @@ def test_gamma_pole_detected():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        kummer_m(1.0, -2.0, 0.5)
     with pytest.raises(ValueError):
         kummer_u(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
