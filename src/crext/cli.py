@@ -84,6 +84,12 @@ def _validate(cfg: SuiteConfig) -> SuiteConfig:
     ):
         if not getattr(cfg, name):
             raise ConfigError(f"field {name} is empty; the mode grid needs at least one value")
+    for name in _LIST_FIELDS:
+        seen = set()
+        for value in getattr(cfg, name):
+            if value in seen:
+                raise ConfigError(f"field {name} repeats the value {value}; list each value once")
+            seen.add(value)
     for g in cfg.gammas_low:
         if not 0.0 < g < 1.0:
             raise ConfigError(f"low-range order gamma = {g} must lie strictly inside (0, 1)")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .opalg import SPoly, _frac
@@ -60,11 +61,14 @@ def _validate_order(l: int, m: int) -> None:
         raise ValueError("dimension parameter m must be an integer >= 2")
 
 
-def _three_term(l: int, factor: SPoly) -> UniPoly:
+# q_l does not depend on s, so each (l, factor) is built once however many
+# spectral values are checked; the bound sits far above any verify grid.
+@lru_cache(maxsize=1024)
+def _three_term(l: int, factor: SPoly) -> tuple[SPoly, ...]:
     """Coefficients (in x) of q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(factor + l-1) q_{l-2}."""
     prev: UniPoly = [SPoly.of(1)]
     if l == 0:
-        return prev
+        return tuple(prev)
     cur: UniPoly = [SPoly(), SPoly.of(1)]
     for ell in range(2, l + 1):
         drop = (factor + (ell - 1)) * (ell - 1)
@@ -72,19 +76,19 @@ def _three_term(l: int, factor: SPoly) -> UniPoly:
         for i, c in enumerate(prev):
             nxt[i] = nxt[i] - c * drop
         prev, cur = cur, nxt
-    return cur
+    return tuple(cur)
 
 
 def recurrence_p(l: int, m: int) -> UniPoly:
-    """Coefficients (in x) of the monic polynomial p_l."""
+    """Coefficients (in x) of the monic polynomial p_l, as a fresh list."""
     _validate_order(l, m)
-    return _three_term(l, SPoly((m, -2)))
+    return list(_three_term(l, SPoly((m, -2))))
 
 
 def recurrence_g(l: int, m: int) -> UniPoly:
     """Same recurrence with the reflected linear factor (2s - m + l - 1)."""
     _validate_order(l, m)
-    return _three_term(l, SPoly((-m, 2)))
+    return list(_three_term(l, SPoly((-m, 2))))
 
 
 def substitute_dual(poly: UniPoly, m: int) -> UniPoly:

@@ -10,7 +10,9 @@ on a mode it acts by the scalar
 
 `mode_eigenvalue_symbolic` rebuilds that scalar from scratch in sympy by
 applying the vector fields to an explicit eigenfunction, so the normalization
-is pinned down by calculus rather than by convention.
+is pinned down by calculus rather than by convention: the residual is an
+exact polynomial that expands to zero (canonical form).  sympy is imported
+on the first call, so runs that never make one do not load it.
 
 The fractional symbol of order gamma' in (0, 2) on a mode is
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import sympy
 
 from .special import gamma_fn
 
@@ -101,23 +101,25 @@ def mode_eigenvalue(mode: ModeIndex) -> float:
 def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1):
     """Residual of the eigenvalue identity, built symbolically from the fields.
 
-    Applies half the sum of squared horizontal fields to the explicit
-    eigenfunction (x_1 - sign*i*y_1)^k e^{sign*i*lam*t} e^{-lam*|z|^2} and
-    adds back 2*lam*(2k+n) times it.  Returns a sympy expression that must
-    simplify to zero.
+    The eigenfunction is u = P e^E with P = (x_1 - sign*i*y_1)^k and
+    E = sign*i*lam*t - lam*|z|^2.  A field V acts on it through the product
+    rule, V(Q e^E) = (V Q + Q V E) e^E, so half the sum of squared horizontal
+    fields is applied to the polynomial prefactor only, and 2*lam*(2k+n) P is
+    added back.  Returns that prefactor residual as an expanded polynomial;
+    the identity holds exactly when it expands to zero (canonical form).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not isinstance(k, int) or k < 0 or not isinstance(n, int) or n < 1:
         raise ValueError("need integer k >= 0 and n >= 1")
+    import sympy
+
     t = sympy.Symbol("t", real=True)
     lam = sympy.Symbol("lam", positive=True)
     xs = sympy.symbols(f"x1:{n + 1}", real=True)
     ys = sympy.symbols(f"y1:{n + 1}", real=True)
-    radial = sum(x**2 + y**2 for x, y in zip(xs, ys))
-    u = (xs[0] - sign * sympy.I * ys[0]) ** k * sympy.exp(
-        sign * sympy.I * lam * t - lam * radial
-    )
+    exponent = sign * sympy.I * lam * t - lam * sum(x**2 + y**2 for x, y in zip(xs, ys))
+    prefactor = (xs[0] - sign * sympy.I * ys[0]) ** k
 
     def field_x(j, f):
         return sympy.diff(f, xs[j]) + 2 * ys[j] * sympy.diff(f, t)
@@ -125,10 +127,16 @@ def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1):
     def field_y(j, f):
         return sympy.diff(f, ys[j]) - 2 * xs[j] * sympy.diff(f, t)
 
+    def twisted(field, j, q):
+        """field(q e^E) / e^E, by the product rule."""
+        return field(j, q) + q * field(j, exponent)
+
     lap = sum(
-        field_x(j, field_x(j, u)) + field_y(j, field_y(j, u)) for j in range(n)
+        twisted(field_x, j, twisted(field_x, j, prefactor))
+        + twisted(field_y, j, twisted(field_y, j, prefactor))
+        for j in range(n)
     ) / 2
-    return sympy.simplify(lap + 2 * lam * (2 * k + n) * u)
+    return sympy.expand(lap + 2 * lam * (2 * k + n) * prefactor)
 
 
 def _half_shift(gamma_prime: float, mode: ModeIndex) -> float:

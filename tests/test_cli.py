@@ -1,7 +1,10 @@
 """Command line behavior: exit codes, configuration, and report rendering."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,33 @@ def test_invalid_grid_values_exit_with_config_errors(flags, capsys):
 def test_empty_mode_grid_is_a_config_error_naming_the_field(field, capsys):
     assert main(["dtn", "--" + field.replace("_", "-"), ","]) == 2
     assert field in capsys.readouterr().err
+
+
+_REPEATED = {
+    "gammas_low": [0.5, 0.5],
+    "gammas_high": [1.25, 1.5, 1.25],
+    "lambdas": [0.5, 2.0, 0.5],
+    "levels": [0, 0],
+    "dimensions": [1, 2, 2],
+    "spot_lambdas": [2.0, 2.0],
+    "spot_levels": [3, 1, 3],
+    "spot_dimensions": [1, 1],
+    "expansion_dims": [2, 4, 2],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_REPEATED))
+def test_repeated_grid_value_is_a_config_error_naming_field_and_value(field, tmp_path, capsys):
+    values = _REPEATED[field]
+    flag = "--" + field.replace("_", "-")
+    assert main(["algebra", flag, ",".join(map(str, values))]) == 2
+    message = capsys.readouterr().err
+    assert field in message and f"value {values[-1]}" in message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: values}))
+    assert main(["algebra", "--config", str(path)]) == 2
+    message = capsys.readouterr().err
+    assert field in message and f"value {values[-1]}" in message
 
 
 def test_empty_gamma_lists_give_an_empty_passing_dtn_report(capsys):
@@ -208,6 +238,17 @@ def test_default_report_keeps_its_skeleton():
     fixture = Path(__file__).parent / "data" / "default_report_skeleton.json"
     report = run_suites(SuiteConfig(), list(cli.SUITES))
     assert _skeleton(json.loads(render_json(report))) == json.loads(fixture.read_text())
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys, crext.cli; print('sympy' in sys.modules, 'mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_validation_accepts_the_default_configuration():

@@ -51,6 +51,22 @@ def test_closed_form_matches_recursion_exactly(m):
         assert check_expansion(8, m, s) == 0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_closed_form_matches_recursion_at_order_12(m):
+    for s in _seeded_spectral_values(m, 40):
+        assert check_expansion(12, m, s) == 0
+
+
+@pytest.mark.parametrize("build", [recurrence_p, recurrence_g])
+def test_recurrence_lists_are_fresh_on_every_call(build):
+    first = build(6, 3)
+    want = list(first)
+    first[0] = SPoly.of(99)
+    first.append(SPoly.of(1))
+    assert build(6, 3) == want
+    assert build(6, 3) is not build(6, 3)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_reflection_duality(m):
     assert check_duality(8, m)

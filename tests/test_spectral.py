@@ -46,9 +46,23 @@ def test_gamma_param_validation():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("k,n", [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("k,n", [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1), (4, 3), (8, 3)])
 def test_eigenvalue_identity_symbolically(k, n, sign):
     assert mode_eigenvalue_symbolic(k, n, sign) == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_eigenvalue_residual_is_a_polynomial_built_without_the_exponential(sign, monkeypatch):
+    # The fields act on the polynomial prefactor by the product rule, so the
+    # exponential factor is never formed and the residual is decided by
+    # expansion alone.
+    def no_exp(*args):
+        raise AssertionError("the exponential factor was formed")
+
+    monkeypatch.setattr(sympy, "exp", no_exp)
+    residual = mode_eigenvalue_symbolic(3, 2, sign)
+    assert residual.is_polynomial()
+    assert residual is sympy.S.Zero
 
 
 def test_symbol_reduces_to_power_at_large_level():
