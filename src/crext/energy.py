@@ -24,9 +24,13 @@ integrand is assembled exactly on the two-branch Frobenius lattice
 coefficient convolutions, and each lattice term integrates in closed form.
 On [rho_c, rho(80/lam)] the solutions are evaluated through the U-function
 ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
-units, riding the Gaussian decay.  Perturbations are Laguerre-type profiles
-x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2, closed under every operation
-above, with exact gamma-function energies to grade the quadrature against.
+units, riding the Gaussian decay.  Each (order, mode) tail profile is
+evaluated once per process and shared between the ranges: the high range at
+gamma reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
+second being the low-range profile at 2 - gamma.  Perturbations are
+Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2, closed
+under every operation above, with exact gamma-function energies to grade the
+quadrature against.
 """
 
 from __future__ import annotations
@@ -263,6 +267,22 @@ def _rho_cut(lam: float, nu: float) -> float:
     return min(0.5, 0.75 / math.sqrt(lam), 2.0 / math.sqrt(nu))
 
 
+@lru_cache(maxsize=1024)
+def _mode_profile(order: float, mode: ModeIndex) -> tuple:
+    """(solution, rho_c, tail nodes, tail weights, u, u') of one order, read-only.
+
+    The tail grid depends on the mode only.  Built once per (order, mode): the
+    low workspace at gamma and the high ones at 1 +- alpha share the entries.
+    """
+    sol = ModeSolution(order, mode)
+    rho_c = _rho_cut(sol.lam, sol.nu)
+    rho_t, wt_t = _tail_grid(sol.lam, rho_c)
+    u_t, du_t = sol.derivatives(rho_t, upto=1)
+    for arr in (rho_t, wt_t, u_t, du_t):
+        arr.flags.writeable = False
+    return sol, rho_c, rho_t, wt_t, u_t, du_t
+
+
 @dataclass(frozen=True)
 class _LowWorkspace:
     sol: ModeSolution
@@ -278,11 +298,8 @@ class _LowWorkspace:
 
 @lru_cache(maxsize=256)
 def _low_workspace(gamma: float, mode: ModeIndex) -> _LowWorkspace:
-    sol = ModeSolution(gamma, mode)
-    rho_c = _rho_cut(sol.lam, sol.nu)
+    sol, rho_c, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
     u_pair, du_pair = _mode_pair_series(sol, _INNER_TERMS)
-    rho_t, wt_t = _tail_grid(sol.lam, rho_c)
-    u_t, du_t = sol.derivatives(rho_t, upto=1)
     return _LowWorkspace(sol, 2.0 * gamma, rho_c, u_pair, du_pair, rho_t, wt_t, u_t, du_t)
 
 
@@ -355,23 +372,22 @@ class _HighWorkspace:
 @lru_cache(maxsize=256)
 def _high_workspace(gamma: float, mode: ModeIndex) -> _HighWorkspace:
     param = GammaParam(gamma)
-    lam = abs(mode.lam)
-    nu = mode_eigenvalue(mode)
-    rho_c = _rho_cut(lam, nu)
-    rho_t, wt_t = _tail_grid(lam, rho_c)
+    w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(1.0 + param.alpha, mode)
+    d2 = _mode_profile(1.0 - param.alpha, mode)[4:]
     u_basis, lop_basis, u_t, lop_t = [], [], [], []
     for data in ((1.0, 0.0), (0.0, 1.0)):
         fourth = FourthOrderMode(param, mode, *data)
         u_pair, lop_pair = _fourth_pairs(fourth, _INNER_TERMS)
         u_basis.append(u_pair)
         lop_basis.append(lop_pair)
-        u_t.append(fourth.value(rho_t))
-        lop_t.append(fourth.lop(rho_t))
+        (value,), lop = fourth.assemble(rho_t, d1, d2, 0)
+        u_t.append(value)
+        lop_t.append(lop)
     return _HighWorkspace(
         param,
         mode,
-        lam,
-        nu,
+        w1.lam,
+        w1.nu,
         2.0 * param.alpha,
         rho_c,
         tuple(u_basis),

@@ -283,7 +283,7 @@ class FourthOrderMode:
         Lop W1 = 2 rho^-1 W1',    Lop(rho^(2 alpha) W2) = 2 rho^(2 alpha - 1) W2',
 
     which this class uses for stable evaluation; the honest second-derivative
-    route is exercised in the tests instead.
+    route is exercised in the tests instead.  `assemble` holds both formulas.
     """
 
     def __init__(self, param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: float = 0.0):
@@ -322,10 +322,12 @@ class FourthOrderMode:
     def b1(self) -> float:
         return self.coef_a * self.w1.c1 + self.coef_b * (self.nu / (4.0 * self.alpha))
 
-    def derivatives(self, rho, upto: int = 2) -> list[np.ndarray]:
-        rho = np.asarray(rho, dtype=float)
-        d1 = self.w1.derivatives(rho, upto)
-        d2 = self.w2.derivatives(rho, upto)
+    def assemble(self, rho, d1, d2, upto: int):
+        """([u, ..., u^(upto)], Lop u) from the lists [W, W', ...] of W1 and W2 at rho.
+
+        Lop is None when the lists hold values only.  The energy workspaces
+        pass cached lists here, so the formulas are written once.
+        """
         al = self.alpha
         out = []
         for m in range(upto + 1):
@@ -338,7 +340,16 @@ class FourthOrderMode:
                 for i in range(m + 1)
             )
             out.append(self.coef_a * d1[m] + self.coef_b * sing)
-        return out
+        if len(d1) < 2:
+            return out, None
+        lop = 2.0 * self.coef_a * d1[1] / rho + 2.0 * self.coef_b * rho ** (2.0 * al - 1.0) * d2[1]
+        return out, lop
+
+    def derivatives(self, rho, upto: int = 2) -> list[np.ndarray]:
+        rho = np.asarray(rho, dtype=float)
+        d1 = self.w1.derivatives(rho, upto)
+        d2 = self.w2.derivatives(rho, upto)
+        return self.assemble(rho, d1, d2, upto)[0]
 
     def value(self, rho) -> np.ndarray:
         return self.derivatives(rho, upto=0)[0]
@@ -346,11 +357,7 @@ class FourthOrderMode:
     def lop(self, rho) -> np.ndarray:
         """Weight-alpha second-order operator applied to the solution."""
         rho = np.asarray(rho, dtype=float)
-        w1p = self.w1.deriv(rho)
-        w2p = self.w2.deriv(rho)
-        return 2.0 * self.coef_a * w1p / rho + 2.0 * self.coef_b * rho ** (
-            2.0 * self.alpha - 1.0
-        ) * w2p
+        return self.assemble(rho, self.w1.derivatives(rho, 1), self.w2.derivatives(rho, 1), 0)[1]
 
 
 def eval_boundary_ops(fourth: FourthOrderMode) -> dict[str, float]:

@@ -119,16 +119,19 @@ class ExpansionCoefficient:
         return [Fraction(self.m + j, 2) for j in range(1, self.l + 1)]
 
     def eval(self, s) -> Fraction:
+        # With s = p/q, m - 2s + j = ((m + j)q - 2p)/q, so the product stays
+        # in integers and the result is normalized once.
         s = _frac(s)
-        den = Fraction(factorial(self.l))
+        p, q = s.numerator, s.denominator
+        den = factorial(self.l)
         for j in range(1, self.l + 1):
-            lin = self.m - 2 * s + j
+            lin = (self.m + j) * q - 2 * p
             if lin == 0:
                 raise ValueError(
                     f"expansion coefficient of order {self.l} has a pole at s = {s}"
                 )
             den *= lin
-        return Fraction((-1) ** self.l) / den
+        return Fraction((-1) ** self.l * q**self.l, den)
 
 
 def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:

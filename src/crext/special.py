@@ -23,6 +23,12 @@ range this package produces, and was dropped for that reason.)
   of the running total.  For z > 6 the substitution tau = z t trades the
   stiff e^{-zt} for a fixed e^{-tau} profile and the same head/panel split
   is applied in tau out to a budget that scales with a.
+
+Both paths run in plain double precision, so for large a and small z the
+factor t^(a-1) can overflow although U itself is representable (for
+example U(75.75, 0.5, 0.0125) ~ 3.5e-111).  A quadrature that leaves double
+range raises OverflowError naming a, b and the smallest z instead of
+returning inf or NaN.
 """
 
 from __future__ import annotations
@@ -84,6 +90,16 @@ def _legendre_rule():
     return roots_legendre(_PANEL_NODES)
 
 
+def _finite(values: np.ndarray, a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """`values` unchanged, or OverflowError if the quadrature left double range."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(
+            f"U({a:g}, {b:g}, z) quadrature left double range "
+            f"(min z = {float(np.min(z)):g}); log-space evaluation is not implemented"
+        )
+    return values
+
+
 def _u_panels_direct(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Laplace integral in t, for z <= 6 where e^{-zt} is mild on [0, 1]."""
     power = b - a - 1.0
@@ -104,7 +120,8 @@ def _u_panels_direct(a: float, b: float, z: np.ndarray) -> np.ndarray:
         contrib = np.sum(
             wt * np.exp(-t * zrow) * t ** (a - 1.0) * (1.0 + t) ** power, axis=0
         )
-        acc = acc + contrib
+        # Checked per panel: a NaN would defeat the convergence test below.
+        acc = _finite(acc + contrib, a, b, z)
         if np.all(contrib <= 1e-18 * acc):
             quiet += 1
             if quiet >= 2:
@@ -117,7 +134,7 @@ def _u_panels_direct(a: float, b: float, z: np.ndarray) -> np.ndarray:
                 f"panel chain failed to converge by t = {lo:g} "
                 f"(a = {a:g}, b = {b:g}, min z = {float(np.min(z)):g})"
             )
-    return acc / gamma_fn(a)
+    return _finite(acc / gamma_fn(a), a, b, z)
 
 
 def _u_panels_scaled(a: float, b: float, z: np.ndarray) -> np.ndarray:
@@ -140,7 +157,7 @@ def _u_panels_scaled(a: float, b: float, z: np.ndarray) -> np.ndarray:
         body = wt * np.exp(-tau) * tau ** (a - 1.0)
         acc = acc + np.sum(body * (1.0 + tau / zrow) ** power, axis=0)
         lo = hi
-    return z ** (-a) / gamma_fn(a) * acc
+    return _finite(z ** (-a) / gamma_fn(a) * acc, a, b, z)
 
 
 def kummer_u_batch(a: float, b: float, z) -> np.ndarray:
@@ -150,8 +167,9 @@ def kummer_u_batch(a: float, b: float, z) -> np.ndarray:
     _validate_u_args(a, float(np.min(z)) if z.size else 1.0)
     out = np.empty_like(z)
     direct = z <= _FORM_SWITCH
-    if np.any(direct):
-        out[direct] = _u_panels_direct(a, b, z[direct])
-    if np.any(~direct):
-        out[~direct] = _u_panels_scaled(a, b, z[~direct])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(direct):
+            out[direct] = _u_panels_direct(a, b, z[direct])
+        if np.any(~direct):
+            out[~direct] = _u_panels_scaled(a, b, z[~direct])
     return out

@@ -305,3 +305,33 @@ def test_empty_report_renders_and_passes():
     assert empty.passed
     assert json.loads(render_json(empty))["entries"] == []
     assert "total: 0 checks" in render_table(empty)
+
+
+def test_kummer_overflow_at_a_high_level_exits_3_with_one_line(tmp_path):
+    # Level 80 drives U(a, ., .) to a ~ 80, where the double-precision panels
+    # overflow; the run must stop with one named error and no numpy warnings.
+    path = tmp_path / "cfg.json"
+    config = {
+        "suites": ["energy"],
+        "gammas_low": [0.5],
+        "gammas_high": [],
+        "spot_lambdas": [1.0],
+        "spot_levels": [80],
+        "spot_dimensions": [1],
+        "perturbations": 1,
+    }
+    path.write_text(json.dumps(config))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "crext.cli", "--config", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "energy" in lines[0] and "OverflowError" in lines[0]

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crext import extend
 from crext.energy import (
     Perturbation,
     _closed_weighted_integral,
+    _high_workspace,
+    _low_workspace,
+    _mode_profile,
     _tail_grid,
     dirichlet_principle_check,
     mode_energy_2,
@@ -20,7 +24,7 @@ from crext.energy import (
     random_perturbation,
     trace_equality_check,
 )
-from crext.extend import ModeSolution
+from crext.extend import FourthOrderMode, ModeSolution
 from crext.spectral import GammaParam, ModeIndex, gjms_symbol, theorem_constant
 
 MODES = (
@@ -181,3 +185,52 @@ def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
     lo, hi = rho_c, math.sqrt(80.0 / lam)
     want = (math.exp(-lam * lo**2) - math.exp(-lam * hi**2)) / (2.0 * lam)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def _clear_workspace_caches():
+    for cached in (_mode_profile, _low_workspace, _high_workspace):
+        cached.cache_clear()
+
+
+def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
+    # The high range at 1.5 needs W1 (order 1.5) and W2 (order 0.5), and W2
+    # is the low-range solution at 0.5: two orders, two ladder rungs each.
+    calls = []
+    counted = extend.kummer_u_batch
+
+    def counting(a, b, z):
+        calls.append((a, b))
+        return counted(a, b, z)
+
+    mode = ModeIndex(lam=0.5, k=1, n=2)
+    _clear_workspace_caches()
+    monkeypatch.setattr(extend, "kummer_u_batch", counting)
+    try:
+        _low_workspace(0.5, mode)
+        _high_workspace(1.5, mode)
+    finally:
+        _clear_workspace_caches()
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+
+
+@pytest.mark.parametrize("gamma", [1.25, 1.7])
+@pytest.mark.parametrize("mode", MODES)
+def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
+    param = GammaParam(gamma)
+    ws = _high_workspace(gamma, mode)
+    for i, data in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        fourth = FourthOrderMode(param, mode, *data)
+        assert np.array_equal(ws.u_t[i], fourth.value(ws.rho_t))
+        assert np.array_equal(ws.lop_t[i], fourth.lop(ws.rho_t))
+
+
+def test_cached_profiles_are_read_only():
+    mode = ModeIndex(lam=2.0, k=2, n=1)
+    _, _, *arrays = _mode_profile(0.25, mode)
+    low = _low_workspace(0.25, mode)
+    high = _high_workspace(1.75, mode)
+    for arr in (*arrays, low.u_t, low.du_t, high.rho_t, high.wt_t):
+        assert arr.flags.writeable is False
+    with pytest.raises(ValueError):
+        low.u_t[0] = 0.0

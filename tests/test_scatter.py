@@ -7,6 +7,7 @@ spectral values.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -142,3 +143,24 @@ def test_closed_form_matches_recursion_random(num, den, l_max, m):
     s = Fraction(num, den)
     assume(all(m - 2 * s + j != 0 for j in range(1, l_max + 1)))
     assert check_expansion(l_max, m, s) == 0
+
+
+def _product_form(l: int, m: int, s: Fraction) -> Fraction:
+    """c_l(s) as l Fraction products, the form the integer evaluation replaced."""
+    den = Fraction(factorial(l))
+    for j in range(1, l + 1):
+        den *= m - 2 * s + j
+    return Fraction((-1) ** l) / den
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coefficient_equals_the_fraction_product_form(m):
+    for ell in range(13):
+        coeff = expansion_coefficient(ell, m)
+        for s in _seeded_spectral_values(m, 20):
+            got = coeff.eval(s)
+            assert isinstance(got, Fraction)
+            assert got == _product_form(ell, m, s)
+        for pole in coeff.poles():
+            with pytest.raises(ValueError, match="pole"):
+                coeff.eval(pole)

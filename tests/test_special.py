@@ -128,3 +128,26 @@ def test_input_validation():
         kummer_u(1.0, 0.5, -1.0)
     with pytest.raises(ValueError):
         kummer_u_batch(1.0, 0.5, np.array([1.0, -2.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a,b,z",
+    [
+        (75.75, 0.5, 0.0125),  # t^(a-1) overflows in the direct panels: was a silent inf
+        (80.75, 0.5, 0.0125),  # inf times 0 in the direct panels: was NaN summed to t = 1.3e8
+        (120.0, 0.5, 10.0),  # tau^(a-1) overflows in the scaled panels: was a silent inf
+    ],
+)
+def test_overflow_is_a_named_error(a, b, z):
+    # mpmath has each of these as a tiny positive number; the double-precision
+    # quadrature cannot reach it and must say so instead of returning inf/NaN.
+    assert 0.0 < float(mpmath.hyperu(a, b, z)) < 1e-100
+    with pytest.raises(OverflowError, match=rf"U\({a:g}, {b:g}, z\).*min z = {z:g}"):
+        kummer_u_batch(a, b, np.array([z, 2.0 * z]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_direct_panel_case_below_overflow_stays_accurate():
+    got = kummer_u_batch(70.75, 0.5, np.array([0.0125]))[0]
+    assert got == pytest.approx(float(mpmath.hyperu(70.75, 0.5, 0.0125)), rel=1e-12)
