@@ -10,11 +10,14 @@ is pulling rho-powers through d_rho-powers:
 which holds for negative a too (the binomial factor stops the sum at i = b).
 
 Coefficients are polynomials in a formal weight g over the Gaussian
-rationals, stored as exact Fraction pairs.  The imaginary unit is needed
-because the factored products below carry shifts 2ic*d_t, while every
-assembled identity has to come out with real rational coefficients; that
-reality is itself one of the checks.  The dense polynomial class behind them,
-`DensePoly`, also carries the rational polynomials in s of `scatter` (SPoly).
+rationals.  Each part is an exact number that stays a Python int while it is
+an integer and is a Fraction only when a rational scalar brings one in, so
+the operators built here, all of them in Z[i][g], run on integer
+arithmetic.  The imaginary unit is needed because the factored products
+below carry shifts 2ic*d_t, while every assembled identity has to come out
+with real coefficients; that reality is itself one of the checks.  The dense
+polynomial class behind them, `DensePoly`, also carries the polynomials in s
+of `scatter` (SPoly), whose recurrence polynomials lie in Z[s].
 
 The weighted operator family is
 
@@ -50,26 +53,28 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+Exact = int | Fraction
+
+
+def _exact(x) -> Exact:
+    """An exact rational as given: an int stays an int, a Fraction a Fraction."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational re + i*im with exact parts."""
+    """Gaussian rational re + i*im with exact (int or Fraction) parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Exact = 0
+    im: Exact = 0
 
     @staticmethod
     def of(x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        return GaussRat(_frac(x), Fraction(0))
+        return GaussRat(_exact(x), 0)
 
     def __add__(self, other) -> "GaussRat":
         other = GaussRat.of(other)
@@ -93,7 +98,7 @@ class GaussRat:
         return bool(self.re) or bool(self.im)
 
 
-I_UNIT = GaussRat(Fraction(0), Fraction(1))
+I_UNIT = GaussRat(0, 1)
 
 
 @dataclass(frozen=True)
@@ -171,10 +176,10 @@ class DensePoly:
 
 
 class SPoly(DensePoly):
-    """Polynomial in the spectral parameter s over Q."""
+    """Polynomial in the spectral parameter s with exact rational coefficients."""
 
-    ring = staticmethod(_frac)
-    zero = Fraction(0)
+    ring = staticmethod(_exact)
+    zero = 0
 
 
 class GPoly(DensePoly):
@@ -295,9 +300,9 @@ class Operator:
             {m: GPoly((p.eval(g_value),)) for m, p in self._terms.items()}
         )
 
-    def max_abs_coeff(self) -> Fraction:
+    def max_abs_coeff(self) -> Exact:
         """Largest |re| + |im| over all coefficients; 0 for the zero operator."""
-        best = Fraction(0)
+        best = 0
         for p in self._terms.values():
             for c in p.coeffs:
                 mag = abs(c.re) + abs(c.im)
@@ -400,7 +405,7 @@ def weighted_laplacian(shift=0) -> Operator:
     shift is an exact rational; the rho^-1 d_rho coefficient is the linear
     polynomial (1 - 2*shift) - 2g.
     """
-    s = _frac(shift)
+    s = _exact(shift)
     return Operator(
         {
             Monomial(0, 2, 0, 0): GPoly.of(1),

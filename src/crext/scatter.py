@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .opalg import SPoly, _frac
+from .opalg import SPoly, _exact
 
 __all__ = [
     "SPoly",
@@ -63,6 +63,7 @@ def _validate_order(l: int, m: int) -> None:
 
 # q_l does not depend on s, so each (l, factor) is built once however many
 # spectral values are checked; the bound sits far above any verify grid.
+# For an integer factor the coefficients lie in Z[s] and stay Python ints.
 @lru_cache(maxsize=1024)
 def _three_term(l: int, factor: SPoly) -> tuple[SPoly, ...]:
     """Coefficients (in x) of q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(factor + l-1) q_{l-2}."""
@@ -121,7 +122,7 @@ class ExpansionCoefficient:
     def eval(self, s) -> Fraction:
         # With s = p/q, m - 2s + j = ((m + j)q - 2p)/q, so the product stays
         # in integers and the result is normalized once.
-        s = _frac(s)
+        s = _exact(s)
         p, q = s.numerator, s.denominator
         den = factorial(self.l)
         for j in range(1, self.l + 1):
@@ -146,7 +147,7 @@ def raw_recursion(l: int, m: int, s) -> list[dict[BiTerm, Fraction]]:
     exact parameter values where a recursion denominator vanishes.
     """
     _validate_order(l, m)
-    s = _frac(s)
+    s = _exact(s)
     out: list[dict[BiTerm, Fraction]] = [{(0, 0): Fraction(1)}]
     for ell in range(1, l + 1):
         den = ell * (m - 2 * s + ell)

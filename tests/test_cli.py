@@ -251,6 +251,28 @@ def test_importing_the_cli_does_not_load_sympy():
     assert out.stdout.split() == ["False", "False"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["algebra", "expansion", "spectral"], []], ids=["exact-suites", "default"]
+)
+def test_verify_runs_without_sympy_or_mpmath(argv, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = (
+        "import sys; from crext.cli import main; "
+        "status = main(sys.argv[1:]); "
+        "print(status, 'sympy' in sys.modules, 'mpmath' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "report.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "False", "False"]
+
+
 def test_validation_accepts_the_default_configuration():
     cfg, suites = load_config(build_parser().parse_args([]))
     assert cfg == SuiteConfig()

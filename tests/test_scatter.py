@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crext import scatter
 from crext.scatter import (
     SPoly,
     check_duality,
@@ -164,3 +165,13 @@ def test_coefficient_equals_the_fraction_product_form(m):
         for pole in coeff.poles():
             with pytest.raises(ValueError, match="pole"):
                 coeff.eval(pole)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_recurrence_polynomials_store_int_coefficients(m):
+    for factor in (SPoly((m, -2)), SPoly((-m, 2))):
+        q = scatter._three_term(6, factor)
+        parts = [c for sp in q for c in sp.coeffs]
+        assert parts and all(type(c) is int for c in parts)
+    with pytest.raises(TypeError):
+        SPoly((0.5,))

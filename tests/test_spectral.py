@@ -1,19 +1,22 @@
 """Mode bookkeeping and symbol tests.
 
-The eigenvalue normalization is checked symbolically, by differentiating an
-explicit eigenfunction, and the closed-form constants are pinned by gamma
-recurrences and sign requirements.
+The eigenvalue normalization is checked exactly, by differentiating an
+explicit eigenfunction, and refereed by the same construction in sympy; the
+closed-form constants are pinned by gamma recurrences and sign requirements.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
 
+from crext import spectral
 from crext.special import gamma_fn
 from crext.spectral import (
     GammaParam,
     ModeIndex,
+    ZiPoly,
     gjms_symbol,
     mode_eigenvalue,
     mode_eigenvalue_symbolic,
@@ -51,18 +54,107 @@ def test_eigenvalue_identity_symbolically(k, n, sign):
     assert mode_eigenvalue_symbolic(k, n, sign) == 0
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_eigenvalue_residual_is_a_polynomial_built_without_the_exponential(sign, monkeypatch):
-    # The fields act on the polynomial prefactor by the product rule, so the
-    # exponential factor is never formed and the residual is decided by
-    # expansion alone.
-    def no_exp(*args):
-        raise AssertionError("the exponential factor was formed")
+def _sympy_residual(k, n, sign, level):
+    """The residual built in sympy: the fields act on the prefactor of
+    P e^E by the product rule, and 2*lam*level*P is added back."""
+    t = sympy.Symbol("t", real=True)
+    lam = sympy.Symbol("lam", positive=True)
+    xs = sympy.symbols(f"x1:{n + 1}", real=True)
+    ys = sympy.symbols(f"y1:{n + 1}", real=True)
+    exponent = sign * sympy.I * lam * t - lam * sum(x**2 + y**2 for x, y in zip(xs, ys))
+    prefactor = (xs[0] - sign * sympy.I * ys[0]) ** k
 
-    monkeypatch.setattr(sympy, "exp", no_exp)
-    residual = mode_eigenvalue_symbolic(3, 2, sign)
-    assert residual.is_polynomial()
-    assert residual is sympy.S.Zero
+    def field_x(j, f):
+        return sympy.diff(f, xs[j]) + 2 * ys[j] * sympy.diff(f, t)
+
+    def field_y(j, f):
+        return sympy.diff(f, ys[j]) - 2 * xs[j] * sympy.diff(f, t)
+
+    def twisted(field, j, q):
+        return field(j, q) + q * field(j, exponent)
+
+    lap = sum(
+        twisted(field_x, j, twisted(field_x, j, prefactor))
+        + twisted(field_y, j, twisted(field_y, j, prefactor))
+        for j in range(n)
+    ) / 2
+    return sympy.expand(lap + 2 * lam * level * prefactor), (*xs, *ys, t, lam)
+
+
+def _as_sympy(poly: ZiPoly, variables):
+    return sum(
+        (
+            (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))
+            * sympy.Mul(*(v**e for v, e in zip(variables, exps)))
+            for exps, c in poly.items()
+        ),
+        sympy.S.Zero,
+    )
+
+
+def _mutate_eigenvalue(monkeypatch):
+    # The claimed scalar 2 lam (2k + n) becomes 2 lam (2k + n + 1).
+    monkeypatch.setattr(
+        spectral, "_claimed_eigenvalue", lambda k, n, lam: 2 * (2 * k + n + 1) * lam
+    )
+
+
+@pytest.mark.parametrize(
+    "k,n,sign",
+    [(k, n, sign) for n in (1, 2, 3) for k in range(9) for sign in (1, -1)] + [(20, 4, 1)],
+)
+def test_eigenvalue_residual_matches_the_sympy_referee(k, n, sign):
+    referee, variables = _sympy_residual(k, n, sign, 2 * k + n)
+    residual = mode_eigenvalue_symbolic(k, n, sign)
+    assert sympy.expand(_as_sympy(residual, variables) - referee) == 0
+    assert residual == 0
+
+
+@pytest.mark.parametrize("k,n,sign", [(0, 1, 1), (1, 2, -1), (3, 2, 1), (5, 3, -1)])
+def test_mutated_eigenvalue_residual_matches_the_sympy_referee(k, n, sign, monkeypatch):
+    _mutate_eigenvalue(monkeypatch)
+    referee, variables = _sympy_residual(k, n, sign, 2 * k + n + 1)
+    residual = mode_eigenvalue_symbolic(k, n, sign)
+    assert referee != 0
+    assert sympy.expand(_as_sympy(residual, variables) - referee) == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k,n", [(0, 1), (1, 1), (0, 2), (1, 2)])
+def test_mutated_eigenvalue_leaves_a_nonzero_residual(k, n, sign, monkeypatch):
+    _mutate_eigenvalue(monkeypatch)
+    residual = mode_eigenvalue_symbolic(k, n, sign)
+    # The residual is 2 lam P, one term per monomial of P = (x_1 - sign i y_1)^k.
+    assert residual != 0
+    assert not residual == 0
+    assert len(residual) == k + 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_eigenvalue_residual_holds_no_t_exponent(sign, monkeypatch):
+    # Every field maps the t-free prefactor to a t-free polynomial, so the
+    # residual lives in (x, y, lam); the mutated claim makes it nonzero, so
+    # the exponents are really inspected.
+    k, n = 3, 2
+    assert mode_eigenvalue_symbolic(k, n, sign) == {}
+    _mutate_eigenvalue(monkeypatch)
+    residual = mode_eigenvalue_symbolic(k, n, sign)
+    assert isinstance(residual, ZiPoly) and len(residual) == k + 1
+    for exps, c in residual.items():
+        assert len(exps) == 2 * n + 2
+        assert exps[2 * n] == 0
+        assert type(c.re) is int and type(c.im) is int and c
+
+
+def test_sparse_polynomial_is_zero_exactly_when_it_has_no_terms():
+    assert ZiPoly() == 0 and not ZiPoly() != 0
+    x = ZiPoly.gen(0, 2)
+    assert x != 0 and not x == 0
+    assert x - x == 0 and x - x == {}
+    assert x * 0 == 0
+    # An even sum of Gaussian integers halves to ints, an odd one to Fractions.
+    assert (2 * x).halved() == x and type((2 * x).halved()[(1, 0)].re) is int
+    assert x.halved()[(1, 0)].re == Fraction(1, 2)
 
 
 def test_symbol_reduces_to_power_at_large_level():
