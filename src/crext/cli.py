@@ -6,9 +6,10 @@ configuration can come from a JSON file (--config), with individual flags
 overriding file values; the environment variable CREXT_VERIFY_OUT, when
 set, overrides the output path and nothing else.  Exit status is 0 when
 every check passed, 1 when any failed, 2 when the configuration itself is
-invalid, and 3 when a suite raised an unexpected exception (an internal
-error, not a graded failure); both error messages name the offending value
-or suite.
+invalid or the report cannot be written to the output path, and 3 when a
+suite raised an unexpected exception (an internal error, not a graded
+failure); each error message is one stderr line naming the offending value,
+path or suite.
 """
 
 from __future__ import annotations
@@ -570,7 +571,14 @@ def main(argv=None) -> int:
     text = render_table(report) if args.format == "table" else render_json(report)
     out_path = os.environ.get("CREXT_VERIFY_OUT") or args.out
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            print(
+                f"output error: cannot write the report to {out_path}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1

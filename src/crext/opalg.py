@@ -9,15 +9,18 @@ is pulling rho-powers through d_rho-powers:
 
 which holds for negative a too (the binomial factor stops the sum at i = b).
 
-Coefficients are polynomials in a formal weight g over the Gaussian
-rationals.  Each part is an exact number that stays a Python int while it is
-an integer and is a Fraction only when a rational scalar brings one in, so
-the operators built here, all of them in Z[i][g], run on integer
+An operator is a sparse polynomial (`Poly`, the one exact polynomial of
+the package) in the formal weight g and the four generators, keyed by the
+exponent tuple (g, rho, dr, dt, db) of g^a rho^b d_rho^c d_t^d Db^e; its
+coefficients are Gaussian rationals whose parts stay Python ints while they
+are integers and become Fractions only when a rational scalar brings one
+in, so the operators built here, all of them in Z[i][g], run on integer
 arithmetic.  The imaginary unit is needed because the factored products
 below carry shifts 2ic*d_t, while every assembled identity has to come out
-with real coefficients; that reality is itself one of the checks.  The dense
-polynomial class behind them, `DensePoly`, also carries the polynomials in s
-of `scatter` (SPoly), whose recurrence polynomials lie in Z[s].
+with real coefficients; that reality is itself one of the checks.  Zero
+coefficients are never stored, so a difference operator is zero exactly
+when it has no terms.  `Poly` also carries the recurrence polynomials in
+(x, s) of `scatter` and the eigenfunction calculus of `spectral`.
 
 The weighted operator family is
 
@@ -34,16 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, NamedTuple
+from operator import add
 
 __all__ = [
     "GaussRat",
-    "DensePoly",
-    "GPoly",
-    "SPoly",
-    "Monomial",
+    "Poly",
     "Operator",
-    "IDENTITY_MONOMIAL",
     "weighted_laplacian",
     "factored_product",
     "build_poly_sublaplacian",
@@ -63,9 +62,22 @@ def _exact(x) -> Exact:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _operand(x) -> "GaussRat | None":
+    """x as a GaussRat, or None for a type the Gaussian rationals do not know."""
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussRat(x, 0)
+    return None
+
+
 @dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational re + i*im with exact (int or Fraction) parts."""
+    """Gaussian rational re + i*im with exact (int or Fraction) parts.
+
+    An operand of another type gets NotImplemented, so Python can try the
+    reflected operation on it (a polynomial scaled by a GaussRat, say).
+    """
 
     re: Exact = 0
     im: Exact = 0
@@ -77,19 +89,35 @@ class GaussRat:
         return GaussRat(_exact(x), 0)
 
     def __add__(self, other) -> "GaussRat":
-        other = GaussRat.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "GaussRat":
-        other = GaussRat.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
+    def __rsub__(self, other) -> "GaussRat":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return GaussRat(other.re - self.re, other.im - self.im)
+
     def __mul__(self, other) -> "GaussRat":
-        other = GaussRat.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    __rmul__ = __mul__
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
@@ -101,107 +129,103 @@ class GaussRat:
 I_UNIT = GaussRat(0, 1)
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Dense polynomial in one variable over the coefficient ring of a subclass.
+class Poly(dict):
+    """Sparse polynomial: exponent tuple -> nonzero exact coefficient.
 
-    coeffs[k] multiplies the k-th power of the variable; trailing zeros are
-    stripped on construction so equality is structural.  A subclass fixes
-    the ring through `ring`, which coerces an int or a ring element, and
-    `zero`, the ring's zero.
+    Coefficients are ints, Fractions or GaussRats, one ring per polynomial.
+    Zero coefficients are never stored, so the dict is a canonical form: two
+    polynomials are equal exactly when their dicts are, and a polynomial is
+    zero exactly when it has no terms, which is what `poly == 0` decides.
+    Anything that is not a Poly is a scalar to `*`.
     """
 
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        cs = tuple(self.ring(c) for c in self.coeffs)
-        while cs and not cs[-1]:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, terms=()):
+        super().__init__(terms)
+        for exps in [exps for exps, c in self.items() if not c]:
+            del self[exps]
 
     @classmethod
-    def of(cls, x):
-        if isinstance(x, cls):
-            return x
-        return cls((cls.ring(x),))
+    def gen(cls, index: int, nvars: int, one=1) -> "Poly":
+        """The variable with the given index among nvars; `one` is the ring's unit."""
+        return cls({tuple(int(j == index) for j in range(nvars)): one})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __eq__(self, other):
+        if isinstance(other, int) and other == 0:
+            return not self
+        return dict.__eq__(self, other)
 
-    def __add__(self, other):
-        other = self.of(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a += (self.zero,) * (n - len(a))
-        b += (self.zero,) * (n - len(b))
-        return type(self)(tuple(x + y for x, y in zip(a, b)))
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
-    def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
+    def __add__(self, other: "Poly") -> "Poly":
+        out = type(self)(self)
+        for exps, c in other.items():
+            if exps in out:
+                c = out[exps] + c
+                if not c:
+                    del out[exps]
+                    continue
+            out[exps] = c
+        return out
 
-    def __sub__(self, other):
-        return self + (-self.of(other))
+    def __neg__(self) -> "Poly":
+        return type(self)({exps: -c for exps, c in self.items()})
 
-    def __mul__(self, other):
-        other = self.of(other)
-        if self.is_zero or other.is_zero:
-            return type(self)()
-        out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return type(self)(tuple(out))
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
 
-    __rmul__ = __mul__
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return type(self)({exps: c * other for exps, c in self.items()})
+        out = {}
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                exps = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[exps] = out[exps] + c if exps in out else c
+        return type(self)(out)
 
-    def eval(self, x):
-        """Substitute a concrete ring element for the variable."""
-        x = self.ring(x)
-        acc = self.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __rmul__(self, scalar) -> "Poly":
+        return type(self)({exps: scalar * c for exps, c in self.items()})
 
-    def compose_affine(self, a, b):
-        """The polynomial p(a + b*x)."""
-        lin = type(self)((a, b))
-        acc = type(self)()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+    def diff(self, index: int) -> "Poly":
+        """Partial derivative in the variable with the given index."""
+        out = {}
+        for exps, c in self.items():
+            if exps[index]:
+                lowered = exps[:index] + (exps[index] - 1,) + exps[index + 1 :]
+                out[lowered] = c * exps[index]
+        return type(self)(out)
 
+    def subs(self, index: int, value) -> "Poly":
+        """Replace the variable with the given index by value.
 
-class SPoly(DensePoly):
-    """Polynomial in the spectral parameter s with exact rational coefficients."""
-
-    ring = staticmethod(_exact)
-    zero = 0
-
-
-class GPoly(DensePoly):
-    """Polynomial in the formal weight g with GaussRat coefficients."""
-
-    ring = staticmethod(GaussRat.of)
-    zero = GaussRat()
-
-
-def g_linear(const, slope) -> GPoly:
-    """The polynomial const + slope*g."""
-    return GPoly((GaussRat.of(const), GaussRat.of(slope)))
-
-
-class Monomial(NamedTuple):
-    rho: int
-    dr: int
-    dt: int
-    db: int
-
-
-IDENTITY_MONOMIAL = Monomial(0, 0, 0, 0)
+        value is an exact scalar or a Poly in the same variables.  Each
+        coefficient polynomial in that variable is evaluated by Horner's
+        rule, on plain coefficients for a scalar.
+        """
+        by_rest: dict[tuple, dict[int, object]] = {}
+        for exps, c in self.items():
+            rest = exps[:index] + (0,) + exps[index + 1 :]
+            by_rest.setdefault(rest, {})[exps[index]] = c
+        if not isinstance(value, Poly):
+            out = {}
+            for rest, cs in by_rest.items():
+                acc = 0
+                for d in range(max(cs), -1, -1):
+                    acc = acc * value + cs[d] if d in cs else acc * value
+                out[rest] = acc
+            return type(self)(out)
+        out = type(self)()
+        for rest, cs in by_rest.items():
+            acc = type(self)()
+            for d in range(max(cs), -1, -1):
+                acc = Poly.__mul__(acc, value)
+                if d in cs:
+                    acc = acc + type(self)({rest: cs[d]})
+            out = out + acc
+        return out
 
 
 def _falling(a: int, i: int) -> int:
@@ -211,192 +235,36 @@ def _falling(a: int, i: int) -> int:
     return p
 
 
-def _compose_monomials(m1: Monomial, m2: Monomial) -> Iterator[tuple[Monomial, int]]:
-    """Normal-ordered expansion of m1 * m2 (integer coefficients)."""
-    for i in range(m1.dr + 1):
-        c = comb(m1.dr, i) * _falling(m2.rho, i)
-        if c == 0:
-            continue
-        yield (
-            Monomial(m1.rho + m2.rho - i, m1.dr - i + m2.dr, m1.dt + m2.dt, m1.db + m2.db),
-            c,
-        )
+class Operator(Poly):
+    """Normal-ordered operator with GaussRat coefficients.
 
-
-class Operator:
-    """Finite GPoly-linear combination of normal-ordered monomials."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean: dict[Monomial, GPoly] = {}
-        for m, p in (terms or {}).items():
-            p = GPoly.of(p)
-            if not p.is_zero:
-                clean[m] = p
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "Operator":
-        return cls()
-
-    @classmethod
-    def identity(cls) -> "Operator":
-        return cls({IDENTITY_MONOMIAL: GPoly.of(1)})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff=1) -> "Operator":
-        return cls({m: GPoly.of(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[Monomial, GPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        out = dict(self._terms)
-        for m, p in other._terms.items():
-            q = out.get(m)
-            out[m] = p if q is None else q + p
-        return Operator(out)
-
-    def __neg__(self) -> "Operator":
-        return Operator({m: -p for m, p in self._terms.items()})
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
-
-    def _scaled(self, scalar) -> "Operator":
-        s = GPoly.of(scalar)
-        return Operator({m: p * s for m, p in self._terms.items()})
+    A Poly keyed by the exponents (g, rho, dr, dt, db) of the term
+    g^a rho^b d_rho^c d_t^d Db^e.  `*` between operators is composition by
+    the rewrite rule above; every other operation is the polynomial one.
+    """
 
     def __mul__(self, other):
-        if not isinstance(other, Operator):
-            return self._scaled(other)
-        out: dict[Monomial, GPoly] = {}
-        for m1, p1 in self._terms.items():
-            for m2, p2 in other._terms.items():
-                p = p1 * p2
-                for m, c in _compose_monomials(m1, m2):
-                    q = p * c
-                    acc = out.get(m)
-                    out[m] = q if acc is None else acc + q
+        if not isinstance(other, Poly):
+            return Poly.__mul__(self, other)
+        out = {}
+        for (g1, r1, d1, t1, b1), c1 in self.items():
+            for (g2, r2, d2, t2, b2), c2 in other.items():
+                c = c1 * c2
+                for i in range(d1 + 1):
+                    k = comb(d1, i) * _falling(r2, i)
+                    if k == 0:
+                        continue
+                    key = (g1 + g2, r1 + r2 - i, d1 - i + d2, t1 + t2, b1 + b2)
+                    v = c * k
+                    out[key] = out[key] + v if key in out else v
         return Operator(out)
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def subs_g(self, g_value) -> "Operator":
-        """Operator with the formal weight g replaced by a concrete rational."""
-        return Operator(
-            {m: GPoly((p.eval(g_value),)) for m, p in self._terms.items()}
-        )
 
     def max_abs_coeff(self) -> Exact:
         """Largest |re| + |im| over all coefficients; 0 for the zero operator."""
-        best = 0
-        for p in self._terms.values():
-            for c in p.coeffs:
-                mag = abs(c.re) + abs(c.im)
-                if mag > best:
-                    best = mag
-        return best
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for m, p in self.terms():
-            ms = _mono_str(m)
-            ps = _gpoly_str(p)
-            if ms == "1":
-                parts.append(ps)
-            elif ps == "1":
-                parts.append(ms)
-            elif ps == "-1":
-                parts.append(f"-{ms}")
-            else:
-                parts.append(f"({ps})*{ms}")
-        out = parts[0]
-        for t in parts[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
-
-    def __repr__(self):
-        return f"Operator<{self.render()}>"
+        return max((abs(c.re) + abs(c.im) for c in self.values()), default=0)
 
 
-def _mono_key(m: Monomial):
-    return (m.db, m.dt, m.dr, m.rho)
-
-
-def _mono_str(m: Monomial) -> str:
-    parts = []
-    if m.rho:
-        parts.append("rho" if m.rho == 1 else f"rho^{m.rho}")
-    for sym, e in (("dr", m.dr), ("dt", m.dt), ("Db", m.db)):
-        if e:
-            parts.append(sym if e == 1 else f"{sym}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _gauss_str(c: GaussRat) -> str:
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}i"
-    sign = "+" if c.im > 0 else "-"
-    mag = "i" if abs(c.im) == 1 else f"{abs(c.im)}i"
-    return f"({c.re}{sign}{mag})"
-
-
-def _gpoly_str(p: GPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if not c:
-            continue
-        base = "" if k == 0 else ("g" if k == 1 else f"g^{k}")
-        cs = _gauss_str(c)
-        if not base:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(base)
-        elif cs == "-1":
-            parts.append(f"-{base}")
-        else:
-            parts.append(f"{cs}*{base}")
-    out = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-# Convenience generators.
-
-D_RHO = Monomial(0, 1, 0, 0)
-D_T = Monomial(0, 0, 1, 0)
-DELTA_B = Monomial(0, 0, 0, 1)
+_ONE = GaussRat(1)
 
 
 def weighted_laplacian(shift=0) -> Operator:
@@ -408,17 +276,18 @@ def weighted_laplacian(shift=0) -> Operator:
     s = _exact(shift)
     return Operator(
         {
-            Monomial(0, 2, 0, 0): GPoly.of(1),
-            Monomial(-1, 1, 0, 0): g_linear(1 - 2 * s, -2),
-            Monomial(2, 0, 2, 0): GPoly.of(1),
-            DELTA_B: GPoly.of(1),
+            (0, 0, 2, 0, 0): _ONE,
+            (0, -1, 1, 0, 0): GaussRat(1 - 2 * s),
+            (1, -1, 1, 0, 0): GaussRat(-2),
+            (0, 2, 0, 2, 0): _ONE,
+            (0, 0, 0, 0, 1): _ONE,
         }
     )
 
 
 def _dt_shift_factor(c: int) -> Operator:
     """L_g + 2*i*c*d_t."""
-    return weighted_laplacian(0) + Operator.from_monomial(D_T, I_UNIT * GaussRat.of(2 * c))
+    return weighted_laplacian(0) + Operator({(0, 0, 0, 1, 0): I_UNIT * (2 * c)})
 
 
 def build_poly_sublaplacian(k: int) -> Operator:
@@ -472,10 +341,10 @@ def check_commutator_chain(k: int) -> Operator:
     """
     if not isinstance(k, int) or k < 3:
         raise ValueError("commutator chain requires integer k >= 3")
-    y = Operator.from_monomial(Monomial(-1, 1, 0, 0))
+    y = Operator({(0, -1, 1, 0, 0): _ONE})
     lt = factored_product(k - 2)
     lg = weighted_laplacian(0)
-    dt2 = Operator.from_monomial(Monomial(0, 0, 2, 0))
+    dt2 = Operator({(0, 0, 0, 2, 0): _ONE})
     chain = commutator(y, lt * lg)
     chain = chain - (2 * (k - 1)) * (y * lt * y)
     chain = chain - (2 * (k - 1)) * (lt * dt2)

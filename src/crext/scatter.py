@@ -16,9 +16,13 @@ where p_l is the monic degree-l polynomial from the three-term recurrence
     p_0 = 1,  p_1 = x,  p_l = x p_{l-1} - (l-1)(m - 2s + l - 1) p_{l-2}.
 
 A companion family g_l uses the reversed linear factor (2s - m + l - 1) and
-matches p_l under the reflection s -> m - s.  All arithmetic is exact over
-the rationals; the recursion denominators vanish exactly when 2s - m is a
-positive integer <= l, and those poles raise instead of degrading silently.
+matches p_l under the reflection s -> m - s.  Both families are built once
+per (l, m) as integer `opalg.Poly`s in (x, s); the closed form substitutes
+a sampled s into p_l, and the duality check substitutes the polynomial
+m - s into g_l.  The raw recursion that grades the closed form runs on
+plain dicts of Fractions.  All arithmetic is exact over the rationals; the
+recursion denominators vanish exactly when 2s - m is a positive integer
+<= l, and those poles raise instead of degrading silently.
 """
 
 from __future__ import annotations
@@ -28,16 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .opalg import SPoly, _exact
+from .opalg import Poly, _exact
 
 __all__ = [
-    "SPoly",
-    "UniPoly",
-    "BiTerm",
     "recurrence_p",
     "recurrence_g",
-    "substitute_dual",
-    "lift_operator",
     "ExpansionCoefficient",
     "expansion_coefficient",
     "raw_recursion",
@@ -47,13 +46,6 @@ __all__ = [
 ]
 
 
-# A univariate operator polynomial: index i holds the SPoly coefficient of x^i.
-UniPoly = list[SPoly]
-
-# A lifted bivariate term index: (i, j) stands for L1^i L2^j.
-BiTerm = tuple[int, int]
-
-
 def _validate_order(l: int, m: int) -> None:
     if not isinstance(l, int) or l < 0:
         raise ValueError("expansion order must be a nonnegative integer")
@@ -61,52 +53,34 @@ def _validate_order(l: int, m: int) -> None:
         raise ValueError("dimension parameter m must be an integer >= 2")
 
 
-# q_l does not depend on s, so each (l, factor) is built once however many
-# spectral values are checked; the bound sits far above any verify grid.
-# For an integer factor the coefficients lie in Z[s] and stay Python ints.
+_X = Poly.gen(0, 2)
+
+
+# q_l does not depend on s, so each (l, m, reflected) is built once however
+# many spectral values are checked; the bound sits far above any verify grid.
+# The coefficients lie in Z and stay Python ints.
 @lru_cache(maxsize=1024)
-def _three_term(l: int, factor: SPoly) -> tuple[SPoly, ...]:
-    """Coefficients (in x) of q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(factor + l-1) q_{l-2}."""
-    prev: UniPoly = [SPoly.of(1)]
-    if l == 0:
-        return tuple(prev)
-    cur: UniPoly = [SPoly(), SPoly.of(1)]
-    for ell in range(2, l + 1):
-        drop = (factor + (ell - 1)) * (ell - 1)
-        nxt: UniPoly = [SPoly()] + cur
-        for i, c in enumerate(prev):
-            nxt[i] = nxt[i] - c * drop
-        prev, cur = cur, nxt
-    return tuple(cur)
+def _three_term(l: int, m: int, reflected: bool) -> Poly:
+    """q_l in (x, s): q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(f + l-1) q_{l-2},
+    with the linear factor f = m - 2s, or 2s - m when reflected."""
+    sign = -1 if reflected else 1
+    prev, cur = Poly(), Poly({(0, 0): 1})
+    for ell in range(1, l + 1):
+        drop = Poly({(0, 0): (ell - 1) * (sign * m + ell - 1), (0, 1): -2 * sign * (ell - 1)})
+        prev, cur = cur, _X * cur - drop * prev
+    return cur
 
 
-def recurrence_p(l: int, m: int) -> UniPoly:
-    """Coefficients (in x) of the monic polynomial p_l, as a fresh list."""
+def recurrence_p(l: int, m: int) -> Poly:
+    """The monic polynomial p_l in (x, s), as a fresh Poly."""
     _validate_order(l, m)
-    return list(_three_term(l, SPoly((m, -2))))
+    return Poly(_three_term(l, m, False))
 
 
-def recurrence_g(l: int, m: int) -> UniPoly:
+def recurrence_g(l: int, m: int) -> Poly:
     """Same recurrence with the reflected linear factor (2s - m + l - 1)."""
     _validate_order(l, m)
-    return list(_three_term(l, SPoly((-m, 2))))
-
-
-def substitute_dual(poly: UniPoly, m: int) -> UniPoly:
-    """Apply the reflection s -> m - s to every coefficient."""
-    return [c.compose_affine(m, -1) for c in poly]
-
-
-def lift_operator(poly: UniPoly, l: int) -> dict[BiTerm, SPoly]:
-    """Lift x^i to L1^i L2^((l-i)/2); a nonzero term of bad parity is an error."""
-    out: dict[BiTerm, SPoly] = {}
-    for i, c in enumerate(poly):
-        if c.is_zero:
-            continue
-        if (l - i) % 2:
-            raise ValueError(f"term x^{i} breaks the parity of an order-{l} expansion")
-        out[(i, (l - i) // 2)] = c
-    return out
+    return Poly(_three_term(l, m, True))
 
 
 @dataclass(frozen=True)
@@ -140,20 +114,21 @@ def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:
     return ExpansionCoefficient(l, m)
 
 
-def raw_recursion(l: int, m: int, s) -> list[dict[BiTerm, Fraction]]:
+def raw_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
     """Terms f_0 .. f_l straight from the two-step recursion at rational s.
 
     Returned dicts map (i, j) -> coefficient of L1^i L2^j.  Raises at the
-    exact parameter values where a recursion denominator vanishes.
+    exact parameter values where a recursion denominator vanishes.  This is
+    the oracle for the closed form, so it shares no arithmetic with it.
     """
     _validate_order(l, m)
     s = _exact(s)
-    out: list[dict[BiTerm, Fraction]] = [{(0, 0): Fraction(1)}]
+    out: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
     for ell in range(1, l + 1):
         den = ell * (m - 2 * s + ell)
         if den == 0:
             raise ValueError(f"recursion denominator vanishes at order {ell} for s = {s}")
-        cur: dict[BiTerm, Fraction] = {}
+        cur: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in out[ell - 1].items():
             key = (i + 1, j)
             cur[key] = cur.get(key, Fraction(0)) + c
@@ -166,15 +141,15 @@ def raw_recursion(l: int, m: int, s) -> list[dict[BiTerm, Fraction]]:
     return out
 
 
-def closed_term(l: int, m: int, s) -> dict[BiTerm, Fraction]:
-    """The closed form c_l(s) * p_l lifted to the two symbols, at rational s."""
+def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
+    """The closed form c_l(s) * p_l lifted to the two symbols, at rational s.
+
+    x^i becomes L1^i L2^((l-i)/2); p_l has the parity of l, so the power of
+    L2 is whole.
+    """
     c = expansion_coefficient(l, m).eval(s)
-    out: dict[BiTerm, Fraction] = {}
-    for key, sp in lift_operator(recurrence_p(l, m), l).items():
-        v = sp.eval(s) * c
-        if v:
-            out[key] = v
-    return out
+    at_s = _three_term(l, m, False).subs(1, s)
+    return {(i, (l - i) // 2): v * c for (i, _), v in at_s.items()}
 
 
 def check_expansion(l_max: int, m: int, s) -> Fraction:
@@ -195,7 +170,8 @@ def check_expansion(l_max: int, m: int, s) -> Fraction:
 
 def check_duality(l_max: int, m: int) -> bool:
     """Structural identity p_l = g_l o (s -> m - s) for every l <= l_max."""
+    reflection = Poly({(0, 0): m, (0, 1): -1})
     for ell in range(l_max + 1):
-        if recurrence_p(ell, m) != substitute_dual(recurrence_g(ell, m), m):
+        if recurrence_p(ell, m) != recurrence_g(ell, m).subs(1, reflection):
             return False
     return True

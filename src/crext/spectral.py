@@ -11,10 +11,10 @@ on a mode it acts by the scalar
 `mode_eigenvalue_symbolic` rebuilds that scalar from scratch by applying
 the vector fields to an explicit eigenfunction, so the normalization is
 pinned down by calculus rather than by convention.  The calculus runs on
-sparse polynomials over the Gaussian integers (`ZiPoly`, a dict from
-exponent tuples to nonzero coefficients); since zero terms are never
-stored, the dict is a canonical form and the identity holds exactly when
-the residual has no terms.  No computer algebra system is involved.
+`opalg.Poly` over the Gaussian integers, a dict from exponent tuples to
+nonzero coefficients; since zero terms are never stored, the dict is a
+canonical form and the identity holds exactly when the residual has no
+terms.  No computer algebra system is involved.
 
 The fractional symbol of order gamma' in (0, 2) on a mode is
 
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .opalg import GaussRat
+from .opalg import GaussRat, Poly
 from .special import gamma_fn
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "GammaParam",
     "mode_eigenvalue",
     "mode_eigenvalue_symbolic",
-    "ZiPoly",
     "gjms_symbol",
     "theorem_constant",
 ]
@@ -103,91 +102,30 @@ def mode_eigenvalue(mode: ModeIndex) -> float:
     return 2.0 * abs(mode.lam) * (2 * mode.k + mode.n)
 
 
-class ZiPoly(dict):
-    """Sparse polynomial over Z[i]: exponent tuple -> nonzero GaussRat.
-
-    Zero coefficients are never stored, so the dict is a canonical form: two
-    polynomials are equal exactly when their dicts are, and a polynomial is
-    zero exactly when it has no terms, which is what `poly == 0` decides.
-    """
-
-    @classmethod
-    def gen(cls, index: int, nvars: int) -> "ZiPoly":
-        """The variable with the given index among nvars."""
-        return cls({tuple(int(j == index) for j in range(nvars)): GaussRat(1)})
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __add__(self, other: "ZiPoly") -> "ZiPoly":
-        out = dict(self)
-        for exps, c in other.items():
-            out[exps] = out[exps] + c if exps in out else c
-        return _canonical(out)
-
-    def __neg__(self) -> "ZiPoly":
-        return ZiPoly({exps: -c for exps, c in self.items()})
-
-    def __sub__(self, other: "ZiPoly") -> "ZiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ZiPoly":
-        if not isinstance(other, ZiPoly):
-            c = GaussRat.of(other)
-            return ZiPoly({exps: v * c for exps, v in self.items()} if c else {})
-        out = {}
-        for e1, c1 in self.items():
-            for e2, c2 in other.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
-        return _canonical(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, index: int) -> "ZiPoly":
-        """Partial derivative in the variable with the given index."""
-        out = {}
-        for exps, c in self.items():
-            if exps[index]:
-                lowered = exps[:index] + (exps[index] - 1,) + exps[index + 1 :]
-                out[lowered] = c * exps[index]
-        return ZiPoly(out)
-
-    def halved(self) -> "ZiPoly":
-        """Exactly half the polynomial; an even part stays an int, an odd one
-        becomes a Fraction (the prefactor residual only has even parts)."""
-        return ZiPoly(
-            {exps: GaussRat(_half(c.re), _half(c.im)) for exps, c in self.items()}
-        )
-
-
-def _canonical(terms: dict) -> ZiPoly:
-    return ZiPoly({exps: c for exps, c in terms.items() if c})
+def _halved(poly: Poly) -> Poly:
+    """Exactly half a Gaussian polynomial; an even part stays an int, an odd
+    one becomes a Fraction (the prefactor residual only has even parts)."""
+    return Poly({exps: GaussRat(_half(c.re), _half(c.im)) for exps, c in poly.items()})
 
 
 def _half(v):
     return v // 2 if isinstance(v, int) and v % 2 == 0 else Fraction(v, 2)
 
 
-def _claimed_eigenvalue(k: int, n: int, lam: ZiPoly) -> ZiPoly:
+def _claimed_eigenvalue(k: int, n: int, lam: Poly) -> Poly:
     """The scalar that minus the sublaplacian is claimed to act by, for lam > 0."""
     return 2 * (2 * k + n) * lam
 
 
-def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1) -> ZiPoly:
+def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1) -> Poly:
     """Residual of the eigenvalue identity, built from the fields by calculus.
 
     The eigenfunction is u = P e^E with P = (x_1 - sign*i*y_1)^k and
     E = sign*i*lam*t - lam*|z|^2.  A field V acts on it through the product
     rule, V(Q e^E) = (V Q + Q V E) e^E, so half the sum of squared horizontal
     fields is applied to the polynomial prefactor only, and 2*lam*(2k+n) P is
-    added back.  Returns that prefactor residual as a ZiPoly in the variables
+    added back.  Returns that prefactor residual as a Poly over Z[i] in the
+    variables
     (x_1..x_n, y_1..y_n, t, lam); the identity holds exactly when it has no
     terms, i.e. when it compares equal to 0.
     """
@@ -196,14 +134,15 @@ def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1) -> ZiPoly:
     if not isinstance(k, int) or k < 0 or not isinstance(n, int) or n < 1:
         raise ValueError("need integer k >= 0 and n >= 1")
     nvars = 2 * n + 2
-    xs = [ZiPoly.gen(j, nvars) for j in range(n)]
-    ys = [ZiPoly.gen(n + j, nvars) for j in range(n)]
+    one = GaussRat(1)
+    xs = [Poly.gen(j, nvars, one) for j in range(n)]
+    ys = [Poly.gen(n + j, nvars, one) for j in range(n)]
     t_index = 2 * n
-    t, lam = ZiPoly.gen(t_index, nvars), ZiPoly.gen(t_index + 1, nvars)
+    t, lam = Poly.gen(t_index, nvars, one), Poly.gen(t_index + 1, nvars, one)
     i_sign = GaussRat(0, sign)
-    exponent = lam * t * i_sign - lam * sum((x * x + y * y for x, y in zip(xs, ys)), ZiPoly())
+    exponent = lam * t * i_sign - lam * sum((x * x + y * y for x, y in zip(xs, ys)), Poly())
     base = xs[0] - ys[0] * i_sign
-    prefactor = ZiPoly({(0,) * nvars: GaussRat(1)})
+    prefactor = Poly({(0,) * nvars: one})
     for _ in range(k):
         prefactor = prefactor * base
 
@@ -223,9 +162,9 @@ def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1) -> ZiPoly:
             + twisted(field_y, j, twisted(field_y, j, prefactor))
             for j in range(n)
         ),
-        ZiPoly(),
+        Poly(),
     )
-    return twice_lap.halved() + _claimed_eigenvalue(k, n, lam) * prefactor
+    return _halved(twice_lap) + _claimed_eigenvalue(k, n, lam) * prefactor
 
 
 def _half_shift(gamma_prime: float, mode: ModeIndex) -> float:

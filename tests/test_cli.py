@@ -191,6 +191,20 @@ def test_environment_variable_overrides_the_output_flag(tmp_path, monkeypatch):
     assert not flag_target.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_unwritable_report_path_exits_2_naming_the_path(source, tmp_path, monkeypatch, capsys):
+    # A missing parent directory through --out, a directory through the variable.
+    target = tmp_path / "missing" / "r.json" if source == "flag" else tmp_path
+    if source == "flag":
+        argv = ["algebra", "--out", str(target)]
+    else:
+        monkeypatch.setenv("CREXT_VERIFY_OUT", str(target))
+        argv = ["algebra"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(target) in err
+
+
 def test_table_format_carries_the_anchor_column(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["algebra", "--format", "table", "--out", str(out)]) == 0

@@ -14,19 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crext.opalg import (
-    GPoly,
     GaussRat,
     I_UNIT,
-    Monomial,
     Operator,
+    Poly,
     build_poly_sublaplacian,
     check_commutator_chain,
     check_factorization,
     commutator,
     factored_product,
-    g_linear,
     weighted_laplacian,
 )
+
+
+def _op(terms: dict) -> Operator:
+    """An operator from {(g, rho, dr, dt, db): exact scalar}."""
+    return Operator({key: GaussRat.of(c) for key, c in terms.items()})
+
+
+def _g_linear(const, slope) -> Poly:
+    """const + slope*g as a Poly in g alone."""
+    return Poly({(0,): GaussRat.of(const), (1,): GaussRat.of(slope)})
 
 
 def test_gaussian_rational_arithmetic():
@@ -48,54 +56,60 @@ def test_integer_and_fraction_parts_are_the_same_number():
         GaussRat.of(1.0)
 
 
-def test_gpoly_mul_and_eval():
-    p = g_linear(1, -2) * g_linear(3, 1)  # (1 - 2g)(3 + g) = 3 - 5g - 2g^2
-    assert p == GPoly((GaussRat.of(3), GaussRat.of(-5), GaussRat.of(-2)))
-    assert p.eval(Fraction(1, 2)) == GaussRat()
-    assert GPoly((GaussRat.of(1), GaussRat.of(0))).coeffs == (GaussRat.of(1),)
+def test_gaussian_rationals_defer_to_other_operand_types():
+    # An unknown operand gets NotImplemented, so the reflected operation runs.
+    x = Poly.gen(0, 2, GaussRat(1))
+    assert I_UNIT * x == Poly({(1, 0): I_UNIT})
+    assert Fraction(1, 2) + GaussRat(1) == GaussRat(Fraction(3, 2))
+    assert 2 - I_UNIT == GaussRat(2, -1)
+    assert Fraction(1, 3) * I_UNIT == GaussRat(0, Fraction(1, 3))
+    op = _op({(1, 0, 1, 0, 0): 3, (0, 0, 1, 0, 0): 1})  # (3g + 1) d_rho
+    assert op.subs(0, Fraction(5, 3)) == _op({(0, 0, 1, 0, 0): 6})
+    with pytest.raises(TypeError):
+        GaussRat(1) + 1.5
+    with pytest.raises(TypeError):
+        GaussRat(1) * "2"
+
+
+def test_poly_mul_and_subs_in_g():
+    p = _g_linear(1, -2) * _g_linear(3, 1)  # (1 - 2g)(3 + g) = 3 - 5g - 2g^2
+    assert p == Poly({(0,): GaussRat(3), (1,): GaussRat(-5), (2,): GaussRat(-2)})
+    assert p.subs(0, Fraction(1, 2)) == 0
+    assert _g_linear(1, 0) == Poly({(0,): GaussRat(1)})
 
 
 def test_rewrite_through_negative_powers():
-    dr = Operator.from_monomial(Monomial(0, 1, 0, 0))
-    rinv = Operator.from_monomial(Monomial(-1, 0, 0, 0))
+    dr = _op({(0, 0, 1, 0, 0): 1})
+    rinv = _op({(0, -1, 0, 0, 0): 1})
     # d_rho rho^-1 = rho^-1 d_rho - rho^-2
-    expect = Operator(
-        {Monomial(-1, 1, 0, 0): 1, Monomial(-2, 0, 0, 0): -1}
-    )
+    expect = _op({(0, -1, 1, 0, 0): 1, (0, -2, 0, 0, 0): -1})
     assert dr * rinv == expect
     # d_rho^2 rho^-1 = rho^-1 d_rho^2 - 2 rho^-2 d_rho + 2 rho^-3
-    expect2 = Operator(
-        {
-            Monomial(-1, 2, 0, 0): 1,
-            Monomial(-2, 1, 0, 0): -2,
-            Monomial(-3, 0, 0, 0): 2,
-        }
-    )
+    expect2 = _op({(0, -1, 2, 0, 0): 1, (0, -2, 1, 0, 0): -2, (0, -3, 0, 0, 0): 2})
     assert dr * dr * rinv == expect2
 
 
 def _random_operator(rng: random.Random, nterms: int) -> Operator:
+    """nterms (rho, dr, dt, db) monomials, each with a coefficient linear in g."""
     terms = {}
     for _ in range(nterms):
-        m = Monomial(rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1))
-        terms[m] = GPoly((GaussRat.of(rng.randint(-3, 3)), GaussRat.of(rng.randint(-1, 1))))
-    return Operator(terms)
+        m = (rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1))
+        terms[(0, *m)] = rng.randint(-3, 3)
+        terms[(1, *m)] = rng.randint(-1, 1)
+    return _op(terms)
 
 
 def _to_sympy(op: Operator, expr, rho, t, bsym, gsym):
     """Act on a symbolic expression; the central generator becomes a symbol."""
     total = sympy.S.Zero
-    for m, p in op.terms():
-        coeff = sum(
-            (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * gsym**k
-            for k, c in enumerate(p.coeffs)
-        )
+    for (g, r, dr, dt, db), c in op.items():
+        coeff = (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * gsym**g
         term = expr
-        if m.dt:
-            term = sympy.diff(term, t, m.dt)
-        if m.dr:
-            term = sympy.diff(term, rho, m.dr)
-        term = term * rho**m.rho * bsym**m.db
+        if dt:
+            term = sympy.diff(term, t, dt)
+        if dr:
+            term = sympy.diff(term, rho, dr)
+        term = term * rho**r * bsym**db
         total = total + coeff * term
     return sympy.expand(total)
 
@@ -126,21 +140,26 @@ def test_composition_is_associative(data):
 def test_weighted_laplacian_coefficient_is_linear_in_g():
     for shift in (0, 1, Fraction(-3, 2)):
         op = weighted_laplacian(shift)
-        terms = dict(op.terms())
-        assert terms[Monomial(-1, 1, 0, 0)] == g_linear(1 - 2 * Fraction(shift), -2)
-        assert terms[Monomial(0, 2, 0, 0)] == GPoly.of(1)
-        assert terms[Monomial(2, 0, 2, 0)] == GPoly.of(1)
-        assert terms[Monomial(0, 0, 0, 1)] == GPoly.of(1)
+        assert op == _op(
+            {
+                (0, -1, 1, 0, 0): 1 - 2 * Fraction(shift),
+                (1, -1, 1, 0, 0): -2,
+                (0, 0, 2, 0, 0): 1,
+                (0, 2, 0, 2, 0): 1,
+                (0, 0, 0, 0, 1): 1,
+            }
+        )
 
 
 def test_weighted_laplacian_at_a_rational_shift_matches_its_hand_built_form():
     # At shift 1/2 the rho^-1 d_rho coefficient 1 - 2 shift - 2g is -2g.
-    hand = Operator(
+    hand = _op(
         {
-            Monomial(0, 2, 0, 0): 1,
-            Monomial(-1, 1, 0, 0): GPoly((GaussRat(0), GaussRat(-2))),
-            Monomial(2, 0, 2, 0): 1,
-            Monomial(0, 0, 0, 1): 1,
+            (0, 0, 2, 0, 0): 1,
+            (0, -1, 1, 0, 0): 0,
+            (1, -1, 1, 0, 0): -2,
+            (0, 2, 0, 2, 0): 1,
+            (0, 0, 0, 0, 1): 1,
         }
     )
     assert weighted_laplacian(Fraction(1, 2)) == hand
@@ -150,31 +169,21 @@ def test_weighted_laplacian_at_a_rational_shift_matches_its_hand_built_form():
 
 def test_integer_operators_store_int_coefficients():
     op = factored_product(4)
-    parts = [part for _, p in op.terms() for c in p.coeffs for part in (c.re, c.im)]
+    parts = [part for c in op.values() for part in (c.re, c.im)]
     assert parts and all(type(part) is int for part in parts)
     assert type(op.max_abs_coeff()) is int
 
 
-def test_render_is_stable():
-    assert Operator.zero().render() == "0"
-    assert (
-        weighted_laplacian(0).render()
-        == "Db + rho^2*dt^2 + dr^2 + (-2*g + 1)*rho^-1*dr"
-    )
-    y = Operator.from_monomial(Monomial(-1, 1, 0, 0))
-    assert y.render() == "rho^-1*dr"
-
-
 @pytest.mark.parametrize("k", range(1, 7))
 def test_weight_shifted_product_factorizes(k):
-    assert check_factorization(k).is_zero
+    assert check_factorization(k) == 0
 
 
 @pytest.mark.parametrize("k", [7, 8])
 def test_weight_shifted_product_factorizes_beyond_the_check_cap(k):
     # check_factorization stops at 6 so the report keeps its entries; the
     # identity itself is exercised further here.
-    assert (build_poly_sublaplacian(k) - factored_product(k)).is_zero
+    assert build_poly_sublaplacian(k) - factored_product(k) == 0
 
 
 @pytest.mark.parametrize("k", [0, 7, -1])
@@ -185,23 +194,21 @@ def test_factorization_order_is_validated(k):
 
 def test_factored_product_has_real_coefficients():
     for k in range(1, 7):
-        op = factored_product(k)
-        for _, p in op.terms():
-            assert all(c.im == 0 for c in p.coeffs)
+        assert all(c.im == 0 for c in factored_product(k).values())
 
 
 def test_pairwise_factor_commutation():
     lg = weighted_laplacian(0)
-    dt = Operator.from_monomial(Monomial(0, 0, 1, 0))
+    dt = _op({(0, 0, 0, 1, 0): 1})
     for c1, c2 in [(1, -1), (3, -3), (2, 0)]:
         f1 = lg + dt * (I_UNIT * GaussRat.of(2 * c1))
         f2 = lg + dt * (I_UNIT * GaussRat.of(2 * c2))
-        assert commutator(f1, f2).is_zero
+        assert commutator(f1, f2) == 0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_commutator_chain_collapses(k):
-    assert check_commutator_chain(k).is_zero
+    assert check_commutator_chain(k) == 0
 
 
 def test_commutator_chain_rejects_degenerate_order():
@@ -215,7 +222,7 @@ def test_second_order_case_by_direct_expansion():
     # L_{g-1} L_{g+1} = L_g^2 + 4 dt^2, the k = 2 instance written out.
     lhs = weighted_laplacian(-1) * weighted_laplacian(1)
     lg = weighted_laplacian(0)
-    rhs = lg * lg + 4 * Operator.from_monomial(Monomial(0, 0, 2, 0))
+    rhs = lg * lg + 4 * _op({(0, 0, 0, 2, 0): 1})
     assert lhs == rhs
     assert build_poly_sublaplacian(2) == lhs
 
@@ -224,15 +231,13 @@ def test_second_order_case_by_direct_expansion():
 def test_parabolic_coordinate_transport(n):
     # q (q (dq^2 + dt^2) + Db/2 - n dq) with q = rho^2/2 and dq = rho^-1 d_rho
     # equals (rho^2/4) L evaluated at weight n + 1.
-    q = Fraction(1, 2) * Operator.from_monomial(Monomial(2, 0, 0, 0))
-    dq = Operator.from_monomial(Monomial(-1, 1, 0, 0))
-    dt2 = Operator.from_monomial(Monomial(0, 0, 2, 0))
-    db = Operator.from_monomial(Monomial(0, 0, 0, 1))
+    q = Fraction(1, 2) * _op({(0, 2, 0, 0, 0): 1})
+    dq = _op({(0, -1, 1, 0, 0): 1})
+    dt2 = _op({(0, 0, 0, 2, 0): 1})
+    db = _op({(0, 0, 0, 0, 1): 1})
     inner = q * (dq * dq + dt2) + Fraction(1, 2) * db - n * dq
     lhs = q * inner
-    rhs = Fraction(1, 4) * (
-        Operator.from_monomial(Monomial(2, 0, 0, 0)) * weighted_laplacian(0).subs_g(n + 1)
-    )
+    rhs = Fraction(1, 4) * (_op({(0, 2, 0, 0, 0): 1}) * weighted_laplacian(0).subs(0, n + 1))
     assert lhs == rhs
 
 
@@ -241,4 +246,44 @@ def test_subs_g_commutes_with_composition():
     a = _random_operator(rng, 3)
     b = _random_operator(rng, 3)
     val = Fraction(5, 3)
-    assert (a * b).subs_g(val) == a.subs_g(val) * b.subs_g(val)
+    assert (a * b).subs(0, val) == a.subs(0, val) * b.subs(0, val)
+
+
+_rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+_gaussians = st.builds(GaussRat, _rationals, _rationals)
+
+
+def _polys(coeffs):
+    """Polys in two variables over one ring; zero coefficients go in too."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)), coeffs, max_size=6
+    ).map(Poly)
+
+
+def _stores_no_zero(p) -> bool:
+    return isinstance(p, Poly) and all(c for c in p.values())
+
+
+@pytest.mark.parametrize("ring", [_rationals, _gaussians], ids=["rational", "gaussian"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), index=st.integers(0, 1), value=_rationals)
+def test_poly_never_stores_a_zero_and_subs_evaluates_term_by_term(ring, data, index, value):
+    p, q = data.draw(_polys(ring)), data.draw(_polys(ring))
+    c = data.draw(ring)
+    results = [p + q, p - q, p * q, p * c, c * p, p * 0, 0 * p, p.diff(index)]
+    results += [p.subs(index, value), p.subs(index, q), -p]
+    assert all(_stores_no_zero(r) for r in results)
+    assert p - p == 0 and p * 0 == 0 and not p - p
+    assert (p == 0) == (not p)
+    by_terms: dict = {}
+    for exps, coeff in p.items():
+        rest = exps[:index] + (0,) + exps[index + 1 :]
+        by_terms[rest] = by_terms.get(rest, 0) + coeff * value ** exps[index]
+    assert p.subs(index, value) == Poly(by_terms)
+    composed = Poly()
+    for exps, coeff in p.items():
+        term = Poly({exps[:index] + (0,) + exps[index + 1 :]: coeff})
+        for _ in range(exps[index]):
+            term = term * q
+        composed = composed + term
+    assert p.subs(index, q) == composed

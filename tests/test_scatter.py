@@ -14,17 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crext import scatter
+from crext.opalg import Poly
 from crext.scatter import (
-    SPoly,
     check_duality,
     check_expansion,
     closed_term,
     expansion_coefficient,
-    lift_operator,
     raw_recursion,
     recurrence_g,
     recurrence_p,
-    substitute_dual,
 )
 
 
@@ -40,11 +38,16 @@ def _seeded_spectral_values(m: int, count: int) -> list[Fraction]:
     return out
 
 
-def test_spoly_affine_composition():
-    p = SPoly((Fraction(1), Fraction(-3), Fraction(2)))  # 1 - 3s + 2s^2
-    q = p.compose_affine(4, -1)
+def _reflection(m: int) -> Poly:
+    """The polynomial m - s in (x, s)."""
+    return Poly({(0, 0): m, (0, 1): -1})
+
+
+def test_poly_subs_composes_with_an_affine_map():
+    p = Poly({(0, 0): 1, (0, 1): -3, (0, 2): 2, (1, 1): 5})  # 1 - 3s + 2s^2 + 5xs
+    q = p.subs(1, _reflection(4))
     for s in (Fraction(0), Fraction(5, 3), Fraction(-7, 2)):
-        assert q.eval(s) == p.eval(4 - s)
+        assert q.subs(1, s) == p.subs(1, 4 - s)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -62,9 +65,9 @@ def test_closed_form_matches_recursion_at_order_12(m):
 @pytest.mark.parametrize("build", [recurrence_p, recurrence_g])
 def test_recurrence_lists_are_fresh_on_every_call(build):
     first = build(6, 3)
-    want = list(first)
-    first[0] = SPoly.of(99)
-    first.append(SPoly.of(1))
+    want = dict(first)
+    first[(0, 0)] = 99
+    first[(9, 0)] = 1
     assert build(6, 3) == want
     assert build(6, 3) is not build(6, 3)
 
@@ -75,18 +78,16 @@ def test_reflection_duality(m):
     # and the companion family reflects back as well
     for ell in range(9):
         g = recurrence_g(ell, m)
-        assert substitute_dual(recurrence_p(ell, m), m) == g
+        assert recurrence_p(ell, m).subs(1, _reflection(m)) == g
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_polynomials_are_monic_with_fixed_parity(m):
     for ell in range(13):
         p = recurrence_p(ell, m)
-        assert len(p) == ell + 1
-        assert p[ell] == SPoly.of(1)
-        for i, c in enumerate(p):
-            if (ell - i) % 2:
-                assert c.is_zero
+        assert p[(ell, 0)] == 1
+        assert all(i < ell for i, j in p if (i, j) != (ell, 0))
+        assert all((ell - i) % 2 == 0 for i, _ in p)
 
 
 def test_low_order_terms_by_hand():
@@ -110,11 +111,6 @@ def test_single_symbol_reduction(m):
             full = closed_term(ell, m, s)
             pure = {k: v for k, v in full.items() if k[1] == 0}
             assert pure == {(ell, 0): expansion_coefficient(ell, m).eval(s)}
-
-
-def test_lift_rejects_parity_violation():
-    with pytest.raises(ValueError, match="parity"):
-        lift_operator([SPoly.of(0), SPoly.of(1)], 2)
 
 
 def test_expansion_coefficient_pole_is_loud():
@@ -169,9 +165,21 @@ def test_coefficient_equals_the_fraction_product_form(m):
 
 @pytest.mark.parametrize("m", [2, 5])
 def test_recurrence_polynomials_store_int_coefficients(m):
-    for factor in (SPoly((m, -2)), SPoly((-m, 2))):
-        q = scatter._three_term(6, factor)
-        parts = [c for sp in q for c in sp.coeffs]
-        assert parts and all(type(c) is int for c in parts)
+    for reflected in (False, True):
+        q = scatter._three_term(6, m, reflected)
+        assert q and all(type(c) is int for c in q.values())
     with pytest.raises(TypeError):
-        SPoly((0.5,))
+        closed_term(3, m, 0.5)
+
+
+def test_the_recursion_oracle_shares_no_arithmetic_with_the_closed_form(monkeypatch):
+    want = raw_recursion(8, 3, Fraction(1, 4))
+
+    def refuse(*_):
+        raise AssertionError("raw_recursion reached Poly arithmetic")
+
+    monkeypatch.setattr(Poly, "__add__", refuse)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    assert raw_recursion(8, 3, Fraction(1, 4)) == want
+    with pytest.raises(AssertionError, match="Poly arithmetic"):
+        scatter._three_term.__wrapped__(4, 3, False)
