@@ -6,10 +6,11 @@ configuration can come from a JSON file (--config), with individual flags
 overriding file values; the environment variable CREXT_VERIFY_OUT, when
 set, overrides the output path and nothing else.  Exit status is 0 when
 every check passed, 1 when any failed, 2 when the configuration itself is
-invalid or the report cannot be written to the output path, and 3 when a
-suite raised an unexpected exception (an internal error, not a graded
-failure); each error message is one stderr line naming the offending value,
-path or suite.
+invalid or the output path cannot be opened for writing (checked before
+any suite runs), and 3 when a suite raised an unexpected exception (an
+internal error, not a graded failure, which leaves no report file behind);
+each error message is one stderr line naming the offending value, path or
+suite.
 """
 
 from __future__ import annotations
@@ -563,24 +564,28 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    out_path = os.environ.get("CREXT_VERIFY_OUT") or args.out
+    try:
+        # Opened before any suite runs, so an unwritable path costs no work.
+        sink = open(out_path, "w") if out_path else sys.stdout
+    except OSError as exc:
+        print(
+            f"output error: cannot write the report to {out_path}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         report = run_suites(cfg, suite_names)
+        sink.write(render_table(report) if args.format == "table" else render_json(report))
     except SuiteError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if out_path:
+            sink.close()
+            os.remove(out_path)
         return 3
-    text = render_table(report) if args.format == "table" else render_json(report)
-    out_path = os.environ.get("CREXT_VERIFY_OUT") or args.out
-    if out_path:
-        try:
-            Path(out_path).write_text(text)
-        except OSError as exc:
-            print(
-                f"output error: cannot write the report to {out_path}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        sys.stdout.write(text)
+    finally:
+        if out_path:
+            sink.close()
     return 0 if report.passed else 1
 
 

@@ -1,22 +1,34 @@
 """Weighted energy functionals and their variational identities, per mode.
 
-Low range (gamma in (0, 1)): the quadratic form
+Both ranges of orders read one bilinear form.  With beta = 2 [gamma], twice
+the fractional part of gamma, a solution part P pairs with Q as
 
-    E1(u) = int_0^inf (u'^2 + (nu + lam^2 rho^2) u^2) rho^(1-2 gamma) drho
+    E(P, Q) = int_0^inf (A_P A_Q + m u_P u_Q) rho^(1-beta) drho + d_P . B . d_Q,
 
-over decaying profiles with boundary value 1 is minimized by the explicit
-mode solution, and its minimum equals the Dirichlet-to-Neumann constant
-times the fractional symbol.
+u the profile, A a first-order quantity of it, d the boundary data and B a
+constant boundary matrix.
 
-High range (gamma in (1, 2), alpha = gamma - 1): with Lop the weight-alpha
-second-order operator, the relevant form is
+Low range (gamma in (0, 1)): A = u', m = nu + lam^2 rho^2 and B = 0 (1 x 1),
+so E(u, u) is the quadratic form E1, minimized over decaying profiles with
+boundary value 1 by the explicit mode solution; its minimum equals the
+Dirichlet-to-Neumann constant times the fractional symbol.
+
+High range (gamma in (1, 2), alpha = gamma - 1): A = Lop u with Lop the
+weight-alpha second-order operator, m = -4 lam^2 and data (B_0, B_2alpha),
+B = [[0, nu/alpha], [nu/alpha, 0]], so that
 
     E2(u) = int_0^inf ((Lop u)^2 - 4 lam^2 u^2) rho^(1-2 alpha) drho
-            + (2 nu / alpha) B_0(u) B_2alpha(u),
+            + (2 nu / alpha) B_0(u) B_2alpha(u).
 
-whose polarization Q pairs two solutions through their boundary data only:
+Its polarization Q pairs two solutions through their boundary data only:
 Q(U, V) = B_conormal(U) B_0(V) - B_second(U) B_2alpha(V) after integration
 by parts, which is what `q_symmetry_check` verifies numerically.
+
+A workspace holds, per (gamma, mode), the tail grid, m (as a lattice series
+and as an array on the tail nodes), B, and a basis of solution parts with
+unit data, one per boundary datum; every part, basis or perturbation, is the
+tuple (u series, A series, u tail, A tail), and a solution with data d is
+the d-combination of the basis.
 
 Quadrature strategy, shared by every functional here: on [0, rho_c] the
 integrand is assembled exactly on the two-branch Frobenius lattice
@@ -267,60 +279,29 @@ def _rho_cut(lam: float, nu: float) -> float:
     return min(0.5, 0.75 / math.sqrt(lam), 2.0 / math.sqrt(nu))
 
 
+
+def _read_only(x):
+    """Mark every array in a nest of tuples, dicts and branches read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (tuple, dict)):
+        for item in x.values() if isinstance(x, dict) else x:
+            _read_only(item)
+    return x
+
+
 @lru_cache(maxsize=1024)
 def _mode_profile(order: float, mode: ModeIndex) -> tuple:
     """(solution, rho_c, tail nodes, tail weights, u, u') of one order, read-only.
 
     The tail grid depends on the mode only.  Built once per (order, mode): the
-    low workspace at gamma and the high ones at 1 +- alpha share the entries.
+    workspaces at gamma below 1 and at 1 +- alpha above it share the entries.
     """
     sol = ModeSolution(order, mode)
     rho_c = _rho_cut(sol.lam, sol.nu)
     rho_t, wt_t = _tail_grid(sol.lam, rho_c)
     u_t, du_t = sol.derivatives(rho_t, upto=1)
-    for arr in (rho_t, wt_t, u_t, du_t):
-        arr.flags.writeable = False
-    return sol, rho_c, rho_t, wt_t, u_t, du_t
-
-
-@dataclass(frozen=True)
-class _LowWorkspace:
-    sol: ModeSolution
-    beta: float
-    rho_c: float
-    u_pair: dict
-    du_pair: dict
-    rho_t: np.ndarray
-    wt_t: np.ndarray
-    u_t: np.ndarray
-    du_t: np.ndarray
-
-
-@lru_cache(maxsize=256)
-def _low_workspace(gamma: float, mode: ModeIndex) -> _LowWorkspace:
-    sol, rho_c, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
-    u_pair, du_pair = _mode_pair_series(sol, _INNER_TERMS)
-    return _LowWorkspace(sol, 2.0 * gamma, rho_c, u_pair, du_pair, rho_t, wt_t, u_t, du_t)
-
-
-def _low_parts(ws: _LowWorkspace):
-    return ws.u_pair, ws.du_pair, ws.u_t, ws.du_t
-
-
-def _low_energy(ws: _LowWorkspace, parts) -> float:
-    u_pair, du_pair, u_t, du_t = parts
-    lam, nu = ws.sol.lam, ws.sol.nu
-    potential = {0: _Branch(0, np.array([nu, 0.0, lam * lam]))}
-    bulk = _series_lincomb(
-        [
-            (1.0, _series_mul(du_pair, du_pair)),
-            (1.0, _series_mul(potential, _series_mul(u_pair, u_pair))),
-        ]
-    )
-    inner = _inner_integral(bulk, ws.beta, ws.rho_c)
-    rho = ws.rho_t
-    integrand = (du_t**2 + (nu + lam * lam * rho * rho) * u_t**2) * rho ** (1.0 - ws.beta)
-    return inner + float(np.sum(ws.wt_t * integrand))
+    return _read_only((sol, rho_c, rho_t, wt_t, u_t, du_t))
 
 
 def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
@@ -354,75 +335,75 @@ def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
 
 
 @dataclass(frozen=True)
-class _HighWorkspace:
+class _Workspace:
+    """Tail grid, potential m (series and tail), unit-data basis and boundary matrix."""
+
     param: GammaParam
-    mode: ModeIndex
     lam: float
     nu: float
     beta: float
     rho_c: float
-    u_basis: tuple
-    lop_basis: tuple
     rho_t: np.ndarray
     wt_t: np.ndarray
-    u_t: tuple
-    lop_t: tuple
+    m: dict
+    m_t: np.ndarray
+    basis: tuple
+    boundary: np.ndarray
 
 
 @lru_cache(maxsize=256)
-def _high_workspace(gamma: float, mode: ModeIndex) -> _HighWorkspace:
+def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
+    """The form at gamma on one mode, with every array read-only."""
     param = GammaParam(gamma)
-    w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(1.0 + param.alpha, mode)
-    d2 = _mode_profile(1.0 - param.alpha, mode)[4:]
-    u_basis, lop_basis, u_t, lop_t = [], [], [], []
-    for data in ((1.0, 0.0), (0.0, 1.0)):
-        fourth = FourthOrderMode(param, mode, *data)
-        u_pair, lop_pair = _fourth_pairs(fourth, _INNER_TERMS)
-        u_basis.append(u_pair)
-        lop_basis.append(lop_pair)
-        (value,), lop = fourth.assemble(rho_t, d1, d2, 0)
-        u_t.append(value)
-        lop_t.append(lop)
-    return _HighWorkspace(
-        param,
-        mode,
-        w1.lam,
-        w1.nu,
-        2.0 * param.alpha,
-        rho_c,
-        tuple(u_basis),
-        tuple(lop_basis),
-        rho_t,
-        wt_t,
-        tuple(u_t),
-        tuple(lop_t),
+    al = param.alpha
+    if param.is_high:
+        w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(1.0 + al, mode)
+        d2 = _mode_profile(1.0 - al, mode)[4:]
+        lam, nu = w1.lam, w1.nu
+        m_0 = -4.0 * (lam * lam)
+        m, m_t = np.array([m_0]), np.full_like(rho_t, m_0)
+        basis = []
+        for data in ((1.0, 0.0), (0.0, 1.0)):
+            fourth = FourthOrderMode(param, mode, *data)
+            (value,), lop = fourth.assemble(rho_t, d1, d2, 0)
+            basis.append((*_fourth_pairs(fourth, _INNER_TERMS), value, lop))
+        boundary = np.array([[0.0, 1.0], [1.0, 0.0]]) * (nu / al)
+    else:
+        sol, rho_c, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
+        lam, nu = sol.lam, sol.nu
+        m, m_t = np.array([nu, 0.0, lam * lam]), nu + lam * lam * rho_t * rho_t
+        basis = [(*_mode_pair_series(sol, _INNER_TERMS), u_t, du_t)]
+        boundary = np.zeros((1, 1))
+    m, m_t, basis, boundary = _read_only(({0: _Branch(0, m)}, m_t, tuple(basis), boundary))
+    return _Workspace(param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary)
+
+
+def _combine(scales, parts_list) -> tuple:
+    """The parts of sum_i scales[i] * parts_list[i], taken part by part."""
+    u, a, u_t, a_t = zip(*parts_list)
+    return (
+        _series_lincomb(zip(scales, u)),
+        _series_lincomb(zip(scales, a)),
+        sum(s * t for s, t in zip(scales, u_t)),
+        sum(s * t for s, t in zip(scales, a_t)),
     )
 
 
-def _high_parts(ws: _HighWorkspace, phi: float, psi: float):
-    u_pair = _series_lincomb([(phi, ws.u_basis[0]), (psi, ws.u_basis[1])])
-    lop_pair = _series_lincomb([(phi, ws.lop_basis[0]), (psi, ws.lop_basis[1])])
-    u_t = phi * ws.u_t[0] + psi * ws.u_t[1]
-    lop_t = phi * ws.lop_t[0] + psi * ws.lop_t[1]
-    return u_pair, lop_pair, u_t, lop_t
-
-
-def _high_bulk(ws: _HighWorkspace, partsU, partsV) -> float:
-    uU, lopU, tU, ltU = partsU
-    uV, lopV, tV, ltV = partsV
-    lam2 = ws.lam * ws.lam
+def _bulk(ws: _Workspace, partsP, partsQ) -> float:
+    """int_0^inf (A_P A_Q + m u_P u_Q) rho^(1 - beta) drho, inner series plus tail."""
+    uP, aP, tP, atP = partsP
+    uQ, aQ, tQ, atQ = partsQ
     bulk = _series_lincomb(
-        [(1.0, _series_mul(lopU, lopV)), (-4.0 * lam2, _series_mul(uU, uV))]
+        [(1.0, _series_mul(aP, aQ)), (1.0, _series_mul(ws.m, _series_mul(uP, uQ)))]
     )
-    inner = _inner_integral(bulk, ws.beta, ws.rho_c)
-    rho = ws.rho_t
-    integrand = (ltU * ltV - 4.0 * lam2 * tU * tV) * rho ** (1.0 - ws.beta)
-    return inner + float(np.sum(ws.wt_t * integrand))
+    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.rho_t ** (1.0 - ws.beta)
+    return _inner_integral(bulk, ws.beta, ws.rho_c) + float(np.sum(ws.wt_t * integrand))
 
 
-def _high_energy(ws: _HighWorkspace, parts, phi: float, psi: float) -> float:
-    """E2 of the solution with boundary data (phi, psi), given its parts."""
-    return _high_bulk(ws, parts, parts) + (2.0 * ws.nu / ws.param.alpha) * phi * psi
+def _energy(ws: _Workspace, parts, data) -> float:
+    """The form on the solution with boundary data `data`, given its parts."""
+    d = np.asarray(data)
+    return _bulk(ws, parts, parts) + float(d @ ws.boundary @ d)
 
 
 # -- public functionals -----------------------------------------------------
@@ -432,16 +413,16 @@ def mode_energy_2(param: GammaParam, mode: ModeIndex) -> float:
     """Quadrature value of E1 on the normalized decaying solution."""
     if param.is_high:
         raise ValueError("E1 is the functional for gamma in (0, 1)")
-    ws = _low_workspace(param.gamma, mode)
-    return _low_energy(ws, _low_parts(ws))
+    ws = _workspace(param.gamma, mode)
+    return _energy(ws, _combine((1.0,), ws.basis), (1.0,))
 
 
 def mode_energy_4(param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: float = 1.0) -> float:
     """Quadrature value of E2 on the solution with boundary data (phi, psi)."""
     if not param.is_high:
         raise ValueError("E2 is the functional for gamma in (1, 2)")
-    ws = _high_workspace(param.gamma, mode)
-    return _high_energy(ws, _high_parts(ws, phi, psi), phi, psi)
+    ws = _workspace(param.gamma, mode)
+    return _energy(ws, _combine((phi, psi), ws.basis), (phi, psi))
 
 
 def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: ModeIndex) -> float:
@@ -469,12 +450,12 @@ def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: Mode
     return _closed_weighted_integral(poly, 1.0 - 2.0 * g, two_c)
 
 
-def _perturbation_parts(pert: Perturbation, param: GammaParam, ws) -> tuple:
-    """The perturbation in the parts layout of the range's workspace `ws`."""
+def _perturbation_parts(pert: Perturbation, ws: _Workspace) -> tuple:
+    """The perturbation in the parts layout of the workspace `ws`."""
     u_pair, du_pair = pert.pair_series()
-    if not param.is_high:
+    if not ws.param.is_high:
         return u_pair, du_pair, pert.value(ws.rho_t), pert.deriv(ws.rho_t)
-    al, lam_sq = param.alpha, ws.lam * ws.lam
+    al, lam_sq = ws.param.alpha, ws.lam * ws.lam
     return (
         u_pair,
         pert.lop_series(al, lam_sq, ws.nu),
@@ -487,12 +468,9 @@ def perturbation_energy_quadrature(
     pert: Perturbation, param: GammaParam, mode: ModeIndex
 ) -> float:
     """The same energy through the shared inner-series/tail-panel machinery."""
-    if param.is_high:
-        ws = _high_workspace(param.gamma, mode)
-        parts = _perturbation_parts(pert, param, ws)
-        return _high_bulk(ws, parts, parts)
-    ws = _low_workspace(param.gamma, mode)
-    return _low_energy(ws, _perturbation_parts(pert, param, ws))
+    ws = _workspace(param.gamma, mode)
+    parts = _perturbation_parts(pert, ws)
+    return _bulk(ws, parts, parts)
 
 
 def trace_equality_check(param: GammaParam, mode: ModeIndex) -> float:
@@ -519,37 +497,19 @@ def dirichlet_principle_check(
     zero and the second to be strictly positive.
     """
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    if param.is_high:
-        ws = _high_workspace(param.gamma, mode)
-        phi, psi = 1.0, 0.6
-        base = _high_parts(ws, phi, psi)
-
-        def energy_of(parts):
-            return _high_energy(ws, parts, phi, psi)
-
-    else:
-        ws = _low_workspace(param.gamma, mode)
-        base = _low_parts(ws)
-
-        def energy_of(parts):
-            return _low_energy(ws, parts)
-
+    ws = _workspace(param.gamma, mode)
+    data = (1.0, 0.6) if param.is_high else (1.0,)
+    base = _combine(data, ws.basis)
     lam = abs(mode.lam)
-    e_base = energy_of(base)
+    e_base = _energy(ws, base, data)
     worst = 0.0
     floor = math.inf
     for _ in range(count):
         pert = random_perturbation(rng, lam)
         t = rng.uniform(0.3, 1.0)
         e_w = perturbation_energy_closed(pert, param, mode)
-        step = _perturbation_parts(pert, param, ws)
-        shifted = (
-            _series_lincomb([(1.0, base[0]), (t, step[0])]),
-            _series_lincomb([(1.0, base[1]), (t, step[1])]),
-            base[2] + t * step[2],
-            base[3] + t * step[3],
-        )
-        e_shift = energy_of(shifted)
+        shifted = _combine((1.0, t), (base, _perturbation_parts(pert, ws)))
+        e_shift = _energy(ws, shifted, data)
         gap = abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w))
         worst = max(worst, gap)
         floor = min(floor, e_w)
@@ -568,13 +528,8 @@ def q_symmetry_check(
     """
     if not param.is_high:
         raise ValueError("the polarized form lives in the range gamma in (1, 2)")
-    ws = _high_workspace(param.gamma, mode)
-    al = param.alpha
-    basis = [_high_parts(ws, 1.0, 0.0), _high_parts(ws, 0.0, 1.0)]
-    cross = np.array([[0.0, 1.0], [1.0, 0.0]]) * (ws.nu / al)
-    measured = np.array(
-        [[_high_bulk(ws, bi, bj) for bj in basis] for bi in basis]
-    ) + cross
+    ws = _workspace(param.gamma, mode)
+    measured = np.array([[_bulk(ws, p, q) for q in ws.basis] for p in ws.basis]) + ws.boundary
     c_phi, c_psi = theorem_constant(param)
     closed = np.diag(
         [

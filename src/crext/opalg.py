@@ -122,6 +122,16 @@ class GaussRat:
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
 
+    def __eq__(self, other) -> bool:
+        """Equal to a plain int or Fraction when the imaginary part is zero."""
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 

@@ -90,12 +90,6 @@ class GammaParam:
         """The complementary order 1 - alpha."""
         return 1.0 - self.alpha
 
-    def branches(self) -> tuple[float, ...]:
-        """Effective extension orders: (gamma,) below 1, (gamma, 2-gamma) above."""
-        if self.is_high:
-            return (self.gamma, 2.0 - self.gamma)
-        return (self.gamma,)
-
 
 def mode_eigenvalue(mode: ModeIndex) -> float:
     """Scalar action of minus the sublaplacian on the mode."""

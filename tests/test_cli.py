@@ -109,7 +109,7 @@ def test_empty_gamma_lists_give_an_empty_passing_dtn_report(capsys):
     assert payload["entries"] == [] and payload["passed"] is True
 
 
-def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys):
+def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys, tmp_path):
     def broken(cfg):
         raise OverflowError("math range error")
 
@@ -120,6 +120,10 @@ def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert "algebra" in lines[0] and "OverflowError" in lines[0]
+    # The report file, opened before the suite ran, is not left behind empty.
+    target = tmp_path / "r.json"
+    assert main(["algebra", "--out", str(target)]) == 3
+    assert not target.exists()
 
 
 def test_unknown_suite_name_is_a_config_error(capsys):
@@ -200,9 +204,12 @@ def test_unwritable_report_path_exits_2_naming_the_path(source, tmp_path, monkey
     else:
         monkeypatch.setenv("CREXT_VERIFY_OUT", str(target))
         argv = ["algebra"]
+    calls = []
+    monkeypatch.setattr(cli, "SUITES", {"algebra": lambda cfg: calls.append(cfg) or []})
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(target) in err
+    assert calls == []
 
 
 def test_table_format_carries_the_anchor_column(tmp_path):

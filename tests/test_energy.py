@@ -11,10 +11,10 @@ from crext import extend
 from crext.energy import (
     Perturbation,
     _closed_weighted_integral,
-    _high_workspace,
-    _low_workspace,
+    _bulk,
     _mode_profile,
     _tail_grid,
+    _workspace,
     dirichlet_principle_check,
     mode_energy_2,
     mode_energy_4,
@@ -188,7 +188,7 @@ def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
 
 
 def _clear_workspace_caches():
-    for cached in (_mode_profile, _low_workspace, _high_workspace):
+    for cached in (_mode_profile, _workspace):
         cached.cache_clear()
 
 
@@ -206,8 +206,8 @@ def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
     _clear_workspace_caches()
     monkeypatch.setattr(extend, "kummer_u_batch", counting)
     try:
-        _low_workspace(0.5, mode)
-        _high_workspace(1.5, mode)
+        _workspace(0.5, mode)
+        _workspace(1.5, mode)
     finally:
         _clear_workspace_caches()
     assert len(calls) == 4
@@ -218,19 +218,38 @@ def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
     param = GammaParam(gamma)
-    ws = _high_workspace(gamma, mode)
-    for i, data in enumerate(((1.0, 0.0), (0.0, 1.0))):
+    ws = _workspace(gamma, mode)
+    for (_, _, u_t, lop_t), data in zip(ws.basis, ((1.0, 0.0), (0.0, 1.0))):
         fourth = FourthOrderMode(param, mode, *data)
-        assert np.array_equal(ws.u_t[i], fourth.value(ws.rho_t))
-        assert np.array_equal(ws.lop_t[i], fourth.lop(ws.rho_t))
+        assert np.array_equal(u_t, fourth.value(ws.rho_t))
+        assert np.array_equal(lop_t, fourth.lop(ws.rho_t))
 
 
 def test_cached_profiles_are_read_only():
     mode = ModeIndex(lam=2.0, k=2, n=1)
     _, _, *arrays = _mode_profile(0.25, mode)
-    low = _low_workspace(0.25, mode)
-    high = _high_workspace(1.75, mode)
-    for arr in (*arrays, low.u_t, low.du_t, high.rho_t, high.wt_t):
+    low = _workspace(0.25, mode)
+    high = _workspace(1.75, mode)
+    for ws in (low, high):
+        arrays += [ws.rho_t, ws.wt_t, ws.m_t, ws.boundary]
+        arrays += [br.coef for br in ws.m.values()]
+        for u, a, u_t, a_t in ws.basis:
+            arrays += [u_t, a_t] + [br.coef for br in (*u.values(), *a.values())]
+    for arr in arrays:
         assert arr.flags.writeable is False
     with pytest.raises(ValueError):
-        low.u_t[0] = 0.0
+        low.basis[0][2][0] = 0.0
+    with pytest.raises(ValueError):
+        high.basis[1][3][0] = 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.25, 1.7])
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
+    ws = _workspace(gamma, mode)
+    q = np.array([[_bulk(ws, p, r) for r in ws.basis] for p in ws.basis]) + ws.boundary
+    rng = random.Random(f"qdata:{gamma}:{mode}")
+    for _ in range(5):
+        data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
+        energy = mode_energy_4(GammaParam(gamma), mode, *data)
+        assert energy == pytest.approx(float(data @ q @ data), rel=1e-12)

@@ -50,6 +50,9 @@ def test_integer_and_fraction_parts_are_the_same_number():
     b = GaussRat(Fraction(1), Fraction(0))
     assert a == b and hash(a) == hash(b)
     assert GaussRat() == GaussRat(Fraction(0), Fraction(0))
+    assert GaussRat(3) == 3 and hash(GaussRat(3)) == hash(3)
+    assert GaussRat(Fraction(1, 2)) == Fraction(1, 2) and GaussRat(3, 1) != 3
+    assert Poly({(0,): 3}) == Poly({(0,): GaussRat(3)})
     assert I_UNIT == GaussRat(0, 1) and type(I_UNIT.im) is int
     assert type(GaussRat.of(3).re) is int
     with pytest.raises(TypeError):
@@ -287,3 +290,9 @@ def test_poly_never_stores_a_zero_and_subs_evaluates_term_by_term(ring, data, in
             term = term * q
         composed = composed + term
     assert p.subs(index, q) == composed
+    # The same polynomial over the rationals and over the Gaussian rationals
+    # is one polynomial, with equal coefficient hashes.
+    rational = data.draw(_polys(_rationals))
+    lifted = Poly({exps: GaussRat.of(c) for exps, c in rational.items()})
+    assert rational == lifted and lifted == rational and not rational != lifted
+    assert all(hash(c) == hash(lifted[exps]) for exps, c in rational.items())

@@ -40,12 +40,11 @@ def test_gamma_param_validation():
         with pytest.raises(ValueError):
             GammaParam(bad)
     low = GammaParam(0.3)
-    assert not low.is_high and low.alpha == 0.3 and low.branches() == (0.3,)
+    assert not low.is_high and low.alpha == 0.3
     high = GammaParam(1.25)
     assert high.is_high
     assert high.alpha == pytest.approx(0.25)
     assert high.tilde == pytest.approx(0.75)
-    assert high.branches() == pytest.approx((1.25, 0.75))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
