@@ -6,11 +6,11 @@ configuration can come from a JSON file (--config), with individual flags
 overriding file values; the environment variable CREXT_VERIFY_OUT, when
 set, overrides the output path and nothing else.  Exit status is 0 when
 every check passed, 1 when any failed, 2 when the configuration itself is
-invalid or the output path cannot be opened for writing (checked before
-any suite runs), and 3 when a suite raised an unexpected exception (an
-internal error, not a graded failure, which leaves no report file behind);
-each error message is one stderr line naming the offending value, path or
-suite.
+invalid or the report cannot be written to the output path (the path is
+opened before any suite runs), and 3 when a suite raised an unexpected
+exception (an internal error, not a graded failure, which removes a report
+file this run created and leaves one already there untouched); each error
+message is one stderr line naming the offending value, path or suite.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import random
+import stat
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -565,27 +566,33 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     out_path = os.environ.get("CREXT_VERIFY_OUT") or args.out
+    created = bool(out_path) and not os.path.lexists(out_path)
     try:
-        # Opened before any suite runs, so an unwritable path costs no work.
-        sink = open(out_path, "w") if out_path else sys.stdout
+        # Opened before any suite runs, so an unwritable path costs no work;
+        # opened for appending, so a report already there stays intact until
+        # the new one is ready.
+        sink = open(out_path, "a") if out_path else sys.stdout
+        try:
+            report = run_suites(cfg, suite_names)
+            if out_path and stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+                sink.truncate(0)
+            sink.write(render_table(report) if args.format == "table" else render_json(report))
+        finally:
+            if out_path:
+                sink.close()
+    except SuiteError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        if created:
+            os.remove(out_path)
+        return 3
     except OSError as exc:
+        if not out_path:
+            raise
         print(
             f"output error: cannot write the report to {out_path}: {exc.strerror or exc}",
             file=sys.stderr,
         )
         return 2
-    try:
-        report = run_suites(cfg, suite_names)
-        sink.write(render_table(report) if args.format == "table" else render_json(report))
-    except SuiteError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        if out_path:
-            sink.close()
-            os.remove(out_path)
-        return 3
-    finally:
-        if out_path:
-            sink.close()
     return 0 if report.passed else 1
 
 

@@ -126,6 +126,25 @@ def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys
     assert not target.exists()
 
 
+def test_internal_error_leaves_an_existing_report_untouched(monkeypatch, capsys, tmp_path):
+    target = tmp_path / "r.json"
+    target.write_text("previous report " * 1000)
+    monkeypatch.setitem(cli.SUITES, "algebra", lambda cfg: 1 / 0)
+    assert main(["algebra", "--out", str(target)]) == 3
+    assert target.read_text() == "previous report " * 1000
+    # A run that succeeds replaces the longer file whole.
+    monkeypatch.undo()
+    assert main(["algebra", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["passed"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_failed_report_write_exits_2_naming_the_path(capsys):
+    assert main(["algebra", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "/dev/full" in err
+
+
 def test_unknown_suite_name_is_a_config_error(capsys):
     assert main(["nonsense"]) == 2
     assert "nonsense" in capsys.readouterr().err
