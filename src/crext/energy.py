@@ -24,17 +24,26 @@ Its polarization Q pairs two solutions through their boundary data only:
 Q(U, V) = B_conormal(U) B_0(V) - B_second(U) B_2alpha(V) after integration
 by parts, which is what `q_symmetry_check` verifies numerically.
 
-A workspace holds, per (gamma, mode), the tail grid, m (as a lattice series
-and as an array on the tail nodes), B, and a basis of solution parts with
-unit data, one per boundary datum; every part, basis or perturbation, is the
-tuple (u series, A series, u tail, A tail), and a solution with data d is
-the d-combination of the basis.
+A workspace holds, per (gamma, mode), the tail grid, m (as coefficients of
+rho^0, rho^1, ... and as an array on the tail nodes), B, a moment table and
+a basis of solution parts with unit data, one per boundary datum; every
+part, basis or perturbation, is the tuple (u series, A series, u tail,
+A tail), and a solution with data d is the d-combination of the basis.
 
-Quadrature strategy, shared by every functional here: on [0, rho_c] the
-integrand is assembled exactly on the two-branch Frobenius lattice
-(exponents j + b * beta with integer j and branch index b), products are
-coefficient convolutions, and each lattice term integrates in closed form.
-On [rho_c, rho(80/lam)] the solutions are evaluated through the U-function
+Quadrature strategy, shared by every functional here: on [0, rho_c] a series
+is one dense array over the two-branch Frobenius lattice, the coefficient of
+rho^(p + b beta) at index b * 64 + p + 2 for branch b in {0, 1} and power p
+in -2..61.  A pair of lattice terms integrates in closed form against the
+weight, to the moment mu(b, p) = rho_c^e / e with e = p + 2 + (b - 1) beta at
+the summed branch and power, so the inner integral is the Gram form
+
+    a_P . G_A . a_Q + u_P . G_m . u_Q,   G_A[i, j] = mu(b_i + b_j, p_i + p_j),
+
+and G_m folds in m's coefficients the same way.  The workspace caches only
+the 1-D table of mu over (b, p); the two 128 x 128 Grams are gathered from
+it once per check.  A degenerate exponent (|e| < 1e-9) leaves the lattice
+and raises if any nonzero pair of coefficients lands on it.  On
+[rho_c, rho(80/lam)] the solutions are evaluated through the U-function
 ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
 units, riding the Gaussian decay.  Each (order, mode) tail profile is
 evaluated once per process and shared between the ranges: the high range at
@@ -42,7 +51,8 @@ gamma reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
 second being the low-range profile at 2 - gamma.  Perturbations are
 Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2, closed
 under every operation above, with exact gamma-function energies to grade the
-quadrature against.
+quadrature against; the Dirichlet check stacks them as rows, at most 32 to a
+block, and evaluates each block as one row-wise quadratic form.
 """
 
 from __future__ import annotations
@@ -51,7 +61,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -76,61 +85,51 @@ _INNER_TERMS = 30
 _TAIL_NODES = 24
 _W_TOP = 80.0
 _W_STEP_CAP = 8.0
+_BLOCK = 32
+
+# Dense lattice layout: powers rho^_P_LO .. rho^(_P_LO + _NP - 1) per branch.
+_P_LO = -2
+_NP = 64
+_J = np.arange(_INNER_TERMS)
+_FACT = np.array([float(math.factorial(j)) for j in _J])
+# Moment table columns: every power sum of two parts, shifted by up to m's degree 2.
+_NCOLS = 2 * _NP + 1
+_BRANCH, _POWER = np.divmod(np.arange(2 * _NP), _NP)
+_GRAM_INDEX = (_BRANCH[:, None] + _BRANCH) * _NCOLS + _POWER[:, None] + _POWER
 
 
-class _Branch(NamedTuple):
-    """Coefficients of rho^(off + i) within one lattice branch."""
+def _lattice(*terms) -> np.ndarray:
+    """Dense parts from (branch, lowest power, coefficients of every second power).
 
-    off: int
-    coef: np.ndarray
-
-
-def _b_mul(x: _Branch, y: _Branch) -> _Branch:
-    return _Branch(x.off + y.off, np.convolve(x.coef, y.coef))
-
-
-def _acc_add(acc: dict[int, _Branch], key: int, br: _Branch, scale: float = 1.0) -> None:
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = _Branch(br.off, scale * br.coef)
-        return
-    off = min(cur.off, br.off)
-    end = max(cur.off + len(cur.coef), br.off + len(br.coef))
-    arr = np.zeros(end - off)
-    arr[cur.off - off : cur.off - off + len(cur.coef)] += cur.coef
-    arr[br.off - off : br.off - off + len(br.coef)] += scale * br.coef
-    acc[key] = _Branch(off, arr)
+    Leading axes of the coefficient arrays are kept, one dense row each.
+    """
+    lead = np.shape(terms[0][2])[:-1]
+    out = np.zeros(lead + (2, _NP))
+    for branch, power, coef in terms:
+        k = power - _P_LO
+        out[..., branch, k : k + 2 * np.shape(coef)[-1] : 2] += coef
+    return out.reshape(lead + (2 * _NP,))
 
 
-def _series_mul(p: dict[int, _Branch], q: dict[int, _Branch]) -> dict[int, _Branch]:
-    out: dict[int, _Branch] = {}
-    for b1, x in p.items():
-        for b2, y in q.items():
-            _acc_add(out, b1 + b2, _b_mul(x, y))
-    return out
+def _moments(beta: float, rho_c: float) -> np.ndarray:
+    """mu(b, p) = rho_c^e / e, e = p + 2 + (b - 1) beta, NaN where e degenerates."""
+    e = 2 * _P_LO + np.arange(_NCOLS) + 1.0 + (np.arange(3)[:, None] - 1) * beta + 1.0
+    bad = np.abs(e) < 1e-9
+    e[bad] = 1.0
+    mu = rho_c**e / e
+    mu[bad] = np.nan
+    return mu
 
 
-def _series_lincomb(terms) -> dict[int, _Branch]:
-    out: dict[int, _Branch] = {}
-    for scale, series in terms:
-        for bp, br in series.items():
-            _acc_add(out, bp, br, scale)
-    return out
-
-
-def _inner_integral(series: dict[int, _Branch], beta: float, rho_c: float) -> float:
-    """Integrate the lattice series times the weight rho^(1 - beta) over [0, rho_c]."""
-    total = 0.0
-    for bp, br in series.items():
-        live = br.coef != 0.0
-        if not np.any(live):
-            continue
-        exps = br.off + np.arange(len(br.coef))[live] + 1.0 + (bp - 1) * beta
-        ep1 = exps + 1.0
-        if np.any(np.abs(ep1) < 1e-9):
-            raise RuntimeError("endpoint exponent degenerated to -1; lattice violated")
-        total += float(np.sum(br.coef[live] * rho_c**ep1 / ep1))
-    return total
+def _grams(ws: _Workspace) -> tuple:
+    """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms."""
+    out = []
+    for weights in ((1.0,), ws.m):
+        gram = sum(w * np.take(ws.moments, _GRAM_INDEX + k) for k, w in enumerate(weights) if w)
+        bad = np.isnan(gram)
+        gram[bad] = 0.0
+        out.append((gram, *np.nonzero(bad)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -154,12 +153,12 @@ def _tail_grid(lam: float, rho_c: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- profiles ---------------------------------------------------------------
+# x-polynomials are coefficient arrays along the last axis; leading axes,
+# if any, stack one perturbation per row.
 
 
 def _xp_dx(p: np.ndarray) -> np.ndarray:
-    if len(p) <= 1:
-        return np.zeros(1)
-    return p[1:] * np.arange(1, len(p))
+    return p[..., 1:] * np.arange(1, np.shape(p)[-1])
 
 
 def _xp_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -167,10 +166,48 @@ def _xp_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _xp_eval(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in reversed(p):
-        acc = acc * x + c
+    acc = np.zeros(np.shape(p)[:-1] + np.shape(x))
+    for k in reversed(range(np.shape(p)[-1])):
+        acc = acc * x + p[..., k, None]
     return acc
+
+
+def _w_value(p: np.ndarray, c, rho: np.ndarray) -> np.ndarray:
+    """p(x) e^{-c x} at x = rho^2."""
+    x = rho * rho
+    return _xp_eval(p, x) * np.exp(-c * x)
+
+
+def _w_deriv(h: np.ndarray, c, rho: np.ndarray) -> np.ndarray:
+    """d/drho of h(x) e^{-c x} at x = rho^2."""
+    x = rho * rho
+    core = _xp_eval(_xp_dx(h), x) - c * _xp_eval(h, x)
+    return 2.0 * rho * core * np.exp(-c * x)
+
+
+def _lop_poly(h: np.ndarray, c, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
+    """x-polynomial g with Lop (h(x) e^{-c x}) = g(x) e^{-c x}, h of degree 3."""
+    hp = _xp_dx(h)
+    bend = np.zeros(np.shape(h))
+    bend[..., :2] += _xp_dx(hp)
+    bend[..., :3] -= 2.0 * c * hp
+    bend += c * c * h
+    g = np.zeros(np.shape(h)[:-1] + (6,))
+    g[..., 1:5] += 4.0 * bend
+    g[..., :3] += (4.0 - 4.0 * alpha) * hp
+    g[..., :4] += -(4.0 - 4.0 * alpha) * c * h
+    g[..., :4] -= nu * h
+    g[..., 1:5] -= lam_sq * h
+    return g
+
+
+def _exp_series(p: np.ndarray, c) -> np.ndarray:
+    """The first _INNER_TERMS x-coefficients of p(x) e^{-c x}."""
+    expc = (-c) ** _J / _FACT
+    out = np.zeros(np.shape(expc))
+    for i in range(np.shape(p)[-1]):
+        out[..., i:] += p[..., i, None] * expc[..., : _INNER_TERMS - i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,52 +227,17 @@ class Perturbation:
         return np.array([0.0, self.r[0], self.r[1], self.r[2]])
 
     def value(self, rho: np.ndarray) -> np.ndarray:
-        x = rho * rho
-        return _xp_eval(self.h, x) * np.exp(-self.decay * x)
+        return _w_value(self.h, self.decay, rho)
 
     def deriv(self, rho: np.ndarray) -> np.ndarray:
-        x = rho * rho
-        core = _xp_eval(_xp_dx(self.h), x) - self.decay * _xp_eval(self.h, x)
-        return 2.0 * rho * core * np.exp(-self.decay * x)
+        return _w_deriv(self.h, self.decay, rho)
 
     def lop_poly(self, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
         """x-polynomial g with Lop W = g(x) e^{-c x}."""
-        c = self.decay
-        h = self.h
-        hp = _xp_dx(h)
-        hpp = _xp_dx(hp)
-        bend = np.zeros(max(len(hpp), len(hp), len(h)))
-        bend[: len(hpp)] += hpp
-        bend[: len(hp)] -= 2.0 * c * hp
-        bend[: len(h)] += c * c * h
-        g = np.zeros(len(h) + 2)
-        g[1 : 1 + len(bend)] += 4.0 * bend
-        g[: len(hp)] += (4.0 - 4.0 * alpha) * hp
-        g[: len(h)] += -(4.0 - 4.0 * alpha) * c * h
-        g[: len(h)] -= nu * h
-        g[1 : 1 + len(h)] -= lam_sq * h
-        return np.trim_zeros(g, "b") if np.any(g) else np.zeros(1)
+        return _lop_poly(self.h, self.decay, alpha, lam_sq, nu)
 
     def lop_value(self, rho: np.ndarray, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
-        x = rho * rho
-        return _xp_eval(self.lop_poly(alpha, lam_sq, nu), x) * np.exp(-self.decay * x)
-
-    def pair_series(self, nterms: int = _INNER_TERMS):
-        """(value, derivative) as integer-branch lattice series."""
-        expc = np.array([(-self.decay) ** i / math.factorial(i) for i in range(nterms)])
-        wc = _xp_mul(self.h, expc)[:nterms]
-        u = np.zeros(2 * nterms)
-        u[0::2] = wc
-        du = np.zeros(2 * nterms)
-        du[0::2] = 2.0 * np.arange(nterms) * wc
-        return {0: _Branch(0, u)}, {0: _Branch(-1, du)}
-
-    def lop_series(self, alpha: float, lam_sq: float, nu: float, nterms: int = _INNER_TERMS):
-        expc = np.array([(-self.decay) ** i / math.factorial(i) for i in range(nterms)])
-        gc = _xp_mul(self.lop_poly(alpha, lam_sq, nu), expc)[:nterms]
-        g = np.zeros(2 * nterms)
-        g[0::2] = gc
-        return {0: _Branch(0, g)}
+        return _w_value(self.lop_poly(alpha, lam_sq, nu), self.decay, rho)
 
 
 def random_perturbation(rng: random.Random, lam: float) -> Perturbation:
@@ -259,19 +261,11 @@ def _closed_weighted_integral(poly: np.ndarray, weight_exp: float, two_c: float)
 
 
 def _mode_pair_series(sol: ModeSolution, nterms: int):
-    """(value, derivative) lattice series of the normalized decaying solution."""
-    ca, cb = frobenius_series(sol.order, sol.nu, sol.lam**2, nterms)
-    beta = 2.0 * sol.order
-    u0 = np.zeros(2 * nterms)
-    u0[0::2] = ca
-    u1 = np.zeros(2 * nterms)
-    u1[0::2] = sol.c1 * np.asarray(cb)
-    du0 = np.zeros(2 * nterms)
-    du0[0::2] = 2.0 * np.arange(nterms) * np.asarray(ca)
-    du1 = np.zeros(2 * nterms)
-    du1[0::2] = sol.c1 * (2.0 * np.arange(nterms) + beta) * np.asarray(cb)
-    u = {0: _Branch(0, u0), 1: _Branch(0, u1)}
-    du = {0: _Branch(-1, du0), 1: _Branch(-1, du1)}
+    """(value, derivative) dense series of the normalized decaying solution."""
+    ca, cb = map(np.asarray, frobenius_series(sol.order, sol.nu, sol.lam**2, nterms))
+    j2 = 2.0 * np.arange(nterms)
+    u = _lattice((0, 0, ca), (1, 0, sol.c1 * cb))
+    du = _lattice((0, -1, j2 * ca), (1, -1, sol.c1 * (j2 + 2.0 * sol.order) * cb))
     return u, du
 
 
@@ -281,11 +275,11 @@ def _rho_cut(lam: float, nu: float) -> float:
 
 
 def _read_only(x):
-    """Mark every array in a nest of tuples, dicts and branches read-only."""
+    """Mark every array in a nest of tuples read-only."""
     if isinstance(x, np.ndarray):
         x.flags.writeable = False
-    elif isinstance(x, (tuple, dict)):
-        for item in x.values() if isinstance(x, dict) else x:
+    elif isinstance(x, tuple):
+        for item in x:
             _read_only(item)
     return x
 
@@ -305,38 +299,27 @@ def _mode_profile(order: float, mode: ModeIndex) -> tuple:
 
 
 def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
-    """(value, Lop value) lattice series of the assembled fourth-order solution."""
+    """(value, Lop value) dense series of the assembled fourth-order solution."""
     al = fourth.alpha
     lam, nu = fourth.lam, fourth.nu
-    a1c, b1c = frobenius_series(1.0 + al, nu, lam * lam, nterms)
-    a2c, b2c = frobenius_series(1.0 - al, nu, lam * lam, nterms)
-    a1c, b1c, a2c, b2c = map(np.asarray, (a1c, b1c, a2c, b2c))
+    a1c, b1c = map(np.asarray, frobenius_series(1.0 + al, nu, lam * lam, nterms))
+    a2c, b2c = map(np.asarray, frobenius_series(1.0 - al, nu, lam * lam, nterms))
     A, B = fourth.coef_a, fourth.coef_b
     c11, c12 = fourth.w1.c1, fourth.w2.c1
     j2 = 2.0 * np.arange(nterms)
-
-    u0 = np.zeros(2 * nterms + 2)
-    u0[0::2][:nterms] += A * a1c
-    u0[2::2][:nterms] += B * c12 * b2c
-    u1 = np.zeros(2 * nterms + 2)
-    u1[0::2][:nterms] += B * a2c
-    u1[2::2][:nterms] += A * c11 * b1c
-
-    lop0 = np.zeros(2 * nterms + 4)
-    lop0[0::2][:nterms] += 2.0 * A * j2 * a1c
-    lop0[2::2][:nterms] += 2.0 * B * c12 * (j2 + 2.0 - 2.0 * al) * b2c
-    lop1 = np.zeros(2 * nterms + 4)
-    lop1[0::2][:nterms] += 2.0 * B * j2 * a2c
-    lop1[2::2][:nterms] += 2.0 * A * c11 * (j2 + 2.0 + 2.0 * al) * b1c
-
-    u = {0: _Branch(0, u0), 1: _Branch(0, u1)}
-    lop = {0: _Branch(-2, lop0), 1: _Branch(-2, lop1)}
+    u = _lattice((0, 0, A * a1c), (0, 2, B * c12 * b2c), (1, 0, B * a2c), (1, 2, A * c11 * b1c))
+    lop = _lattice(
+        (0, -2, 2.0 * A * j2 * a1c),
+        (0, 0, 2.0 * B * c12 * (j2 + 2.0 - 2.0 * al) * b2c),
+        (1, -2, 2.0 * B * j2 * a2c),
+        (1, 0, 2.0 * A * c11 * (j2 + 2.0 + 2.0 * al) * b1c),
+    )
     return u, lop
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Tail grid, potential m (series and tail), unit-data basis and boundary matrix."""
+    """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments."""
 
     param: GammaParam
     lam: float
@@ -345,10 +328,11 @@ class _Workspace:
     rho_c: float
     rho_t: np.ndarray
     wt_t: np.ndarray
-    m: dict
+    m: np.ndarray
     m_t: np.ndarray
     basis: tuple
     boundary: np.ndarray
+    moments: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -374,30 +358,34 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
         m, m_t = np.array([nu, 0.0, lam * lam]), nu + lam * lam * rho_t * rho_t
         basis = [(*_mode_pair_series(sol, _INNER_TERMS), u_t, du_t)]
         boundary = np.zeros((1, 1))
-    m, m_t, basis, boundary = _read_only(({0: _Branch(0, m)}, m_t, tuple(basis), boundary))
-    return _Workspace(param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary)
+    moments = _moments(2.0 * al, rho_c)
+    m, m_t, basis, boundary, moments = _read_only((m, m_t, tuple(basis), boundary, moments))
+    return _Workspace(
+        param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary, moments
+    )
 
 
 def _combine(scales, parts_list) -> tuple:
     """The parts of sum_i scales[i] * parts_list[i], taken part by part."""
-    u, a, u_t, a_t = zip(*parts_list)
-    return (
-        _series_lincomb(zip(scales, u)),
-        _series_lincomb(zip(scales, a)),
-        sum(s * t for s, t in zip(scales, u_t)),
-        sum(s * t for s, t in zip(scales, a_t)),
-    )
+    return tuple(sum(s * x for s, x in zip(scales, field)) for field in zip(*parts_list))
+
+
+def _pairing(ws: _Workspace, grams, partsP, partsQ):
+    """The bulk pairing of P and Q, broadcast over the leading (row) axes of the parts."""
+    uP, aP, tP, atP = partsP
+    uQ, aQ, tQ, atQ = partsQ
+    inner = 0.0
+    for (gram, rows, cols), x, y in zip(grams, (aP, uP), (aQ, uQ)):
+        if np.any((x[..., rows] != 0.0) & (y[..., cols] != 0.0)):
+            raise RuntimeError("endpoint exponent degenerated to -1; lattice violated")
+        inner = inner + np.sum((x @ gram) * y, axis=-1)
+    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.rho_t ** (1.0 - ws.beta)
+    return inner + np.sum(ws.wt_t * integrand, axis=-1)
 
 
 def _bulk(ws: _Workspace, partsP, partsQ) -> float:
     """int_0^inf (A_P A_Q + m u_P u_Q) rho^(1 - beta) drho, inner series plus tail."""
-    uP, aP, tP, atP = partsP
-    uQ, aQ, tQ, atQ = partsQ
-    bulk = _series_lincomb(
-        [(1.0, _series_mul(aP, aQ)), (1.0, _series_mul(ws.m, _series_mul(uP, uQ)))]
-    )
-    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.rho_t ** (1.0 - ws.beta)
-    return _inner_integral(bulk, ws.beta, ws.rho_c) + float(np.sum(ws.wt_t * integrand))
+    return float(_pairing(ws, _grams(ws), partsP, partsQ))
 
 
 def _energy(ws: _Workspace, parts, data) -> float:
@@ -450,18 +438,16 @@ def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: Mode
     return _closed_weighted_integral(poly, 1.0 - 2.0 * g, two_c)
 
 
-def _perturbation_parts(pert: Perturbation, ws: _Workspace) -> tuple:
-    """The perturbation in the parts layout of the workspace `ws`."""
-    u_pair, du_pair = pert.pair_series()
+def _perturbation_parts(perts, ws: _Workspace) -> tuple:
+    """The perturbations in the parts layout of the workspace `ws`, one row each."""
+    h = np.array([p.h for p in perts])
+    c = np.array([[p.decay] for p in perts])
+    w = _exp_series(h, c)
+    u, u_t = _lattice((0, 0, w)), _w_value(h, c, ws.rho_t)
     if not ws.param.is_high:
-        return u_pair, du_pair, pert.value(ws.rho_t), pert.deriv(ws.rho_t)
-    al, lam_sq = ws.param.alpha, ws.lam * ws.lam
-    return (
-        u_pair,
-        pert.lop_series(al, lam_sq, ws.nu),
-        pert.value(ws.rho_t),
-        pert.lop_value(ws.rho_t, al, lam_sq, ws.nu),
-    )
+        return u, _lattice((0, -1, 2.0 * _J * w)), u_t, _w_deriv(h, c, ws.rho_t)
+    g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
+    return u, _lattice((0, 0, _exp_series(g, c))), u_t, _w_value(g, c, ws.rho_t)
 
 
 def perturbation_energy_quadrature(
@@ -469,7 +455,7 @@ def perturbation_energy_quadrature(
 ) -> float:
     """The same energy through the shared inner-series/tail-panel machinery."""
     ws = _workspace(param.gamma, mode)
-    parts = _perturbation_parts(pert, ws)
+    parts = tuple(x[0] for x in _perturbation_parts((pert,), ws))
     return _bulk(ws, parts, parts)
 
 
@@ -494,25 +480,31 @@ def dirichlet_principle_check(
 
     Returns (worst relative error of E(U + tW) - E(U) = t^2 E(W), smallest
     perturbation energy); the principle requires the first to be numerical
-    zero and the second to be strictly positive.
+    zero and the second to be strictly positive.  The shifted energies are
+    evaluated in blocks of at most _BLOCK perturbations, one row each.
     """
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
     ws = _workspace(param.gamma, mode)
-    data = (1.0, 0.6) if param.is_high else (1.0,)
-    base = _combine(data, ws.basis)
+    d = np.array((1.0, 0.6) if param.is_high else (1.0,))
+    base = _combine(d, ws.basis)
     lam = abs(mode.lam)
-    e_base = _energy(ws, base, data)
+    draws = [(random_perturbation(rng, lam), rng.uniform(0.3, 1.0)) for _ in range(count)]
+    grams = _grams(ws)
+    edge = float(d @ ws.boundary @ d)
+    e_base = float(_pairing(ws, grams, base, base)) + edge
     worst = 0.0
     floor = math.inf
-    for _ in range(count):
-        pert = random_perturbation(rng, lam)
-        t = rng.uniform(0.3, 1.0)
-        e_w = perturbation_energy_closed(pert, param, mode)
-        shifted = _combine((1.0, t), (base, _perturbation_parts(pert, ws)))
-        e_shift = _energy(ws, shifted, data)
-        gap = abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w))
-        worst = max(worst, gap)
-        floor = min(floor, e_w)
+    for start in range(0, count, _BLOCK):
+        perts, t = zip(*draws[start : start + _BLOCK])
+        e_w = np.array([perturbation_energy_closed(p, param, mode) for p in perts])
+        t = np.array(t)
+        shifted = tuple(
+            b + t[:, None] * w for b, w in zip(base, _perturbation_parts(perts, ws))
+        )
+        e_shift = _pairing(ws, grams, shifted, shifted) + edge
+        gap = np.abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * np.abs(e_w))
+        worst = max(worst, float(np.max(gap)))
+        floor = min(floor, float(np.min(e_w)))
     return worst, floor
 
 
@@ -529,7 +521,11 @@ def q_symmetry_check(
     if not param.is_high:
         raise ValueError("the polarized form lives in the range gamma in (1, 2)")
     ws = _workspace(param.gamma, mode)
-    measured = np.array([[_bulk(ws, p, q) for q in ws.basis] for p in ws.basis]) + ws.boundary
+    rows = [np.stack(field) for field in zip(*ws.basis)]
+    measured = (
+        _pairing(ws, _grams(ws), [r[:, None] for r in rows], [r[None] for r in rows])
+        + ws.boundary
+    )
     c_phi, c_psi = theorem_constant(param)
     closed = np.diag(
         [

@@ -96,13 +96,18 @@ def frobenius_series(order, nu, lam_sq, nterms: int = SERIES_TERMS):
 
 
 def _u_ladder(a: float, b: float, w: np.ndarray, upto: int) -> list[np.ndarray]:
-    """Derivatives of U(a, b, .) at w: U^(i) = (-1)^i (a)_i U(a+i, b+i, .)."""
+    """Derivatives of U(a, b, .) at w: U^(i) = (-1)^i (a)_i U(a+i, b+i, .).
+
+    The rungs (a+i, b+i) go to one kummer_u_batch call, one row each.
+    """
+    rung = np.arange(upto + 1)
+    values = kummer_u_batch(a + rung, b + rung, w)
     out = []
     poch = 1.0
     for i in range(upto + 1):
         if i:
             poch *= a + i - 1
-        out.append((-1.0) ** i * poch * kummer_u_batch(a + i, b + i, w))
+        out.append((-1.0) ** i * poch * values[i])
     return out
 
 

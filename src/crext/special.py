@@ -22,7 +22,11 @@ range this package produces, and was dropped for that reason.)
   [1, 2], [2, 4], ... until the (positive) contributions fall below 1e-18
   of the running total.  For z > 6 the substitution tau = z t trades the
   stiff e^{-zt} for a fixed e^{-tau} profile and the same head/panel split
-  is applied in tau out to a budget that scales with a.
+  is applied in tau out to a budget that scales with a.  Given equal-length
+  arrays a and b it evaluates a ladder of rungs (a[i], b[i]), one row each:
+  rungs of one exponent b - a - 1 share e^{-zt} on the direct panels and
+  (1 + tau/z)^(b-a-1) on the scaled ones, while each keeps its own head,
+  panel count and checks, so every row is bitwise its scalar call.
 
 Both paths run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
@@ -100,76 +104,96 @@ def _finite(values: np.ndarray, a: float, b: float, z: np.ndarray) -> np.ndarray
     return values
 
 
-def _u_panels_direct(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Laplace integral in t, for z <= 6 where e^{-zt} is mild on [0, 1]."""
-    power = b - a - 1.0
+def _u_panels_direct(a: list, b: list, z: np.ndarray) -> np.ndarray:
+    """Laplace integral in t, for z <= 6 where e^{-zt} is mild on [0, 1]; one row per rung."""
+    power = [bi - ai - 1.0 for ai, bi in zip(a, b)]
     zrow = z[None, :]
 
-    xj, wj = _jacobi_rule(float(a))
-    t = ((xj + 1.0) / 2.0)[:, None]
-    head_w = (wj * 2.0 ** (-a))[:, None]
-    acc = np.sum(head_w * np.exp(-t * zrow) * (1.0 + t) ** power, axis=0)
+    acc = []
+    for ai, pw in zip(a, power):
+        xj, wj = _jacobi_rule(ai)
+        t = ((xj + 1.0) / 2.0)[:, None]
+        head_w = (wj * 2.0 ** (-ai))[:, None]
+        acc.append(np.sum(head_w * np.exp(-t * zrow) * (1.0 + t) ** pw, axis=0))
 
     xl, wl = _legendre_rule()
     lo = 1.0
-    quiet = 0
-    while True:
+    quiet = [0] * len(a)
+    live = list(range(len(a)))
+    while live:
         hi = 2.0 * lo
         t = ((hi - lo) / 2.0 * xl + (hi + lo) / 2.0)[:, None]
         wt = ((hi - lo) / 2.0 * wl)[:, None]
-        contrib = np.sum(
-            wt * np.exp(-t * zrow) * t ** (a - 1.0) * (1.0 + t) ** power, axis=0
-        )
-        # Checked per panel: a NaN would defeat the convergence test below.
-        acc = _finite(acc + contrib, a, b, z)
-        if np.all(contrib <= 1e-18 * acc):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
+        damp = wt * np.exp(-t * zrow)
+        rise = {}  # (1 + t)^(b - a - 1), shared by the rungs of one exponent
+        for i in live:
+            if power[i] not in rise:
+                rise[power[i]] = (1.0 + t) ** power[i]
+            contrib = np.sum(damp * t ** (a[i] - 1.0) * rise[power[i]], axis=0)
+            # Checked per panel: a NaN would defeat the convergence test below.
+            acc[i] = _finite(acc[i] + contrib, a[i], b[i], z)
+            quiet[i] = quiet[i] + 1 if np.all(contrib <= 1e-18 * acc[i]) else 0
+        live = [i for i in live if quiet[i] < 2]
         lo = hi
-        if lo > _PANEL_CAP:
+        if live and lo > _PANEL_CAP:
+            i = live[0]
             raise RuntimeError(
                 f"panel chain failed to converge by t = {lo:g} "
-                f"(a = {a:g}, b = {b:g}, min z = {float(np.min(z)):g})"
+                f"(a = {a[i]:g}, b = {b[i]:g}, min z = {float(np.min(z)):g})"
             )
-    return _finite(acc / gamma_fn(a), a, b, z)
+    return np.array([_finite(s / gamma_fn(ai), ai, bi, z) for s, ai, bi in zip(acc, a, b)])
 
 
-def _u_panels_scaled(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Laplace integral after tau = z t, for z > 6 where e^{-zt} is stiff."""
-    power = b - a - 1.0
+def _u_panels_scaled(a: list, b: list, z: np.ndarray) -> np.ndarray:
+    """Laplace integral after tau = z t, for z > 6 where e^{-zt} is stiff; one row per rung."""
+    power = [bi - ai - 1.0 for ai, bi in zip(a, b)]
     zrow = z[None, :]
 
-    xj, wj = _jacobi_rule(float(a))
-    tau = ((xj + 1.0) / 2.0)[:, None]
-    head_w = (wj * np.exp(-(xj + 1.0) / 2.0) * 2.0 ** (-a))[:, None]
-    acc = np.sum(head_w * (1.0 + tau / zrow) ** power, axis=0)
+    acc = []
+    for ai, pw in zip(a, power):
+        xj, wj = _jacobi_rule(ai)
+        tau = ((xj + 1.0) / 2.0)[:, None]
+        head_w = (wj * np.exp(-(xj + 1.0) / 2.0) * 2.0 ** (-ai))[:, None]
+        acc.append(np.sum(head_w * (1.0 + tau / zrow) ** pw, axis=0))
 
     xl, wl = _legendre_rule()
     lo = 1.0
-    top = max(2.0 * a + 60.0, 80.0)
-    while lo < top:
+    top = [max(2.0 * ai + 60.0, 80.0) for ai in a]
+    while lo < max(top):
         hi = 2.0 * lo
         tau = ((hi - lo) / 2.0 * xl + (hi + lo) / 2.0)[:, None]
         wt = ((hi - lo) / 2.0 * wl)[:, None]
-        body = wt * np.exp(-tau) * tau ** (a - 1.0)
-        acc = acc + np.sum(body * (1.0 + tau / zrow) ** power, axis=0)
+        damp = wt * np.exp(-tau)
+        rise = {}  # (1 + tau/z)^(b - a - 1), shared by the rungs of one exponent
+        for i in range(len(a)):
+            if lo < top[i]:
+                if power[i] not in rise:
+                    rise[power[i]] = (1.0 + tau / zrow) ** power[i]
+                acc[i] = acc[i] + np.sum(damp * tau ** (a[i] - 1.0) * rise[power[i]], axis=0)
         lo = hi
-    return _finite(z ** (-a) / gamma_fn(a) * acc, a, b, z)
+    return np.array(
+        [_finite(z ** (-ai) / gamma_fn(ai) * s, ai, bi, z) for s, ai, bi in zip(acc, a, b)]
+    )
 
 
-def kummer_u_batch(a: float, b: float, z) -> np.ndarray:
-    """Vectorized U(a, b, z) over an array of positive z."""
-    a, b = float(a), float(b)
+def kummer_u_batch(a, b, z) -> np.ndarray:
+    """Vectorized U(a, b, z) over an array of positive z.
+
+    With equal-length 1-D arrays `a` and `b` the result has one row per rung
+    (a[i], b[i]); scalar `a` and `b` give one 1-D row.
+    """
+    if np.ndim(a) > 1 or np.shape(a) != np.shape(b):
+        raise ValueError("a and b must be scalars or 1-D arrays of one length")
+    rungs_a = [float(x) for x in np.atleast_1d(a)]
+    rungs_b = [float(x) for x in np.atleast_1d(b)]
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _validate_u_args(a, float(np.min(z)) if z.size else 1.0)
-    out = np.empty_like(z)
+    for ai in rungs_a:
+        _validate_u_args(ai, float(np.min(z)) if z.size else 1.0)
+    out = np.empty((len(rungs_a),) + z.shape)
     direct = z <= _FORM_SWITCH
     with np.errstate(over="ignore", invalid="ignore"):
         if np.any(direct):
-            out[direct] = _u_panels_direct(a, b, z[direct])
+            out[:, direct] = _u_panels_direct(rungs_a, rungs_b, z[direct])
         if np.any(~direct):
-            out[~direct] = _u_panels_scaled(a, b, z[~direct])
-    return out
+            out[:, ~direct] = _u_panels_scaled(rungs_a, rungs_b, z[~direct])
+    return out if np.ndim(a) else out[0]

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crext import extend
+from crext import cli, extend
 from crext.energy import (
+    _NP,
+    _P_LO,
     Perturbation,
-    _closed_weighted_integral,
     _bulk,
+    _closed_weighted_integral,
+    _combine,
+    _energy,
     _mode_profile,
+    _perturbation_parts,
     _tail_grid,
     _workspace,
     dirichlet_principle_check,
@@ -127,8 +132,11 @@ def test_perturbation_energy_closed_matches_quadrature(gamma):
 def test_perturbation_vanishes_at_the_boundary_with_no_singular_branch():
     pert = Perturbation((0.8, -0.3, 0.1), 0.9)
     assert pert.value(np.array([0.0]))[0] == 0.0
-    u_pair, du_pair = pert.pair_series()
-    assert set(u_pair) == {0} and set(du_pair) == {0}
+    for gamma in (0.4, 1.4):
+        parts = _perturbation_parts((pert,), _workspace(gamma, ModeIndex(lam=1.0, k=0, n=1)))
+        for series in parts[:2]:
+            assert series.shape == (1, 2 * _NP)
+            assert np.all(series[0, _NP :] == 0.0)
     rho = np.array([0.17, 0.8])
     step = 1e-6
     fd = (pert.value(rho + step) - pert.value(rho - step)) / (2 * step)
@@ -194,12 +202,12 @@ def _clear_workspace_caches():
 
 def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
     # The high range at 1.5 needs W1 (order 1.5) and W2 (order 0.5), and W2
-    # is the low-range solution at 0.5: two orders, two ladder rungs each.
+    # is the low-range solution at 0.5: two orders, one ladder of two rungs each.
     calls = []
     counted = extend.kummer_u_batch
 
     def counting(a, b, z):
-        calls.append((a, b))
+        calls.append(tuple(zip(a, b)))
         return counted(a, b, z)
 
     mode = ModeIndex(lam=0.5, k=1, n=2)
@@ -210,8 +218,9 @@ def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
         _workspace(1.5, mode)
     finally:
         _clear_workspace_caches()
-    assert len(calls) == 4
-    assert len(set(calls)) == 4
+    # one kummer_u_batch call per ladder, carrying both rungs
+    assert len(calls) == 2
+    assert len({rung for call in calls for rung in call}) == 4
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.7])
@@ -231,10 +240,10 @@ def test_cached_profiles_are_read_only():
     low = _workspace(0.25, mode)
     high = _workspace(1.75, mode)
     for ws in (low, high):
-        arrays += [ws.rho_t, ws.wt_t, ws.m_t, ws.boundary]
-        arrays += [br.coef for br in ws.m.values()]
-        for u, a, u_t, a_t in ws.basis:
-            arrays += [u_t, a_t] + [br.coef for br in (*u.values(), *a.values())]
+        arrays += [ws.rho_t, ws.wt_t, ws.m, ws.m_t, ws.boundary, ws.moments]
+        for part in ws.basis:
+            assert [x.shape for x in part[:2]] == [(2 * _NP,)] * 2
+            arrays += list(part)
     for arr in arrays:
         assert arr.flags.writeable is False
     with pytest.raises(ValueError):
@@ -253,3 +262,109 @@ def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
         data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
         energy = mode_energy_4(GammaParam(gamma), mode, *data)
         assert energy == pytest.approx(float(data @ q @ data), rel=1e-12)
+
+
+def _referee_bulk(ws, partsP, partsQ) -> float:
+    """The bulk pairing by convolving the series and integrating term by term."""
+
+    def product(x, y):
+        # branch b1 + b2 of x * y, powers from 2 * _P_LO on
+        out = np.zeros((3, 2 * _NP - 1))
+        for b1, row1 in enumerate(x.reshape(2, _NP)):
+            for b2, row2 in enumerate(y.reshape(2, _NP)):
+                out[b1 + b2] += np.convolve(row1, row2)
+        return out
+
+    uP, aP, tP, atP = partsP
+    uQ, aQ, tQ, atQ = partsQ
+    uu = product(uP, uQ)
+    series = np.zeros((3, uu.shape[1] + len(ws.m) - 1))
+    series[:, : uu.shape[1]] += product(aP, aQ)
+    for k, coef in enumerate(ws.m):
+        series[:, k : k + uu.shape[1]] += coef * uu
+    inner = 0.0
+    for b, row in enumerate(series):
+        for i in np.flatnonzero(row):
+            e = 2 * _P_LO + i + 2.0 + (b - 1) * ws.beta
+            assert abs(e) > 1e-9
+            inner += row[i] * ws.rho_c**e / e
+    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.rho_t ** (1.0 - ws.beta)
+    return inner + float(np.sum(ws.wt_t * integrand))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
+@pytest.mark.parametrize("mode", MODES)
+def test_gram_form_matches_the_convolved_series(gamma, mode):
+    ws = _workspace(gamma, mode)
+    rng = random.Random(f"gram:{gamma}:{mode}")
+    perts = [random_perturbation(rng, abs(mode.lam)) for _ in range(3)]
+    stacked = _perturbation_parts(perts, ws)
+    others = list(ws.basis) + [tuple(x[i] for x in stacked) for i in range(len(perts))]
+    for p in ws.basis:
+        for q in others:
+            want = _referee_bulk(ws, p, q)
+            assert _bulk(ws, p, q) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.5, 1.75])
+def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
+    # e = p + 2 + (b - 1) beta vanishes at branch sum 1 and power sum -2 for
+    # every beta, so A coefficients at (0, rho^0) and (1, rho^-2) pair there.
+    ws = _workspace(gamma, ModeIndex(lam=1.0, k=1, n=1))
+    cells = np.zeros((2, _NP))
+    cells[0, 0 - _P_LO] = 0.7
+    cells[1, -2 - _P_LO] = 1.3
+    a = cells.reshape(-1)
+    tail = np.zeros_like(ws.rho_t)
+    part = (np.zeros_like(a), a, tail, tail)
+    with pytest.raises(RuntimeError, match="lattice violated"):
+        _bulk(ws, part, part)
+    cells[1, -2 - _P_LO] = 0.0
+    assert _bulk(ws, part, part) == pytest.approx(_referee_bulk(ws, part, part), rel=1e-12)
+
+
+def _dirichlet_one_at_a_time(param, mode, seed, count):
+    """The Dirichlet check with every perturbation evaluated on its own."""
+    rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
+    ws = _workspace(param.gamma, mode)
+    data = (1.0, 0.6) if param.is_high else (1.0,)
+    base = _combine(data, ws.basis)
+    e_base = _energy(ws, base, data)
+    worst, floor = 0.0, math.inf
+    for _ in range(count):
+        pert = random_perturbation(rng, abs(mode.lam))
+        t = rng.uniform(0.3, 1.0)
+        e_w = perturbation_energy_closed(pert, param, mode)
+        w = tuple(x[0] for x in _perturbation_parts((pert,), ws))
+        e_shift = _energy(ws, _combine((1.0, t), (base, w)), data)
+        worst = max(worst, abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w)))
+        floor = min(floor, e_w)
+    return worst, floor
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
+@pytest.mark.parametrize("mode", MODES[:2])
+@pytest.mark.parametrize("count", [20, 70])
+def test_batched_dirichlet_check_matches_one_at_a_time(gamma, mode, count):
+    # count = 70 spans three blocks of at most 32 perturbations
+    param = GammaParam(gamma)
+    worst, floor = dirichlet_principle_check(param, mode, seed=4, count=count)
+    want_worst, want_floor = _dirichlet_one_at_a_time(param, mode, 4, count)
+    assert worst == pytest.approx(want_worst, abs=1e-12)
+    assert floor == pytest.approx(want_floor, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"gammas_low": (0.001, 0.999), "gammas_high": (1.001, 1.999)},
+        {"spot_lambdas": (1e-4, 1e4)},
+    ],
+)
+def test_energy_suite_passes_at_the_ends_of_its_envelope(fields):
+    # gamma near 0, 1 and 2 puts lattice exponents e near 0, where the
+    # moments rho_c^e / e are large; extreme lambdas move rho_c and the tail.
+    report = cli.run_suites(cli.SuiteConfig(**fields), ["energy"])
+    assert report.entries
+    for entry in report.entries:
+        assert entry.passed, (entry.check_id, entry.measured_error)

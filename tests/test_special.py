@@ -151,3 +151,27 @@ def test_overflow_is_a_named_error(a, b, z):
 def test_largest_direct_panel_case_below_overflow_stays_accurate():
     got = kummer_u_batch(70.75, 0.5, np.array([0.0125]))[0]
     assert got == pytest.approx(float(mpmath.hyperu(70.75, 0.5, 0.0125)), rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(0.3, -0.8), (1.85, 0.25), (9.125, -0.375)])
+def test_ladder_rows_are_bitwise_the_scalar_calls(a, b):
+    z = np.array([3e-4, 0.05, 1.0, 5.9, 6.0, 6.01, 12.0, 150.0])
+    rows = kummer_u_batch(np.array([a, a + 1, a + 2]), np.array([b, b + 1, b + 2]), z)
+    assert rows.shape == (3, len(z))
+    for i in range(3):
+        assert np.array_equal(rows[i], kummer_u_batch(a + i, b + i, z))
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_rung_is_named_by_its_own_a():
+    z = np.array([0.0125, 0.025])
+    assert np.all(np.isfinite(kummer_u_batch(73.75, 1.5, z)))
+    with pytest.raises(OverflowError, match=r"U\(74\.75, 2\.5, z\)"):
+        kummer_u_batch(np.array([72.75, 73.75, 74.75]), np.array([0.5, 1.5, 2.5]), z)
+
+
+def test_rung_arrays_must_match():
+    with pytest.raises(ValueError, match="one length"):
+        kummer_u_batch(np.array([1.0, 2.0]), np.array([0.5]), np.array([1.0]))
+    with pytest.raises(ValueError, match="one length"):
+        kummer_u_batch(np.array([1.0, 2.0]), 0.5, np.array([1.0]))
