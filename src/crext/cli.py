@@ -295,11 +295,14 @@ def _suite_spectral(cfg: SuiteConfig) -> list:
     probes = _kummer_probes(random.Random(f"{cfg.seed}:kummer"), cfg.sample_count)
     worst_rec = worst_ode = 0.0
     for a, b, z in probes:
-        u_m, u_0, u_p = (special.kummer_u_batch(a + i, b, z).item() for i in (-1, 0, 1))
+        # One call per probe: the contiguous rungs a - 1, a, a + 1 and the raising ladder.
+        u_m, u_0, u_p, u_1, u_2 = special.kummer_u_batch(
+            [a - 1, a, a + 1, a + 1, a + 2], [b, b, b, b + 1, b + 2], z
+        )[:, 0].tolist()
         terms = (u_m, (b - 2.0 * a - z) * u_0, a * (a - b + 1.0) * u_p)
         worst_rec = max(worst_rec, abs(sum(terms)) / sum(abs(t) for t in terms))
-        du = -a * special.kummer_u_batch(a + 1.0, b + 1.0, z).item()
-        ddu = a * (a + 1.0) * special.kummer_u_batch(a + 2.0, b + 2.0, z).item()
+        du = -a * u_1
+        ddu = a * (a + 1.0) * u_2
         ode = (z * ddu, (b - z) * du, -a * u_0)
         worst_ode = max(worst_ode, abs(sum(ode)) / sum(abs(t) for t in ode))
     entries.append(
@@ -334,16 +337,14 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
     full = cfg.full_modes()
     spot = cfg.spot_modes()
     # Every numeric check of the suite reads its fits off one stacked solve.
-    pairs = [(g, mode) for g in cfg.gammas_low for mode in spot]
-    for g in cfg.gammas_high:
-        alpha = spectral.GammaParam(g).alpha
-        pairs += [(order, mode) for mode in spot for order in (1.0 + alpha, 1.0 - alpha)]
-    fits = iter(extend.fit_boundary_expansion(pairs))
+    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
+    pairs = [(order, mode) for param in params for mode in spot for order in param.orders]
+    fits = dict(zip(pairs, extend.fit_boundary_expansion(pairs)))
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)
         worst = max(extend.verify_dtn_theorem(param, mode) for mode in full)
         entries.append(_gamma_entry("dtn.closed", _ANCHOR_DTN, g, full, worst, 1e-8))
-        worst = max(extend.verify_dtn_theorem(param, mode, next(fits)) for mode in spot)
+        worst = max(extend.verify_dtn_theorem(param, mode, fits[g, mode]) for mode in spot)
         entries.append(_gamma_entry("dtn.numeric", _ANCHOR_DTN, g, spot, worst, 1e-4))
     for g in cfg.gammas_high:
         param = spectral.GammaParam(g)
@@ -352,7 +353,7 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
             _gamma_entry("dtn.fourth_constants", _ANCHOR_FOURTH, g, full, worst, 1e-6)
         )
         worst = max(
-            max(extend.verify_fourth_constants(param, mode, (next(fits), next(fits))))
+            max(extend.verify_fourth_constants(param, mode, [fits[o, mode] for o in param.orders]))
             for mode in spot
         )
         entries.append(

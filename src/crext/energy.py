@@ -53,6 +53,9 @@ Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2, closed
 under every operation above, with exact gamma-function energies to grade the
 quadrature against; the Dirichlet check stacks them as rows, at most 32 to a
 block, and evaluates each block as one row-wise quadratic form.
+
+`mode_energy` is the form on the solution with given boundary data; the
+graders compare it with its closed diagonal, `spectral.boundary_targets`.
 """
 
 from __future__ import annotations
@@ -63,17 +66,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .extend import FourthOrderMode, ModeSolution, frobenius_series
-from .special import gamma_fn
-from .spectral import GammaParam, ModeIndex, gjms_symbol, mode_eigenvalue, theorem_constant
+from .special import gamma_fn, legendre_rule
+from .spectral import GammaParam, ModeIndex, boundary_targets, mode_eigenvalue
 
 __all__ = [
     "Perturbation",
     "random_perturbation",
-    "mode_energy_2",
-    "mode_energy_4",
+    "mode_energy",
     "perturbation_energy_closed",
     "perturbation_energy_quadrature",
     "trace_equality_check",
@@ -132,17 +133,12 @@ def _grams(ws: _Workspace) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _panel_rule():
-    return roots_legendre(_TAIL_NODES)
-
-
 def _tail_grid(lam: float, rho_c: float) -> tuple[np.ndarray, np.ndarray]:
     """Panel nodes and weights on [rho_c, sqrt(W_TOP/lam)], graded in w = lam rho^2."""
     edges = [lam * rho_c**2]
     while edges[-1] < _W_TOP:
         edges.append(min(2.0 * edges[-1], edges[-1] + _W_STEP_CAP, _W_TOP))
-    x, w = _panel_rule()
+    x, w = legendre_rule(_TAIL_NODES)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
         r_lo, r_hi = math.sqrt(lo / lam), math.sqrt(hi / lam)
@@ -226,18 +222,9 @@ class Perturbation:
     def h(self) -> np.ndarray:
         return np.array([0.0, self.r[0], self.r[1], self.r[2]])
 
-    def value(self, rho: np.ndarray) -> np.ndarray:
-        return _w_value(self.h, self.decay, rho)
-
-    def deriv(self, rho: np.ndarray) -> np.ndarray:
-        return _w_deriv(self.h, self.decay, rho)
-
     def lop_poly(self, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
         """x-polynomial g with Lop W = g(x) e^{-c x}."""
         return _lop_poly(self.h, self.decay, alpha, lam_sq, nu)
-
-    def lop_value(self, rho: np.ndarray, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
-        return _w_value(self.lop_poly(alpha, lam_sq, nu), self.decay, rho)
 
 
 def random_perturbation(rng: random.Random, lam: float) -> Perturbation:
@@ -273,7 +260,6 @@ def _rho_cut(lam: float, nu: float) -> float:
     return min(0.5, 0.75 / math.sqrt(lam), 2.0 / math.sqrt(nu))
 
 
-
 def _read_only(x):
     """Mark every array in a nest of tuples read-only."""
     if isinstance(x, np.ndarray):
@@ -302,8 +288,9 @@ def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
     """(value, Lop value) dense series of the assembled fourth-order solution."""
     al = fourth.alpha
     lam, nu = fourth.lam, fourth.nu
-    a1c, b1c = map(np.asarray, frobenius_series(1.0 + al, nu, lam * lam, nterms))
-    a2c, b2c = map(np.asarray, frobenius_series(1.0 - al, nu, lam * lam, nterms))
+    (a1c, b1c), (a2c, b2c) = (
+        map(np.asarray, frobenius_series(o, nu, lam * lam, nterms)) for o in fourth.param.orders
+    )
     A, B = fourth.coef_a, fourth.coef_b
     c11, c12 = fourth.w1.c1, fourth.w2.c1
     j2 = 2.0 * np.arange(nterms)
@@ -341,8 +328,8 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
     param = GammaParam(gamma)
     al = param.alpha
     if param.is_high:
-        w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(1.0 + al, mode)
-        d2 = _mode_profile(1.0 - al, mode)[4:]
+        w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(param.orders[0], mode)
+        d2 = _mode_profile(param.orders[1], mode)[4:]
         lam, nu = w1.lam, w1.nu
         m_0 = -4.0 * (lam * lam)
         m, m_t = np.array([m_0]), np.full_like(rho_t, m_0)
@@ -397,20 +384,12 @@ def _energy(ws: _Workspace, parts, data) -> float:
 # -- public functionals -----------------------------------------------------
 
 
-def mode_energy_2(param: GammaParam, mode: ModeIndex) -> float:
-    """Quadrature value of E1 on the normalized decaying solution."""
-    if param.is_high:
-        raise ValueError("E1 is the functional for gamma in (0, 1)")
+def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
+    """Quadrature energy of the solution with boundary data `data`, one datum per order."""
     ws = _workspace(param.gamma, mode)
-    return _energy(ws, _combine((1.0,), ws.basis), (1.0,))
-
-
-def mode_energy_4(param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: float = 1.0) -> float:
-    """Quadrature value of E2 on the solution with boundary data (phi, psi)."""
-    if not param.is_high:
-        raise ValueError("E2 is the functional for gamma in (1, 2)")
-    ws = _workspace(param.gamma, mode)
-    return _energy(ws, _combine((phi, psi), ws.basis), (phi, psi))
+    if len(data) != len(ws.basis):
+        raise ValueError(f"gamma = {param.gamma} takes {len(ws.basis)} data, got {len(data)}")
+    return _energy(ws, _combine(data, ws.basis), data)
 
 
 def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: ModeIndex) -> float:
@@ -460,17 +439,10 @@ def perturbation_energy_quadrature(
 
 
 def trace_equality_check(param: GammaParam, mode: ModeIndex) -> float:
-    """Relative gap between the quadrature energy and its closed spectral value."""
-    if param.is_high:
-        c_phi, c_psi = theorem_constant(param)
-        want = c_phi * gjms_symbol(param.gamma, mode) - c_psi * gjms_symbol(
-            2.0 - param.gamma, mode
-        )
-        got = mode_energy_4(param, mode, 1.0, 1.0)
-    else:
-        want = theorem_constant(param) * gjms_symbol(param.gamma, mode)
-        got = mode_energy_2(param, mode)
-    return abs(got / want - 1.0)
+    """Relative gap between the quadrature energy at unit data and its closed spectral value."""
+    targets = boundary_targets(param, mode)
+    got = mode_energy(param, mode, (1.0,) * len(targets))
+    return abs(got / sum(targets) - 1.0)
 
 
 def dirichlet_principle_check(
@@ -526,13 +498,7 @@ def q_symmetry_check(
         _pairing(ws, _grams(ws), [r[:, None] for r in rows], [r[None] for r in rows])
         + ws.boundary
     )
-    c_phi, c_psi = theorem_constant(param)
-    closed = np.diag(
-        [
-            c_phi * gjms_symbol(param.gamma, mode),
-            -c_psi * gjms_symbol(2.0 - param.gamma, mode),
-        ]
-    )
+    closed = np.diag(boundary_targets(param, mode))
     rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
     worst = 0.0
     for _ in range(count):

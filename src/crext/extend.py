@@ -39,15 +39,14 @@ symbol elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .special import gamma_fn, kummer_u_batch
-from .spectral import GammaParam, ModeIndex, gjms_symbol, mode_eigenvalue, theorem_constant
+from .spectral import GammaParam, ModeIndex, boundary_targets, kummer_a, mode_eigenvalue
 
 __all__ = [
     "frobenius_series",
@@ -120,7 +119,7 @@ class ModeSolution:
         self.mode = mode
         self.lam = abs(mode.lam)
         self.nu = mode_eigenvalue(mode)
-        self.a = (1.0 - self.order + 2 * mode.k + mode.n) / 2.0
+        self.a = kummer_a(self.order, mode)
         self.b = 1.0 - self.order
         self.norm = gamma_fn(self.a + self.order) / gamma_fn(self.order)
         # rho^(2 gamma') expansion coefficient of the normalized solution.
@@ -165,12 +164,6 @@ class ModeSolution:
             )
         return out
 
-    def value(self, rho) -> np.ndarray:
-        return self.derivatives(rho, upto=0)[0]
-
-    def deriv(self, rho) -> np.ndarray:
-        return self.derivatives(rho, upto=1)[1]
-
 
 class NumericFit(NamedTuple):
     c0: float
@@ -184,7 +177,7 @@ def _fit_grid(lam: float, nu: float) -> np.ndarray:
     return top * 2.0 ** (-np.arange(FIT_POINTS) / 2.0)
 
 
-def fit_boundary_expansion(pairs, rtol: float = 1e-11) -> list[NumericFit]:
+def fit_boundary_expansion(pairs) -> list[NumericFit]:
     """Recover (c0, c1) of each decaying solution by ODE integration alone.
 
     `pairs` is a sequence of (order, mode); one NumericFit comes back per
@@ -209,7 +202,7 @@ def fit_boundary_expansion(pairs, rtol: float = 1e-11) -> list[NumericFit]:
         _validate_order(gam)
         lam = abs(mode.lam)
         nu = mode_eigenvalue(mode)
-        a = (1.0 - gam + 2 * mode.k + mode.n) / 2.0
+        a = kummer_a(gam, mode)
         w_max = max(50.0, 10.0 * (a + gam + 1.0))
         rho_max = math.sqrt(w_max / lam)
         setups.append((float(gam), lam, nu, a, rho_max, _fit_grid(lam, nu)))
@@ -238,7 +231,7 @@ def fit_boundary_expansion(pairs, rtol: float = 1e-11) -> list[NumericFit]:
         start,
         t_eval=ascending[::-1],
         method="DOP853",
-        rtol=rtol,
+        rtol=1e-11,
         atol=1e-13,
     )
     if not sol.success:
@@ -273,7 +266,7 @@ def verify_dtn_theorem(
         raise ValueError("the single-constant identity applies below order 1 only")
     g = param.gamma
     dtn = ModeSolution(g, mode).dtn if fit is None else fit.dtn
-    target = theorem_constant(param) * gjms_symbol(g, mode)
+    (target,) = boundary_targets(param, mode)
     return abs(dtn / target - 1.0)
 
 
@@ -301,8 +294,7 @@ class FourthOrderMode:
         self.nu = mode_eigenvalue(mode)
         self.phi = float(phi)
         self.psi = float(psi)
-        self.w1 = ModeSolution(1.0 + self.alpha, mode)
-        self.w2 = ModeSolution(1.0 - self.alpha, mode)
+        self.w1, self.w2 = (ModeSolution(order, mode) for order in param.orders)
         self.coef_a = self.phi
         self.coef_b = -self.psi / (2.0 * self.alpha)
 
@@ -356,9 +348,6 @@ class FourthOrderMode:
         d2 = self.w2.derivatives(rho, upto)
         return self.assemble(rho, d1, d2, upto)[0]
 
-    def value(self, rho) -> np.ndarray:
-        return self.derivatives(rho, upto=0)[0]
-
     def lop(self, rho) -> np.ndarray:
         """Weight-alpha second-order operator applied to the solution."""
         rho = np.asarray(rho, dtype=float)
@@ -401,7 +390,7 @@ def exclusion_residuals(param: GammaParam, mode: ModeIndex) -> tuple[float, floa
 
 
 def verify_fourth_constants(
-    param: GammaParam, mode: ModeIndex, fits: tuple[NumericFit, NumericFit] | None = None
+    param: GammaParam, mode: ModeIndex, fits: Sequence[NumericFit] | None = None
 ) -> tuple[float, float]:
     """Relative errors of the two constant identities for gamma in (1, 2).
 
@@ -409,29 +398,20 @@ def verify_fourth_constants(
     the order-gamma symbol; the second-trace functional on pure fractional
     data must equal c_psi times the order-(2-gamma) symbol.  Without `fits`
     the expansion coefficients of W1 and W2 come from the closed form; given
-    the NumericFits of (1 + alpha, mode) and (1 - alpha, mode), in that
+    the NumericFits of the pairs (order, mode) over `param.orders`, in that
     order, those fits are graded instead.
     """
     if not param.is_high:
         raise ValueError("the paired identity applies above order 1 only")
     al = param.alpha
     if fits is None:
-        c1_w1 = ModeSolution(1.0 + al, mode).c1
-        c1_w2 = ModeSolution(1.0 - al, mode).c1
+        c1_w1, c1_w2 = (ModeSolution(order, mode).c1 for order in param.orders)
     else:
-        fit1, fit2 = fits
-        c1_w1 = fit1.c1 / fit1.c0
-        c1_w2 = fit2.c1 / fit2.c0
+        c1_w1, c1_w2 = (fit.c1 / fit.c0 for fit in fits)
 
-    c_phi, c_psi = theorem_constant(param)
-
+    targets = boundary_targets(param, mode)
     # conormal on (phi, psi) = (1, 0): 8 alpha (1 + alpha) c1_w1
-    got_phi = 8.0 * al * (1.0 + al) * c1_w1
-    want_phi = c_phi * gjms_symbol(param.gamma, mode)
-    err_phi = abs(got_phi / want_phi - 1.0)
-
+    err_phi = abs(8.0 * al * (1.0 + al) * c1_w1 / targets[0] - 1.0)
     # second trace on (phi, psi) = (0, 1): -4 (1 - alpha) c1_w2 * (-1 / (2 alpha))
-    got_psi = 2.0 * (1.0 - al) / al * c1_w2
-    want_psi = c_psi * gjms_symbol(2.0 - param.gamma, mode)
-    err_psi = abs(got_psi / want_psi - 1.0)
+    err_psi = abs(2.0 * (1.0 - al) / al * c1_w2 / -targets[1] - 1.0)
     return err_phi, err_psi

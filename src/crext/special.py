@@ -44,7 +44,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
-__all__ = ["gamma_fn", "kummer_u", "kummer_u_batch"]
+__all__ = ["gamma_fn", "kummer_u", "kummer_u_batch", "legendre_rule"]
 
 _FORM_SWITCH = 6.0
 _PANEL_NODES = 40
@@ -89,9 +89,10 @@ def _jacobi_rule(a: float):
     return x, w
 
 
-@lru_cache(maxsize=1)
-def _legendre_rule():
-    return roots_legendre(_PANEL_NODES)
+@lru_cache(maxsize=None)
+def legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], one cached rule per node count."""
+    return roots_legendre(nodes)
 
 
 def _finite(values: np.ndarray, a: float, b: float, z: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ def _u_panels_direct(a: list, b: list, z: np.ndarray) -> np.ndarray:
         head_w = (wj * 2.0 ** (-ai))[:, None]
         acc.append(np.sum(head_w * np.exp(-t * zrow) * (1.0 + t) ** pw, axis=0))
 
-    xl, wl = _legendre_rule()
+    xl, wl = legendre_rule(_PANEL_NODES)
     lo = 1.0
     quiet = [0] * len(a)
     live = list(range(len(a)))
@@ -156,7 +157,7 @@ def _u_panels_scaled(a: list, b: list, z: np.ndarray) -> np.ndarray:
         head_w = (wj * np.exp(-(xj + 1.0) / 2.0) * 2.0 ** (-ai))[:, None]
         acc.append(np.sum(head_w * (1.0 + tau / zrow) ** pw, axis=0))
 
-    xl, wl = _legendre_rule()
+    xl, wl = legendre_rule(_PANEL_NODES)
     lo = 1.0
     top = [max(2.0 * ai + 60.0, 80.0) for ai in a]
     while lo < max(top):

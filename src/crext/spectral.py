@@ -21,10 +21,14 @@ The fractional symbol of order gamma' in (0, 2) on a mode is
     P_gamma'(lambda, k) = (4|lambda|)^gamma' * Gamma(a + gamma') / Gamma(a),
     a = (1 - gamma' + 2k + n) / 2,
 
-and `theorem_constant` returns the closed-form ratio between the extension
-Dirichlet-to-Neumann map and that symbol: a single positive number for
+with a = `kummer_a`, also the Kummer parameter of the order-gamma' profile.
+The extension at gamma factors through the second-order problems of the
+`GammaParam.orders`, (gamma,) below 1 and (1 + alpha, 1 - alpha) above, and
+`theorem_constant` returns the closed-form ratio between the extension
+Dirichlet-to-Neumann map and the symbol: a single positive number for
 gamma in (0, 1), and for gamma in (1, 2) the pair attached to the two
-boundary weights, the second of which is negative.
+boundary weights, the second negative.  `boundary_targets`, the diagonal of
+the minimal energy in the boundary data, is what every grader compares with.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ __all__ = [
     "GammaParam",
     "mode_eigenvalue",
     "mode_eigenvalue_symbolic",
+    "kummer_a",
     "gjms_symbol",
     "theorem_constant",
+    "boundary_targets",
 ]
 
 
@@ -86,9 +92,9 @@ class GammaParam:
         return self.gamma - 1.0 if self.is_high else self.gamma
 
     @property
-    def tilde(self) -> float:
-        """The complementary order 1 - alpha."""
-        return 1.0 - self.alpha
+    def orders(self) -> tuple[float, ...]:
+        """Orders of the second-order factors: (gamma,), or (1 + alpha, 1 - alpha) above 1."""
+        return (1.0 + self.alpha, 1.0 - self.alpha) if self.is_high else (self.gamma,)
 
 
 def mode_eigenvalue(mode: ModeIndex) -> float:
@@ -161,8 +167,9 @@ def mode_eigenvalue_symbolic(k: int, n: int, sign: int = 1) -> Poly:
     return _halved(twice_lap) + _claimed_eigenvalue(k, n, lam) * prefactor
 
 
-def _half_shift(gamma_prime: float, mode: ModeIndex) -> float:
-    return (1.0 - gamma_prime + 2 * mode.k + mode.n) / 2.0
+def kummer_a(order: float, mode: ModeIndex) -> float:
+    """Kummer parameter a = (1 - order + 2k + n) / 2 of the mode at that order."""
+    return (1.0 - order + 2 * mode.k + mode.n) / 2.0
 
 
 def gjms_symbol(gamma_prime: float, mode: ModeIndex) -> float:
@@ -173,7 +180,7 @@ def gjms_symbol(gamma_prime: float, mode: ModeIndex) -> float:
     """
     if not 0.0 < gamma_prime < 2.0:
         raise ValueError(f"symbol order must lie in (0, 2), got {gamma_prime}")
-    a = _half_shift(gamma_prime, mode)
+    a = kummer_a(gamma_prime, mode)
     log_ratio = math.lgamma(a + gamma_prime) - math.lgamma(a)
     return (4.0 * abs(mode.lam)) ** gamma_prime * math.exp(log_ratio)
 
@@ -187,7 +194,7 @@ def theorem_constant(param: GammaParam):
     g = param.gamma
     if not param.is_high:
         return 2.0 ** (1.0 - 2.0 * g) * gamma_fn(1.0 - g) / gamma_fn(g)
-    tilde = param.tilde
+    tilde = param.orders[1]
     c_phi = 2.0 ** (3.0 - 2.0 * g) * gamma_fn(2.0 - g) / gamma_fn(g)
     c_psi = (
         2.0 ** (1.0 - 2.0 * tilde)
@@ -196,3 +203,16 @@ def theorem_constant(param: GammaParam):
         / gamma_fn(tilde)
     )
     return c_phi, c_psi
+
+
+def boundary_targets(param: GammaParam, mode: ModeIndex) -> tuple[float, ...]:
+    """Diagonal of the minimal energy in the boundary data, one entry per datum.
+
+    (c P_gamma,) below order 1 and (c_phi P_gamma, -c_psi P_(2-gamma)) above,
+    both entries of the pair positive.
+    """
+    g = param.gamma
+    if not param.is_high:
+        return (theorem_constant(param) * gjms_symbol(g, mode),)
+    c_phi, c_psi = theorem_constant(param)
+    return c_phi * gjms_symbol(g, mode), -c_psi * gjms_symbol(2.0 - g, mode)

@@ -19,10 +19,11 @@ from crext.energy import (
     _mode_profile,
     _perturbation_parts,
     _tail_grid,
+    _w_deriv,
+    _w_value,
     _workspace,
     dirichlet_principle_check,
-    mode_energy_2,
-    mode_energy_4,
+    mode_energy,
     perturbation_energy_closed,
     perturbation_energy_quadrature,
     q_symmetry_check,
@@ -30,7 +31,13 @@ from crext.energy import (
     trace_equality_check,
 )
 from crext.extend import FourthOrderMode, ModeSolution
-from crext.spectral import GammaParam, ModeIndex, gjms_symbol, theorem_constant
+from crext.spectral import (
+    GammaParam,
+    ModeIndex,
+    boundary_targets,
+    gjms_symbol,
+    theorem_constant,
+)
 
 MODES = (
     ModeIndex(lam=0.5, k=0, n=1),
@@ -51,10 +58,29 @@ def test_trace_equality_high_range(gamma, mode):
     assert trace_equality_check(GammaParam(gamma), mode) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.9, 1.1, 1.25, 1.5, 1.9])
+@pytest.mark.parametrize("mode", MODES)
+def test_boundary_targets_equal_the_graders_former_expressions_bitwise(gamma, mode):
+    # Every grader reads the theorem's diagonal off boundary_targets; each
+    # entry, its negation and its sum must be the float the grader formed itself.
+    param = GammaParam(gamma)
+    targets = boundary_targets(param, mode)
+    if not param.is_high:
+        assert param.orders == (gamma,)
+        assert targets == (theorem_constant(param) * gjms_symbol(gamma, mode),)
+        return
+    assert param.orders == (gamma, 2.0 - gamma)
+    c_phi, c_psi = theorem_constant(param)
+    p_gamma, p_dual = gjms_symbol(gamma, mode), gjms_symbol(2.0 - gamma, mode)
+    assert targets == (c_phi * p_gamma, -c_psi * p_dual)
+    assert -targets[1] == c_psi * p_dual
+    assert sum(targets) == c_phi * p_gamma - c_psi * p_dual
+
+
 def test_minimum_energy_is_the_boundary_derivative_constant():
     mode = ModeIndex(lam=1.0, k=1, n=1)
     sol = ModeSolution(0.4, mode)
-    assert mode_energy_2(GammaParam(0.4), mode) == pytest.approx(sol.dtn, rel=1e-11)
+    assert mode_energy(GammaParam(0.4), mode, (1.0,)) == pytest.approx(sol.dtn, rel=1e-11)
 
 
 @pytest.mark.parametrize("gamma", [1.3, 1.6])
@@ -62,24 +88,24 @@ def test_polarized_energy_is_diagonal_in_the_data(gamma):
     par = GammaParam(gamma)
     mode = ModeIndex(lam=0.5, k=1, n=1)
     c_phi, c_psi = theorem_constant(par)
-    e_phi = mode_energy_4(par, mode, 0.7, 0.0)
-    e_psi = mode_energy_4(par, mode, 0.0, 1.3)
+    e_phi = mode_energy(par, mode, (0.7, 0.0))
+    e_psi = mode_energy(par, mode, (0.0, 1.3))
     assert e_phi == pytest.approx(c_phi * gjms_symbol(gamma, mode) * 0.7**2, rel=1e-10)
     assert e_psi == pytest.approx(
         -c_psi * gjms_symbol(2.0 - gamma, mode) * 1.3**2, rel=1e-10
     )
     # the explicit boundary term cancels the bulk cross pairing, so the
     # energy is exactly the sum of its two polarized pieces
-    both = mode_energy_4(par, mode, 0.7, 1.3)
+    both = mode_energy(par, mode, (0.7, 1.3))
     assert abs(both - e_phi - e_psi) < 1e-10 * abs(both)
 
 
 def test_both_energy_terms_are_positive():
     par = GammaParam(1.4)
     mode = ModeIndex(lam=2.0, k=0, n=2)
-    assert mode_energy_4(par, mode, 1.0, 0.0) > 0.0
-    assert mode_energy_4(par, mode, 0.0, 1.0) > 0.0
-    assert mode_energy_2(GammaParam(0.4), mode) > 0.0
+    assert mode_energy(par, mode, (1.0, 0.0)) > 0.0
+    assert mode_energy(par, mode, (0.0, 1.0)) > 0.0
+    assert mode_energy(GammaParam(0.4), mode, (1.0,)) > 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.25, 1.5, 1.75])
@@ -110,11 +136,15 @@ def test_q_symmetry_rejects_the_low_range():
 
 
 def test_energy_functionals_reject_the_wrong_range():
+    # One boundary datum below order 1 and two above: data of the other
+    # range's length is refused, not silently truncated or padded.
     mode = ModeIndex(lam=1.0, k=0, n=1)
-    with pytest.raises(ValueError, match="gamma in"):
-        mode_energy_2(GammaParam(1.5), mode)
-    with pytest.raises(ValueError, match="gamma in"):
-        mode_energy_4(GammaParam(0.5), mode)
+    with pytest.raises(ValueError, match="takes 2 data, got 1"):
+        mode_energy(GammaParam(1.5), mode, (1.0,))
+    with pytest.raises(ValueError, match="takes 1 data, got 2"):
+        mode_energy(GammaParam(0.5), mode, (1.0, 1.0))
+    with pytest.raises(ValueError, match="takes 2 data, got 3"):
+        mode_energy(GammaParam(1.5), mode, (1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.3, 1.7])
@@ -131,7 +161,11 @@ def test_perturbation_energy_closed_matches_quadrature(gamma):
 
 def test_perturbation_vanishes_at_the_boundary_with_no_singular_branch():
     pert = Perturbation((0.8, -0.3, 0.1), 0.9)
-    assert pert.value(np.array([0.0]))[0] == 0.0
+
+    def value(r):
+        return _w_value(pert.h, pert.decay, r)
+
+    assert value(np.array([0.0]))[0] == 0.0
     for gamma in (0.4, 1.4):
         parts = _perturbation_parts((pert,), _workspace(gamma, ModeIndex(lam=1.0, k=0, n=1)))
         for series in parts[:2]:
@@ -139,8 +173,8 @@ def test_perturbation_vanishes_at_the_boundary_with_no_singular_branch():
             assert np.all(series[0, _NP :] == 0.0)
     rho = np.array([0.17, 0.8])
     step = 1e-6
-    fd = (pert.value(rho + step) - pert.value(rho - step)) / (2 * step)
-    assert np.allclose(pert.deriv(rho), fd, rtol=1e-8)
+    fd = (value(rho + step) - value(rho - step)) / (2 * step)
+    assert np.allclose(_w_deriv(pert.h, pert.decay, rho), fd, rtol=1e-8)
 
 
 def test_perturbation_operator_value_solves_its_defining_formula():
@@ -148,13 +182,18 @@ def test_perturbation_operator_value_solves_its_defining_formula():
     alpha, lam_sq, nu = 0.35, 1.21, 6.6
     rho = np.array([0.3, 0.9, 1.6])
     step = 1e-5
-    upp = (pert.value(rho + step) - 2 * pert.value(rho) + pert.value(rho - step)) / step**2
+
+    def value(r):
+        return _w_value(pert.h, pert.decay, r)
+
+    upp = (value(rho + step) - 2 * value(rho) + value(rho - step)) / step**2
     lop_fd = (
         upp
-        + (1.0 - 2.0 * alpha) / rho * pert.deriv(rho)
-        - (lam_sq * rho**2 + nu) * pert.value(rho)
+        + (1.0 - 2.0 * alpha) / rho * _w_deriv(pert.h, pert.decay, rho)
+        - (lam_sq * rho**2 + nu) * value(rho)
     )
-    assert np.allclose(pert.lop_value(rho, alpha, lam_sq, nu), lop_fd, rtol=1e-5, atol=1e-7)
+    lop_value = _w_value(pert.lop_poly(alpha, lam_sq, nu), pert.decay, rho)
+    assert np.allclose(lop_value, lop_fd, rtol=1e-5, atol=1e-7)
 
 
 def test_random_perturbation_is_seed_deterministic():
@@ -230,7 +269,7 @@ def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
     ws = _workspace(gamma, mode)
     for (_, _, u_t, lop_t), data in zip(ws.basis, ((1.0, 0.0), (0.0, 1.0))):
         fourth = FourthOrderMode(param, mode, *data)
-        assert np.array_equal(u_t, fourth.value(ws.rho_t))
+        assert np.array_equal(u_t, fourth.derivatives(ws.rho_t, 0)[0])
         assert np.array_equal(lop_t, fourth.lop(ws.rho_t))
 
 
@@ -260,7 +299,7 @@ def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
     rng = random.Random(f"qdata:{gamma}:{mode}")
     for _ in range(5):
         data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
-        energy = mode_energy_4(GammaParam(gamma), mode, *data)
+        energy = mode_energy(GammaParam(gamma), mode, data)
         assert energy == pytest.approx(float(data @ q @ data), rel=1e-12)
 
 

@@ -41,7 +41,7 @@ def test_closed_solution_matches_its_own_boundary_expansion(order, mode):
     series = _series_eval(coeff_a, rho) + sol.c1 * rho ** (2 * order) * _series_eval(
         coeff_b, rho
     )
-    np.testing.assert_allclose(sol.value(rho), series, rtol=1e-10)
+    np.testing.assert_allclose(sol.derivatives(rho, 0)[0], series, rtol=1e-10)
 
 
 @pytest.mark.parametrize("order", [0.3, 0.8, 1.45])
@@ -211,6 +211,15 @@ def test_fourth_constants_numeric_spot():
     err_phi, err_psi = verify_fourth_constants(GammaParam(1.5), mode, tuple(fits))
     assert err_phi < 1e-8
     assert err_psi < 1e-8
+
+
+def test_a_repeated_pair_gets_bitwise_equal_fits_in_one_batch():
+    # The dtn suite keys its fits by (order, mode); a pair listed twice in one
+    # batch must get the same fit both times, so the key may keep either.
+    mode, other = ModeIndex(1.0, 1, 1), ModeIndex(2.0, 3, 2)
+    fits = fit_boundary_expansion([(0.5, mode), (1.5, other), (0.5, mode), (0.25, other)])
+    assert [float.hex(x) for x in fits[0]] == [float.hex(x) for x in fits[2]]
+    assert fits[0] != fits[1]
 
 
 def test_fourth_order_operator_identity():

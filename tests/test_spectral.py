@@ -41,10 +41,11 @@ def test_gamma_param_validation():
             GammaParam(bad)
     low = GammaParam(0.3)
     assert not low.is_high and low.alpha == 0.3
+    assert low.orders == (0.3,)
     high = GammaParam(1.25)
     assert high.is_high
     assert high.alpha == pytest.approx(0.25)
-    assert high.tilde == pytest.approx(0.75)
+    assert high.orders == pytest.approx((1.25, 0.75))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -227,7 +228,7 @@ def test_pair_first_entry_matches_low_constant_through_recurrence():
 
 
 def test_high_order_pair_spot_value():
-    # gamma = 3/2: c_phi = Gamma(1/2)/Gamma(3/2) = 2; tilde = 1/2 and
+    # gamma = 3/2: c_phi = Gamma(1/2)/Gamma(3/2) = 2; tilde = orders[1] = 1/2 and
     # c_psi = (1/2 / (1/2)) Gamma(-1/2)/Gamma(1/2) = -2.
     c_phi, c_psi = theorem_constant(GammaParam(1.5))
     assert c_phi == pytest.approx(2.0, rel=1e-14)
