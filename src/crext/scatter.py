@@ -19,9 +19,13 @@ A companion family g_l uses the reversed linear factor (2s - m + l - 1) and
 matches p_l under the reflection s -> m - s.  Both families are built once
 per (l, m) as integer `opalg.Poly`s in (x, s); the closed form substitutes
 a sampled s into p_l, and the duality check substitutes the polynomial
-m - s into g_l.  The raw recursion that grades the closed form runs on
-plain dicts of Fractions.  All arithmetic is exact over the rationals; the
-recursion denominators vanish exactly when 2s - m is a positive integer
+m - s into g_l.  With s = p/q both sides of the check run on Python ints:
+the closed form is q^l p_l(x, p/q) over the integer (-1)^l l! prod_j
+((m + j)q - 2p), and the raw recursion that grades it keeps each f_l as
+integer numerators over one shared denominator, reduced once per order.
+They are compared cross-multiplied, so a matching coefficient costs two
+integer products and no gcd.  All arithmetic is exact over the rationals;
+the recursion denominators vanish exactly when 2s - m is a positive integer
 <= l, and those poles raise instead of degrading silently.
 """
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .opalg import Poly, _exact
 
@@ -94,19 +98,24 @@ class ExpansionCoefficient:
         return [Fraction(self.m + j, 2) for j in range(1, self.l + 1)]
 
     def eval(self, s) -> Fraction:
-        # With s = p/q, m - 2s + j = ((m + j)q - 2p)/q, so the product stays
-        # in integers and the result is normalized once.
         s = _exact(s)
-        p, q = s.numerator, s.denominator
-        den = factorial(self.l)
-        for j in range(1, self.l + 1):
-            lin = (self.m + j) * q - 2 * p
-            if lin == 0:
-                raise ValueError(
-                    f"expansion coefficient of order {self.l} has a pole at s = {s}"
-                )
-            den *= lin
-        return Fraction((-1) ** self.l * q**self.l, den)
+        return Fraction(s.denominator**self.l, _coefficient_denominator(self.l, self.m, s))
+
+
+def _coefficient_denominator(l: int, m: int, s: int | Fraction) -> int:
+    """The integer d with c_l(s) = q^l / d for s = p/q.
+
+    m - 2s + j = ((m + j)q - 2p)/q, so d = (-1)^l l! prod_j ((m + j)q - 2p)
+    stays in integers; a zero factor is the pole at s = (m + j)/2.
+    """
+    p, q = s.numerator, s.denominator
+    den = (-1) ** l * factorial(l)
+    for j in range(1, l + 1):
+        lin = (m + j) * q - 2 * p
+        if lin == 0:
+            raise ValueError(f"expansion coefficient of order {l} has a pole at s = {s}")
+        den *= lin
+    return den
 
 
 def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:
@@ -120,25 +129,44 @@ def raw_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
     Returned dicts map (i, j) -> coefficient of L1^i L2^j.  Raises at the
     exact parameter values where a recursion denominator vanishes.  This is
     the oracle for the closed form, so it shares no arithmetic with it.
+
+    With s = p/q a step is f_ell = -q (L1 f_{ell-1} + L2 f_{ell-2}) /
+    (ell ((m + ell)q - 2p)), taken on the lcm of the previous denominators.
     """
     _validate_order(l, m)
     s = _exact(s)
-    out: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
+    p, q = s.numerator, s.denominator
+    steps: list[tuple[dict[tuple[int, int], int], int]] = [({(0, 0): 1}, 1)]
     for ell in range(1, l + 1):
-        den = ell * (m - 2 * s + ell)
-        if den == 0:
+        lin = ell * ((m + ell) * q - 2 * p)
+        if lin == 0:
             raise ValueError(f"recursion denominator vanishes at order {ell} for s = {s}")
-        cur: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in out[ell - 1].items():
-            key = (i + 1, j)
-            cur[key] = cur.get(key, Fraction(0)) + c
-        if ell >= 2:
-            for (i, j), c in out[ell - 2].items():
-                key = (i, j + 1)
-                cur[key] = cur.get(key, Fraction(0)) + c
-        scale = Fraction(-1, 1) / den
-        out.append({k: v * scale for k, v in cur.items() if v})
-    return out
+        (n1, d1), (n2, d2) = steps[-1], steps[-2] if ell >= 2 else ({}, 1)
+        den = lcm(d1, d2)
+        a, b = den // d1 * -q, den // d2 * -q
+        nums = {(i + 1, j): c * a for (i, j), c in n1.items()}
+        for (i, j), c in n2.items():
+            key = (i, j + 1)
+            nums[key] = nums.get(key, 0) + c * b
+        den *= lin
+        g = gcd(den, *nums.values()) * (1 if den > 0 else -1)
+        steps.append(({k: v // g for k, v in nums.items() if v}, den // g))
+    return [{k: Fraction(v, den) for k, v in nums.items()} for nums, den in steps]
+
+
+def _closed_numerators(l: int, m: int, s: int | Fraction) -> tuple[dict, int]:
+    """`closed_term` as nonzero integer numerators over one denominator.
+
+    With s = p/q the x^i numerator is sum_k a_ik p^k q^(l-k), which is q^l
+    times the coefficient at s, as p_l has s-degree at most l/2.
+    """
+    p, q = s.numerator, s.denominator
+    den = _coefficient_denominator(l, m, s)
+    mono = [p**k * q ** (l - k) for k in range(l + 1)]
+    nums: dict[int, int] = {}
+    for (i, k), a in _three_term(l, m, False).items():
+        nums[i] = nums.get(i, 0) + a * mono[k]
+    return {(i, (l - i) // 2): v for i, v in nums.items() if v}, den
 
 
 def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
@@ -147,9 +175,9 @@ def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
     x^i becomes L1^i L2^((l-i)/2); p_l has the parity of l, so the power of
     L2 is whole.
     """
-    c = expansion_coefficient(l, m).eval(s)
-    at_s = _three_term(l, m, False).subs(1, s)
-    return {(i, (l - i) // 2): v * c for (i, _), v in at_s.items()}
+    _validate_order(l, m)
+    nums, den = _closed_numerators(l, m, _exact(s))
+    return {key: Fraction(v, den) for key, v in nums.items()}
 
 
 def check_expansion(l_max: int, m: int, s) -> Fraction:
@@ -160,11 +188,13 @@ def check_expansion(l_max: int, m: int, s) -> Fraction:
     terms = raw_recursion(l_max, m, s)
     worst = Fraction(0)
     for ell in range(l_max + 1):
-        closed = closed_term(ell, m, s)
-        for key in set(closed) | set(terms[ell]):
-            gap = abs(closed.get(key, Fraction(0)) - terms[ell].get(key, Fraction(0)))
-            if gap > worst:
-                worst = gap
+        closed, den = _closed_numerators(ell, m, s)
+        for key in closed.keys() | terms[ell].keys():
+            n, r = closed.get(key, 0), terms[ell].get(key, 0)
+            if n * r.denominator != r.numerator * den:
+                gap = abs(Fraction(n, den) - r)
+                if gap > worst:
+                    worst = gap
     return worst
 
 

@@ -12,23 +12,19 @@ can suffer subtractive cancellation.  (The classical two-term connection
 formula in M was measured to lose ten digits by z ~ 6 once a reaches the
 range this package produces, and was dropped for that reason.)
 
-* `kummer_u` integrates the representation with adaptive quadrature,
-  splitting off the t^{a-1} endpoint singularity as an explicit weight.
-  Scalar and slow, but free of tuning knobs: a good referee.
+`kummer_u_batch` evaluates it vectorized over z with fixed Gauss rules.
+For z <= 6 it works in t directly: a Gauss-Jacobi head on [0, 1] carrying
+the t^{a-1} weight, then dyadic Gauss-Legendre panels [1, 2], [2, 4], ...
+until the (positive) contributions fall below 1e-18 of the running total.
+For z > 6 the substitution tau = z t trades the stiff e^{-zt} for a fixed
+e^{-tau} profile and the same head/panel split is applied in tau out to a
+budget that scales with a.  Given equal-length arrays a and b it evaluates
+a ladder of rungs (a[i], b[i]), one row each: rungs of one exponent
+b - a - 1 share e^{-zt} on the direct panels and (1 + tau/z)^(b-a-1) on
+the scaled ones, while each keeps its own head, panel count and checks, so
+every row is bitwise its scalar call.
 
-* `kummer_u_batch` is the production path, vectorized over z with fixed
-  Gauss rules.  For z <= 6 it works in t directly: a Gauss-Jacobi head on
-  [0, 1] carrying the t^{a-1} weight, then dyadic Gauss-Legendre panels
-  [1, 2], [2, 4], ... until the (positive) contributions fall below 1e-18
-  of the running total.  For z > 6 the substitution tau = z t trades the
-  stiff e^{-zt} for a fixed e^{-tau} profile and the same head/panel split
-  is applied in tau out to a budget that scales with a.  Given equal-length
-  arrays a and b it evaluates a ladder of rungs (a[i], b[i]), one row each:
-  rungs of one exponent b - a - 1 share e^{-zt} on the direct panels and
-  (1 + tau/z)^(b-a-1) on the scaled ones, while each keeps its own head,
-  panel count and checks, so every row is bitwise its scalar call.
-
-Both paths run in plain double precision, so for large a and small z the
+Both forms run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
 example U(75.75, 0.5, 0.0125) ~ 3.5e-111).  A quadrature that leaves double
 range raises OverflowError naming a, b and the smallest z instead of
@@ -41,10 +37,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
-__all__ = ["gamma_fn", "kummer_u", "kummer_u_batch", "legendre_rule"]
+__all__ = ["gamma_fn", "kummer_u_batch", "legendre_rule"]
 
 _FORM_SWITCH = 6.0
 _PANEL_NODES = 40
@@ -64,22 +59,6 @@ def _validate_u_args(a: float, z_min: float) -> None:
         raise ValueError(f"Laplace representation requires a > 0, got a = {a:g}")
     if not z_min > 0:
         raise ValueError("U(a, b, z) evaluation requires z > 0")
-
-
-def kummer_u(a: float, b: float, z: float) -> float:
-    """Reference evaluation of U(a, b, z) by adaptive quadrature (scalar)."""
-    a, b, z = float(a), float(b), float(z)
-    _validate_u_args(a, z)
-    ga = math.gamma(a)
-
-    def smooth_part(t: float) -> float:
-        return math.exp(-z * t) * (1.0 + t) ** (b - a - 1.0) / ga
-
-    head, _ = quad(smooth_part, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0), limit=200)
-    tail, _ = quad(
-        lambda t: smooth_part(t) * t ** (a - 1.0), 1.0, np.inf, limit=200
-    )
-    return head + tail
 
 
 @lru_cache(maxsize=1024)

@@ -116,10 +116,20 @@ def test_single_symbol_reduction(m):
 def test_expansion_coefficient_pole_is_loud():
     coeff = expansion_coefficient(3, 2)
     assert Fraction(3, 2) in coeff.poles()
-    with pytest.raises(ValueError, match="pole"):
+    with pytest.raises(
+        ValueError, match="^expansion coefficient of order 3 has a pole at s = 3/2$"
+    ):
         coeff.eval(Fraction(3, 2))
-    with pytest.raises(ValueError, match="denominator vanishes"):
+    with pytest.raises(
+        ValueError, match="^expansion coefficient of order 4 has a pole at s = 7/2$"
+    ):
+        closed_term(4, 3, Fraction(7, 2))
+    with pytest.raises(
+        ValueError, match="^recursion denominator vanishes at order 1 for s = 3/2$"
+    ):
         raw_recursion(3, 2, Fraction(3, 2))
+    with pytest.raises(ValueError, match="^recursion denominator vanishes at order 3 for s = 3$"):
+        check_expansion(4, 3, 3)
 
 
 def test_order_validation():
@@ -183,3 +193,66 @@ def test_the_recursion_oracle_shares_no_arithmetic_with_the_closed_form(monkeypa
     assert raw_recursion(8, 3, Fraction(1, 4)) == want
     with pytest.raises(AssertionError, match="Poly arithmetic"):
         scatter._three_term.__wrapped__(4, 3, False)
+
+
+def _with_extra_top_term(three_term):
+    """q_l plus x^l s from order 3 on: a closed polynomial that is wrong."""
+
+    def mutated(l, m, reflected):
+        q = three_term(l, m, reflected)
+        return q + Poly({(l, 1): 1}) if l >= 3 else q
+
+    return mutated
+
+
+def test_a_wrong_closed_polynomial_reports_its_exact_gap(monkeypatch):
+    monkeypatch.setattr(scatter, "_three_term", _with_extra_top_term(scatter._three_term))
+    got = [check_expansion(8, m, Fraction(7, 3)) for m in (2, 3, 4)]
+    # The gaps the per-coefficient Fraction comparison reports for this mutation.
+    assert got == [Fraction(21, 20), Fraction(21, 16), Fraction(3, 8)]
+    assert all(type(g) is Fraction for g in got)
+
+
+def _fraction_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
+    """f_0 .. f_l with one Fraction operation per coefficient, the form the
+    shared-denominator integer recursion replaced."""
+    out = [{(0, 0): Fraction(1)}]
+    for ell in range(1, l + 1):
+        cur: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in out[ell - 1].items():
+            cur[i + 1, j] = cur.get((i + 1, j), Fraction(0)) + c
+        if ell >= 2:
+            for (i, j), c in out[ell - 2].items():
+                cur[i, j + 1] = cur.get((i, j + 1), Fraction(0)) + c
+        scale = Fraction(-1) / (ell * (m - 2 * s + ell))
+        out.append({k: v * scale for k, v in cur.items() if v})
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num=st.integers(-60, 60),
+    den=st.integers(1, 12),
+    l=st.integers(0, 12),
+    m=st.integers(2, 6),
+)
+def test_integer_recursion_equals_the_fraction_recursion(num, den, l, m):
+    s = Fraction(num, den) if den > 1 else num  # an int s as well
+    assume(all(m - 2 * s + j != 0 for j in range(1, l + 1)))
+    got = raw_recursion(l, m, s)
+    assert got == _fraction_recursion(l, m, s)
+    assert all(type(v) is Fraction for term in got for v in term.values())
+
+
+def test_check_expansion_reaches_the_module_level_recursion_once(monkeypatch):
+    # The benchmark tracer counts recursion calls by rebinding this name.
+    calls = []
+    recursion = scatter.raw_recursion
+
+    def counting(*args):
+        calls.append(args)
+        return recursion(*args)
+
+    monkeypatch.setattr(scatter, "raw_recursion", counting)
+    assert check_expansion(6, 3, Fraction(1, 4)) == 0
+    assert calls == [(6, 3, Fraction(1, 4))]
