@@ -293,12 +293,16 @@ def _suite_spectral(cfg: SuiteConfig) -> list:
     )
 
     probes = _kummer_probes(random.Random(f"{cfg.seed}:kummer"), cfg.sample_count)
+    # One call for every probe: per probe the contiguous rungs a - 1, a, a + 1
+    # and the raising ladder, five rows at its own z.
+    values = special.kummer_u_batch(
+        [x for a, _, _ in probes for x in (a - 1, a, a + 1, a + 1, a + 2)],
+        [x for _, b, _ in probes for x in (b, b, b, b + 1, b + 2)],
+        [[z] for _, _, z in probes for _ in range(5)],
+    )[:, 0].tolist()
     worst_rec = worst_ode = 0.0
-    for a, b, z in probes:
-        # One call per probe: the contiguous rungs a - 1, a, a + 1 and the raising ladder.
-        u_m, u_0, u_p, u_1, u_2 = special.kummer_u_batch(
-            [a - 1, a, a + 1, a + 1, a + 2], [b, b, b, b + 1, b + 2], z
-        )[:, 0].tolist()
+    for i, (a, b, z) in enumerate(probes):
+        u_m, u_0, u_p, u_1, u_2 = values[5 * i : 5 * i + 5]
         terms = (u_m, (b - 2.0 * a - z) * u_0, a * (a - b + 1.0) * u_p)
         worst_rec = max(worst_rec, abs(sum(terms)) / sum(abs(t) for t in terms))
         du = -a * u_1

@@ -39,13 +39,14 @@ the summed branch and power, so the inner integral is the Gram form
 
     a_P . G_A . a_Q + u_P . G_m . u_Q,   G_A[i, j] = mu(b_i + b_j, p_i + p_j),
 
-and G_m folds in m's coefficients the same way.  The workspace caches only
-the 1-D table of mu over (b, p); the two 128 x 128 Grams are gathered from
-it once per check.  A degenerate exponent (|e| < 1e-9) leaves the lattice
-and raises if any nonzero pair of coefficients lands on it.  On
-[rho_c, rho(80/lam)] the solutions are evaluated through the U-function
-ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
-units, riding the Gaussian decay.  Each (order, mode) tail profile is
+and G_m folds in m's coefficients the same way.  The workspace caches the
+1-D table of mu over (b, p) and the Gram cells that gather its NaN
+entries; the two 128 x 128 Grams are gathered from it once per check.  A
+degenerate exponent (|e| < 1e-9) leaves the lattice and raises if any
+nonzero pair of coefficients lands on it.  On [rho_c, rho(80/lam)] the
+solutions are evaluated through the U-function ladder on Gauss-Legendre
+panels whose widths are capped in w = lam rho^2 units, riding the Gaussian
+decay.  Each (order, mode) tail profile is
 evaluated once per process and shared between the ranges: the high range at
 gamma reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
 second being the low-range profile at 2 - gamma.  Perturbations are
@@ -122,14 +123,26 @@ def _moments(beta: float, rho_c: float) -> np.ndarray:
     return mu
 
 
+def _degenerate_cells(moments: np.ndarray, m: np.ndarray) -> tuple:
+    """(rows, columns) of the Gram cells that gather a NaN moment, per A A and m u u term."""
+    nan = np.isnan(moments).ravel()
+    out = []
+    for weights in ((1.0,), m):
+        bad = np.zeros(_GRAM_INDEX.shape, dtype=bool)
+        for k, w in enumerate(weights):
+            if w:
+                bad |= nan[_GRAM_INDEX + k]
+        out.append(np.nonzero(bad))
+    return tuple(out)
+
+
 def _grams(ws: _Workspace) -> tuple:
     """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms."""
     out = []
-    for weights in ((1.0,), ws.m):
+    for weights, (rows, cols) in zip(((1.0,), ws.m), ws.degenerate):
         gram = sum(w * np.take(ws.moments, _GRAM_INDEX + k) for k, w in enumerate(weights) if w)
-        bad = np.isnan(gram)
-        gram[bad] = 0.0
-        out.append((gram, *np.nonzero(bad)))
+        gram[rows, cols] = 0.0
+        out.append((gram, rows, cols))
     return tuple(out)
 
 
@@ -306,7 +319,10 @@ def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments."""
+    """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments.
+
+    `degenerate` holds the Gram cells that `_degenerate_cells` finds in the moments.
+    """
 
     param: GammaParam
     lam: float
@@ -320,6 +336,7 @@ class _Workspace:
     basis: tuple
     boundary: np.ndarray
     moments: np.ndarray
+    degenerate: tuple
 
 
 @lru_cache(maxsize=256)
@@ -346,9 +363,12 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
         basis = [(*_mode_pair_series(sol, _INNER_TERMS), u_t, du_t)]
         boundary = np.zeros((1, 1))
     moments = _moments(2.0 * al, rho_c)
-    m, m_t, basis, boundary, moments = _read_only((m, m_t, tuple(basis), boundary, moments))
+    degenerate = _degenerate_cells(moments, m)
+    m, m_t, basis, boundary, moments, degenerate = _read_only(
+        (m, m_t, tuple(basis), boundary, moments, degenerate)
+    )
     return _Workspace(
-        param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary, moments
+        param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary, moments, degenerate
     )
 
 

@@ -15,7 +15,9 @@ exponent tuple (g, rho, dr, dt, db) of g^a rho^b d_rho^c d_t^d Db^e; its
 coefficients are Gaussian rationals whose parts stay Python ints while they
 are integers and become Fractions only when a rational scalar brings one
 in, so the operators built here, all of them in Z[i][g], run on integer
-arithmetic.  The imaginary unit is needed because the factored products
+arithmetic.  Composition works on those parts directly: it sums the real and
+imaginary parts of each output term apart and builds one GaussRat per term
+at the end.  The imaginary unit is needed because the factored products
 below carry shifts 2ic*d_t, while every assembled identity has to come out
 with real coefficients; that reality is itself one of the checks.  Zero
 coefficients are never stored, so a difference operator is zero exactly
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
 
@@ -238,11 +241,22 @@ class Poly(dict):
         return out
 
 
-def _falling(a: int, i: int) -> int:
-    p = 1
-    for t in range(i):
-        p *= a - t
-    return p
+def _parts(c) -> tuple:
+    """The real and imaginary parts of an exact coefficient."""
+    return (c.re, c.im) if isinstance(c, GaussRat) else (c, 0)
+
+
+@lru_cache(maxsize=None)
+def _rewrite(b: int, a: int) -> tuple:
+    """The nonzero (i, C(b, i) * a(a-1)...(a-i+1)) of d_rho^b rho^a, i = 0..b."""
+    out = []
+    for i in range(b + 1):
+        k = comb(b, i)
+        for t in range(i):
+            k *= a - t
+        if k:
+            out.append((i, k))
+    return tuple(out)
 
 
 class Operator(Poly):
@@ -256,18 +270,18 @@ class Operator(Poly):
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly.__mul__(self, other)
-        out = {}
+        right = [(exps, *_parts(c)) for exps, c in other.items()]
+        re: dict[tuple, Exact] = {}
+        im: dict[tuple, Exact] = {}
         for (g1, r1, d1, t1, b1), c1 in self.items():
-            for (g2, r2, d2, t2, b2), c2 in other.items():
-                c = c1 * c2
-                for i in range(d1 + 1):
-                    k = comb(d1, i) * _falling(r2, i)
-                    if k == 0:
-                        continue
+            x1, y1 = _parts(c1)
+            for (g2, r2, d2, t2, b2), x2, y2 in right:
+                x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+                for i, k in _rewrite(d1, r2):
                     key = (g1 + g2, r1 + r2 - i, d1 - i + d2, t1 + t2, b1 + b2)
-                    v = c * k
-                    out[key] = out[key] + v if key in out else v
-        return Operator(out)
+                    re[key] = re.get(key, 0) + x * k
+                    im[key] = im.get(key, 0) + y * k
+        return Operator({key: GaussRat(x, im[key]) for key, x in re.items() if x or im[key]})
 
     def max_abs_coeff(self) -> Exact:
         """Largest |re| + |im| over all coefficients; 0 for the zero operator."""

@@ -21,8 +21,9 @@ per (l, m) as integer `opalg.Poly`s in (x, s); the closed form substitutes
 a sampled s into p_l, and the duality check substitutes the polynomial
 m - s into g_l.  With s = p/q both sides of the check run on Python ints:
 the closed form is q^l p_l(x, p/q) over the integer (-1)^l l! prod_j
-((m + j)q - 2p), and the raw recursion that grades it keeps each f_l as
-integer numerators over one shared denominator, reduced once per order.
+((m + j)q - 2p), one running product over the orders, and the raw
+recursion that grades it keeps each f_l as integer numerators over one
+shared denominator, reduced once per order.
 They are compared cross-multiplied, so a matching coefficient costs two
 integer products and no gcd.  All arithmetic is exact over the rationals;
 the recursion denominators vanish exactly when 2s - m is a positive integer
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .opalg import Poly, _exact
 
@@ -99,23 +100,24 @@ class ExpansionCoefficient:
 
     def eval(self, s) -> Fraction:
         s = _exact(s)
-        return Fraction(s.denominator**self.l, _coefficient_denominator(self.l, self.m, s))
+        return Fraction(s.denominator**self.l, _coefficient_denominators(self.l, self.m, s)[-1])
 
 
-def _coefficient_denominator(l: int, m: int, s: int | Fraction) -> int:
-    """The integer d with c_l(s) = q^l / d for s = p/q.
+def _coefficient_denominators(l_max: int, m: int, s: int | Fraction) -> list[int]:
+    """The integers d_l with c_l(s) = q^l / d_l for s = p/q, for l = 0..l_max.
 
-    m - 2s + j = ((m + j)q - 2p)/q, so d = (-1)^l l! prod_j ((m + j)q - 2p)
-    stays in integers; a zero factor is the pole at s = (m + j)/2.
+    m - 2s + j = ((m + j)q - 2p)/q, so d_l = (-1)^l l! prod_{j<=l} ((m + j)q - 2p)
+    stays in integers, one running product; a zero factor is the pole at
+    s = (m + j)/2.
     """
     p, q = s.numerator, s.denominator
-    den = (-1) ** l * factorial(l)
-    for j in range(1, l + 1):
+    dens = [1]
+    for j in range(1, l_max + 1):
         lin = (m + j) * q - 2 * p
         if lin == 0:
-            raise ValueError(f"expansion coefficient of order {l} has a pole at s = {s}")
-        den *= lin
-    return den
+            raise ValueError(f"expansion coefficient of order {l_max} has a pole at s = {s}")
+        dens.append(dens[-1] * -j * lin)
+    return dens
 
 
 def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:
@@ -154,19 +156,18 @@ def raw_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
     return [{k: Fraction(v, den) for k, v in nums.items()} for nums, den in steps]
 
 
-def _closed_numerators(l: int, m: int, s: int | Fraction) -> tuple[dict, int]:
-    """`closed_term` as nonzero integer numerators over one denominator.
+def _closed_numerators(l: int, m: int, s: int | Fraction) -> dict:
+    """`closed_term` as nonzero integer numerators over `_coefficient_denominators`.
 
     With s = p/q the x^i numerator is sum_k a_ik p^k q^(l-k), which is q^l
     times the coefficient at s, as p_l has s-degree at most l/2.
     """
     p, q = s.numerator, s.denominator
-    den = _coefficient_denominator(l, m, s)
     mono = [p**k * q ** (l - k) for k in range(l + 1)]
     nums: dict[int, int] = {}
     for (i, k), a in _three_term(l, m, False).items():
         nums[i] = nums.get(i, 0) + a * mono[k]
-    return {(i, (l - i) // 2): v for i, v in nums.items() if v}, den
+    return {(i, (l - i) // 2): v for i, v in nums.items() if v}
 
 
 def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
@@ -176,7 +177,9 @@ def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
     L2 is whole.
     """
     _validate_order(l, m)
-    nums, den = _closed_numerators(l, m, _exact(s))
+    s = _exact(s)
+    den = _coefficient_denominators(l, m, s)[-1]
+    nums = _closed_numerators(l, m, s)
     return {key: Fraction(v, den) for key, v in nums.items()}
 
 
@@ -186,9 +189,10 @@ def check_expansion(l_max: int, m: int, s) -> Fraction:
     Exact rational arithmetic, so anything other than 0 is a real failure.
     """
     terms = raw_recursion(l_max, m, s)
+    dens = _coefficient_denominators(l_max, m, s)
     worst = Fraction(0)
-    for ell in range(l_max + 1):
-        closed, den = _closed_numerators(ell, m, s)
+    for ell, den in enumerate(dens):
+        closed = _closed_numerators(ell, m, s)
         for key in closed.keys() | terms[ell].keys():
             n, r = closed.get(key, 0), terms[ell].get(key, 0)
             if n * r.denominator != r.numerator * den:

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crext import cli
+from crext import cli, special
 from crext.cli import (
     ConfigError,
     SuiteConfig,
@@ -256,6 +257,35 @@ def test_sampled_probes_are_seed_deterministic():
     assert first == again
     assert first != other
     assert all(a > 1.0 and z > 0.0 for a, _, z in first)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spectral_suite_grades_every_probe_in_one_kummer_call(monkeypatch, seed):
+    # The benchmark's tracer counts special.kummer_u_batch where the suite
+    # reaches it, so the probes must still go through that name.
+    calls = []
+    batch = special.kummer_u_batch
+
+    def counting(a, b, z):
+        calls.append(batch(a, b, z))
+        return calls[-1]
+
+    monkeypatch.setattr(special, "kummer_u_batch", counting)
+    cfg = SuiteConfig(seed=seed, sample_count=12)
+    entries = {e.check_id: e for e in cli._suite_spectral(cfg)}
+    assert len(calls) == 1
+    probes = _kummer_probes(random.Random(f"{seed}:kummer"), cfg.sample_count)
+    # Two points per call force a node-order sum on the referee side too.
+    per_probe = [
+        batch([a - 1, a, a + 1, a + 1, a + 2], [b, b, b, b + 1, b + 2], np.array([z, z]))[:, 0]
+        for a, b, z in probes
+    ]
+    assert np.array_equal(calls[0][:, 0], np.concatenate(per_probe))
+    worst = 0.0
+    for (a, b, z), (u_m, u_0, u_p, _, _) in zip(probes, np.array(per_probe).tolist()):
+        terms = (u_m, (b - 2.0 * a - z) * u_0, a * (a - b + 1.0) * u_p)
+        worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
+    assert entries["spectral.kummer_contiguous"].measured_error == worst
 
 
 def _skeleton(payload: dict) -> dict:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from crext import cli, extend
 from crext.energy import (
+    _GRAM_INDEX,
     _NP,
     _P_LO,
     Perturbation,
@@ -16,6 +17,7 @@ from crext.energy import (
     _closed_weighted_integral,
     _combine,
     _energy,
+    _grams,
     _mode_profile,
     _perturbation_parts,
     _tail_grid,
@@ -343,6 +345,20 @@ def test_gram_form_matches_the_convolved_series(gamma, mode):
         for q in others:
             want = _referee_bulk(ws, p, q)
             assert _bulk(ws, p, q) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.5, 1.75])
+@pytest.mark.parametrize("mode", MODES)
+def test_degenerate_cells_are_the_nan_cells_of_the_gathered_grams(gamma, mode):
+    # The workspace locates them once from its moment table; a scan of each
+    # freshly gathered Gram must find the same cells and the same values.
+    ws = _workspace(gamma, mode)
+    for weights, (gram, rows, cols) in zip(((1.0,), ws.m), _grams(ws)):
+        raw = sum(w * np.take(ws.moments, _GRAM_INDEX + k) for k, w in enumerate(weights) if w)
+        bad = np.isnan(raw)
+        assert bad.any()
+        assert [rows.tolist(), cols.tolist()] == [x.tolist() for x in np.nonzero(bad)]
+        assert np.array_equal(gram, np.where(bad, 0.0, raw))
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.5, 1.75])

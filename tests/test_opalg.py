@@ -5,6 +5,7 @@ sides act on a generic symbolic function, so the algebra never gets to grade
 its own homework.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from crext.opalg import (
     I_UNIT,
     Operator,
     Poly,
+    _dt_shift_factor,
     build_poly_sublaplacian,
     check_commutator_chain,
     check_factorization,
@@ -102,6 +104,20 @@ def _random_operator(rng: random.Random, nterms: int) -> Operator:
     return _op(terms)
 
 
+def _referee_compose(a: Operator, b: Operator) -> Operator:
+    """a * b with one GaussRat product per pair of terms, accumulated as GaussRats."""
+    out = {}
+    for (g1, r1, d1, t1, b1), c1 in a.items():
+        for (g2, r2, d2, t2, b2), c2 in b.items():
+            c = GaussRat.of(c1) * GaussRat.of(c2)
+            for i in range(d1 + 1):
+                k = math.comb(d1, i) * math.prod(r2 - j for j in range(i))
+                if k:
+                    key = (g1 + g2, r1 + r2 - i, d1 - i + d2, t1 + t2, b1 + b2)
+                    out[key] = out[key] + c * k if key in out else c * k
+    return Operator(out)
+
+
 def _to_sympy(op: Operator, expr, rho, t, bsym, gsym):
     """Act on a symbolic expression; the central generator becomes a symbol."""
     total = sympy.S.Zero
@@ -140,6 +156,25 @@ def test_composition_is_associative(data):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_composition_equals_the_per_term_referee(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a = _random_operator(rng, 3) + I_UNIT * _random_operator(rng, 2)
+    b = _random_operator(rng, 3) + Fraction(2, 3) * I_UNIT * _random_operator(rng, 2)
+    assert a * b == _referee_compose(a, b)
+    assert b * a == _referee_compose(b, a)
+
+
+def test_composition_with_fraction_and_imaginary_parts_equals_the_referee():
+    lw, shift = weighted_laplacian(Fraction(1, 3)), _dt_shift_factor(2)
+    for a, b in ((lw, shift), (shift, lw), (lw * shift, shift * lw)):
+        product = a * b
+        assert product == _referee_compose(a, b)
+        assert any(c.im for c in product.values())
+        assert any(type(c.re) is Fraction and c.re.denominator == 3 for c in product.values())
+
+
 def test_weighted_laplacian_coefficient_is_linear_in_g():
     for shift in (0, 1, Fraction(-3, 2)):
         op = weighted_laplacian(shift)
@@ -171,10 +206,11 @@ def test_weighted_laplacian_at_a_rational_shift_matches_its_hand_built_form():
 
 
 def test_integer_operators_store_int_coefficients():
-    op = factored_product(4)
-    parts = [part for c in op.values() for part in (c.re, c.im)]
-    assert parts and all(type(part) is int for part in parts)
-    assert type(op.max_abs_coeff()) is int
+    pair = _dt_shift_factor(1) * _dt_shift_factor(-2)
+    for op in (factored_product(4), build_poly_sublaplacian(3), pair):
+        parts = [part for c in op.values() for part in (c.re, c.im)]
+        assert parts and all(type(part) is int for part in parts)
+        assert type(op.max_abs_coeff()) is int
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -196,3 +196,91 @@ def test_rung_arrays_must_match():
         kummer_u_batch(np.array([1.0, 2.0]), np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError, match="one length"):
         kummer_u_batch(np.array([1.0, 2.0]), 0.5, np.array([1.0]))
+
+
+# Rungs of the probe family: b avoids the integers below 0.5.  The sampled
+# values give exponents a - 1, b - a - 1 and -a that numpy can take by an
+# exact operation instead of the general power.
+_RUNG = st.tuples(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(0.3, 14.0),
+    st.sampled_from([2.0, 3.0, 4.0]) | st.floats(-0.9, 4.5),
+).filter(lambda ab: not (ab[1] < 0.5 and abs(ab[1] - round(ab[1])) < 0.05))
+
+
+def _single(a: float, b: float, z: float) -> float:
+    return kummer_u_batch(a, b, np.array([z]))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rungs=st.lists(_RUNG, min_size=1, max_size=4),
+    extra=st.lists(st.floats(1e-3, 60.0), max_size=3),
+    data=st.data(),
+)
+def test_every_value_is_bitwise_its_single_point_call(rungs, extra, data):
+    # Node sums run in node order for every block, so a value's bits do not
+    # depend on the rungs or points that share its call.
+    a = np.array([r[0] for r in rungs])
+    b = np.array([r[1] for r in rungs])
+    z = np.array([6.0, 6.01, *extra])
+    ladder = kummer_u_batch(a, b, z)
+    for i, (ai, bi) in enumerate(rungs):
+        assert np.array_equal(ladder[i], [_single(ai, bi, zz) for zz in z])
+    point = st.sampled_from([6.0, 6.01]) | st.floats(1e-3, 60.0)
+    width = data.draw(st.integers(1, 4))
+    rows = np.array(
+        [data.draw(st.lists(point, min_size=width, max_size=width)) for _ in rungs]
+    )
+    own = kummer_u_batch(a, b, rows)
+    assert own.shape == rows.shape
+    for i, (ai, bi) in enumerate(rungs):
+        assert np.array_equal(own[i], [_single(ai, bi, zz) for zz in rows[i]])
+
+
+def test_exact_exponent_rungs_are_bitwise_their_single_point_calls():
+    # a - 1, b - a - 1 or -a in {-1, 0, 0.5, 1, 2} on every rung.
+    a = np.array([1.0, 1.5, 2.0, 3.0, 1.0])
+    b = np.array([2.0, 3.0, 4.0, 3.0, 4.0])
+    z = np.array([0.5, 6.0, 6.01, 7.0])
+    ladder = kummer_u_batch(a, b, z)
+    own = kummer_u_batch(a, b, z[:, None][[0, 1, 2, 3, 2]])
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        singles = [_single(ai, bi, zz) for zz in z]
+        assert np.array_equal(ladder[i], singles)
+        assert np.array_equal(kummer_u_batch(ai, bi, z), singles)
+        assert own[i, 0] == ladder[i, [0, 1, 2, 3, 2][i]]
+    # U(1, 2, z) = 1/z and U(2, 4, z) = (z + 2)/z^3.
+    np.testing.assert_allclose(ladder[0], 1.0 / z, rtol=1e-13)
+    np.testing.assert_allclose(ladder[2], (z + 2.0) / z**3, rtol=1e-13)
+
+
+def test_per_rung_rows_must_match_the_rung_count():
+    with pytest.raises(ValueError, match="one row per rung: 2 rungs, z of shape \\(3, 2\\)"):
+        kummer_u_batch(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="one row per rung"):
+        kummer_u_batch(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.ones((2, 2, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a,b,z,named",
+    [
+        # Direct panels: the second rung overflows at its own smallest z.
+        (
+            (70.75, 75.75),
+            (0.5, 1.5),
+            [[0.0125, 0.5], [0.5, 0.02]],
+            r"U\(75\.75, 1\.5, z\).*\(min z = 0\.02\)",
+        ),
+        # Scaled panels: the smallest z of the row's scaled points.
+        (
+            (2.0, 120.0),
+            (0.5, 0.5),
+            [[0.0125, 7.0], [25.0, 10.0]],
+            r"U\(120, 0\.5, z\).*\(min z = 10\)",
+        ),
+    ],
+)
+def test_an_overflowing_row_is_named_by_its_own_rung_and_points(a, b, z, named):
+    with pytest.raises(OverflowError, match=named):
+        kummer_u_batch(np.array(a), np.array(b), np.array(z))
