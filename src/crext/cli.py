@@ -340,9 +340,10 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
     entries = []
     full = cfg.full_modes()
     spot = cfg.spot_modes()
-    # Every numeric check of the suite reads its fits off one stacked solve.
+    # Every numeric check of the suite reads its fits off one stacked solve,
+    # which fits each distinct (order, mode) pair once.
     params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
-    pairs = [(order, mode) for param in params for mode in spot for order in param.orders]
+    pairs = list(dict.fromkeys((o, mode) for p in params for mode in spot for o in p.orders))
     fits = dict(zip(pairs, extend.fit_boundary_expansion(pairs)))
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)

@@ -49,11 +49,15 @@ panels whose widths are capped in w = lam rho^2 units, riding the Gaussian
 decay.  Each (order, mode) tail profile is
 evaluated once per process and shared between the ranges: the high range at
 gamma reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
-second being the low-range profile at 2 - gamma.  Perturbations are
-Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2, closed
-under every operation above, with exact gamma-function energies to grade the
-quadrature against; the Dirichlet check stacks them as rows, at most 32 to a
-block, and evaluates each block as one row-wise quadratic form.
+second being the low-range profile at 2 - gamma.
+
+Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
+x = rho^2, closed under every operation above.  They live as rows from the
+seeded draw to the graded gap: h[:, k] the x^k coefficient (h[:, 0] = 0, so
+each vanishes at the boundary), c[:, 0] the decay and t the step.  Their
+exact energies are gamma-function sums, one row-wise call for all rows; the
+quadrature side reads the same rows in blocks of at most 32, one row-wise
+quadratic form per block.
 
 `mode_energy` is the form on the solution with given boundary data; the
 graders compare it with its closed diagonal, `spectral.boundary_targets`.
@@ -70,14 +74,10 @@ import numpy as np
 
 from .extend import FourthOrderMode, ModeSolution, frobenius_series
 from .special import gamma_fn, legendre_rule
-from .spectral import GammaParam, ModeIndex, boundary_targets, mode_eigenvalue
+from .spectral import GammaParam, ModeIndex, boundary_targets
 
 __all__ = [
-    "Perturbation",
-    "random_perturbation",
     "mode_energy",
-    "perturbation_energy_closed",
-    "perturbation_energy_quadrature",
     "trace_equality_check",
     "dirichlet_principle_check",
     "q_symmetry_check",
@@ -171,7 +171,12 @@ def _xp_dx(p: np.ndarray) -> np.ndarray:
 
 
 def _xp_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
+    """The product p q, row by row, as shifted elementwise sums."""
+    lead = np.broadcast_shapes(np.shape(p)[:-1], np.shape(q)[:-1])
+    out = np.zeros(lead + (np.shape(p)[-1] + np.shape(q)[-1] - 1,))
+    for i in range(np.shape(p)[-1]):
+        out[..., i : i + np.shape(q)[-1]] += p[..., i, None] * q
+    return out
 
 
 def _xp_eval(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,49 +217,25 @@ def _lop_poly(h: np.ndarray, c, alpha: float, lam_sq: float, nu: float) -> np.nd
 
 def _exp_series(p: np.ndarray, c) -> np.ndarray:
     """The first _INNER_TERMS x-coefficients of p(x) e^{-c x}."""
-    expc = (-c) ** _J / _FACT
-    out = np.zeros(np.shape(expc))
-    for i in range(np.shape(p)[-1]):
-        out[..., i:] += p[..., i, None] * expc[..., : _INNER_TERMS - i]
-    return out
+    return _xp_mul(p, (-c) ** _J / _FACT)[..., :_INNER_TERMS]
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Profile x (r0 + r1 x + r2 x^2) e^{-c x} in x = rho^2.
+def _draw_perturbations(rng: random.Random, lam: float, count: int) -> tuple:
+    """(h, c, t) of `count` seeded perturbations, one row each.
 
-    Vanishes at the boundary and carries no fractional branch, so it is an
-    admissible variation for both energy functionals, and every quantity the
-    functionals need has a closed polynomial-times-exponential form.
+    Row i is the profile h[i](x) e^{-c[i, 0] x} = x (r0 + r1 x + r2 x^2)
+    e^{-c x}: it vanishes at the boundary and carries no fractional branch,
+    so it is an admissible variation in both ranges.  t[i] is its step.
     """
-
-    r: tuple[float, float, float]
-    decay: float
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.array([0.0, self.r[0], self.r[1], self.r[2]])
-
-    def lop_poly(self, alpha: float, lam_sq: float, nu: float) -> np.ndarray:
-        """x-polynomial g with Lop W = g(x) e^{-c x}."""
-        return _lop_poly(self.h, self.decay, alpha, lam_sq, nu)
-
-
-def random_perturbation(rng: random.Random, lam: float) -> Perturbation:
-    r0 = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
-    r1 = rng.uniform(-1.0, 1.0)
-    r2 = rng.uniform(-1.0, 1.0)
-    return Perturbation((r0, r1, r2), lam * rng.uniform(0.4, 2.0))
-
-
-def _closed_weighted_integral(poly: np.ndarray, weight_exp: float, two_c: float) -> float:
-    """int_0^inf rho^weight_exp sum_j poly[j] x^j e^{-two_c x} drho, x = rho^2."""
-    total = 0.0
-    for j, coef in enumerate(poly):
-        if coef:
-            s = j + (weight_exp + 1.0) / 2.0
-            total += 0.5 * coef * gamma_fn(s) / two_c**s
-    return total
+    rows = []
+    for _ in range(count):
+        r0 = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
+        r1 = rng.uniform(-1.0, 1.0)
+        r2 = rng.uniform(-1.0, 1.0)
+        decay = lam * rng.uniform(0.4, 2.0)
+        rows.append((0.0, r0, r1, r2, decay, rng.uniform(0.3, 1.0)))
+    drawn = np.array(rows)
+    return drawn[:, :4], drawn[:, 4:5], drawn[:, 5]
 
 
 # -- workspaces -------------------------------------------------------------
@@ -412,35 +393,8 @@ def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
     return _energy(ws, _combine(data, ws.basis), data)
 
 
-def perturbation_energy_closed(pert: Perturbation, param: GammaParam, mode: ModeIndex) -> float:
-    """Exact gamma-function value of the energy of an admissible perturbation."""
-    lam = abs(mode.lam)
-    nu = mode_eigenvalue(mode)
-    two_c = 2.0 * pert.decay
-    if param.is_high:
-        al = param.alpha
-        g = pert.lop_poly(al, lam * lam, nu)
-        poly = _xp_mul(g, g)
-        hh = _xp_mul(pert.h, pert.h)
-        poly[: len(hh)] -= 4.0 * lam * lam * hh
-        return _closed_weighted_integral(poly, 1.0 - 2.0 * al, two_c)
-    g = param.gamma
-    hp = _xp_dx(pert.h)
-    core = -pert.decay * pert.h
-    core[: len(hp)] += hp
-    grad = _xp_mul(core, core)
-    poly = np.zeros(2 * len(pert.h) + 1)
-    poly[1 : 1 + len(grad)] += 4.0 * grad
-    hh = _xp_mul(pert.h, pert.h)
-    poly[: len(hh)] += nu * hh
-    poly[1 : 1 + len(hh)] += lam * lam * hh
-    return _closed_weighted_integral(poly, 1.0 - 2.0 * g, two_c)
-
-
-def _perturbation_parts(perts, ws: _Workspace) -> tuple:
-    """The perturbations in the parts layout of the workspace `ws`, one row each."""
-    h = np.array([p.h for p in perts])
-    c = np.array([[p.decay] for p in perts])
+def _perturbation_parts(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> tuple:
+    """The perturbation rows (h, c) in the parts layout of the workspace `ws`."""
     w = _exp_series(h, c)
     u, u_t = _lattice((0, 0, w)), _w_value(h, c, ws.rho_t)
     if not ws.param.is_high:
@@ -449,13 +403,32 @@ def _perturbation_parts(perts, ws: _Workspace) -> tuple:
     return u, _lattice((0, 0, _exp_series(g, c))), u_t, _w_value(g, c, ws.rho_t)
 
 
-def perturbation_energy_quadrature(
-    pert: Perturbation, param: GammaParam, mode: ModeIndex
-) -> float:
-    """The same energy through the shared inner-series/tail-panel machinery."""
-    ws = _workspace(param.gamma, mode)
-    parts = tuple(x[0] for x in _perturbation_parts((pert,), ws))
-    return _bulk(ws, parts, parts)
+def _closed_energies(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Exact gamma-function energies of the perturbation rows (h, c), one per row.
+
+    The integrand of the form on row i is poly_i(x) e^{-2 c_i x} rho^(1 - beta),
+    x = rho^2, so the energy is sum_j poly_i[j] Gamma(s_j) / (2 (2 c_i)^s_j)
+    with s_j = j + 1 - beta / 2.
+    """
+    hh = _xp_mul(h, h)
+    if ws.param.is_high:
+        g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
+        poly = _xp_mul(g, g)
+        poly[..., : hh.shape[-1]] -= 4.0 * ws.lam * ws.lam * hh
+    else:
+        core = -c * h
+        core[..., :3] += _xp_dx(h)
+        poly = np.zeros(hh.shape[:-1] + (hh.shape[-1] + 2,))
+        poly[..., 1:-1] += 4.0 * _xp_mul(core, core)
+        poly[..., :-2] += ws.nu * hh
+        poly[..., 1:-1] += ws.lam * ws.lam * hh
+    two_c = 2.0 * c[..., 0]
+    weight_exp = 1.0 - ws.beta
+    total = np.zeros(hh.shape[:-1])
+    for j in range(poly.shape[-1]):
+        s = j + (weight_exp + 1.0) / 2.0
+        total += 0.5 * poly[..., j] * gamma_fn(s) / two_c**s
+    return total
 
 
 def trace_equality_check(param: GammaParam, mode: ModeIndex) -> float:
@@ -479,25 +452,20 @@ def dirichlet_principle_check(
     ws = _workspace(param.gamma, mode)
     d = np.array((1.0, 0.6) if param.is_high else (1.0,))
     base = _combine(d, ws.basis)
-    lam = abs(mode.lam)
-    draws = [(random_perturbation(rng, lam), rng.uniform(0.3, 1.0)) for _ in range(count)]
+    h, c, t = _draw_perturbations(rng, abs(mode.lam), count)
+    e_w = _closed_energies(h, c, ws)
     grams = _grams(ws)
     edge = float(d @ ws.boundary @ d)
     e_base = float(_pairing(ws, grams, base, base)) + edge
-    worst = 0.0
-    floor = math.inf
+    e_shift = []
     for start in range(0, count, _BLOCK):
-        perts, t = zip(*draws[start : start + _BLOCK])
-        e_w = np.array([perturbation_energy_closed(p, param, mode) for p in perts])
-        t = np.array(t)
-        shifted = tuple(
-            b + t[:, None] * w for b, w in zip(base, _perturbation_parts(perts, ws))
-        )
-        e_shift = _pairing(ws, grams, shifted, shifted) + edge
-        gap = np.abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * np.abs(e_w))
-        worst = max(worst, float(np.max(gap)))
-        floor = min(floor, float(np.min(e_w)))
-    return worst, floor
+        rows = slice(start, start + _BLOCK)
+        parts = _perturbation_parts(h[rows], c[rows], ws)
+        shifted = tuple(b + t[rows, None] * w for b, w in zip(base, parts))
+        e_shift.append(_pairing(ws, grams, shifted, shifted) + edge)
+    e_shift = np.concatenate(e_shift)
+    gap = np.abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * np.abs(e_w))
+    return float(np.max(gap)), float(np.min(e_w))
 
 
 def q_symmetry_check(

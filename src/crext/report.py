@@ -5,8 +5,10 @@ entry carries a self-contained anchor stating the identity being exercised
 and the parameter point it was exercised at, so a report can be read and
 reproduced without the code at hand.  Rendering is deliberately inert:
 given the same configuration the JSON output is byte-identical across runs
-and machines (sorted keys, fixed indentation, no timestamps, no host
-information), which keeps reports diffable and reviewable.
+on one machine and BLAS build (sorted keys, fixed indentation, no
+timestamps, no host information), which keeps reports diffable and
+reviewable; another BLAS kernel can move the last digits of some measured
+errors.
 """
 
 from __future__ import annotations

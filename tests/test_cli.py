@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crext import cli, special
+from crext import cli, extend, special
 from crext.cli import (
     ConfigError,
     SuiteConfig,
@@ -286,6 +286,23 @@ def test_spectral_suite_grades_every_probe_in_one_kummer_call(monkeypatch, seed)
         terms = (u_m, (b - 2.0 * a - z) * u_0, a * (a - b + 1.0) * u_p)
         worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
     assert entries["spectral.kummer_contiguous"].measured_error == worst
+
+
+def test_dtn_suite_fits_each_distinct_pair_once_in_one_batch(monkeypatch):
+    # Each high-range order 2 - gamma repeats a low-range gamma at the
+    # default grid; the stacked solve must integrate such a pair only once.
+    batches = []
+    fit = extend.fit_boundary_expansion
+
+    def counting(pairs):
+        batches.append(list(pairs))
+        return fit(pairs)
+
+    monkeypatch.setattr(extend, "fit_boundary_expansion", counting)
+    cli._suite_dtn(SuiteConfig())
+    assert len(batches) == 1
+    assert len(batches[0]) == 48
+    assert len(set(batches[0])) == 48
 
 
 def _skeleton(payload: dict) -> dict:

@@ -12,24 +12,23 @@ from crext.energy import (
     _GRAM_INDEX,
     _NP,
     _P_LO,
-    Perturbation,
     _bulk,
-    _closed_weighted_integral,
+    _closed_energies,
     _combine,
+    _draw_perturbations,
     _energy,
     _grams,
+    _lop_poly,
     _mode_profile,
     _perturbation_parts,
     _tail_grid,
     _w_deriv,
     _w_value,
     _workspace,
+    _xp_dx,
     dirichlet_principle_check,
     mode_energy,
-    perturbation_energy_closed,
-    perturbation_energy_quadrature,
     q_symmetry_check,
-    random_perturbation,
     trace_equality_check,
 )
 from crext.extend import FourthOrderMode, ModeSolution
@@ -38,6 +37,7 @@ from crext.spectral import (
     ModeIndex,
     boundary_targets,
     gjms_symbol,
+    mode_eigenvalue,
     theorem_constant,
 )
 
@@ -149,77 +149,186 @@ def test_energy_functionals_reject_the_wrong_range():
         mode_energy(GammaParam(1.5), mode, (1.0, 1.0, 1.0))
 
 
+def _object_draw(rng, lam):
+    """(h, decay) of one perturbation, drawn in the order of the former object path."""
+    r0 = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
+    r1 = rng.uniform(-1.0, 1.0)
+    r2 = rng.uniform(-1.0, 1.0)
+    return np.array([0.0, r0, r1, r2]), lam * rng.uniform(0.4, 2.0)
+
+
+def _object_rows(rng, lam, count):
+    """(h, c) rows of `count` object-path draws in a row, with no step drawn between them."""
+    h, decay = zip(*(_object_draw(rng, lam) for _ in range(count)))
+    return np.array(h), np.array(decay)[:, None]
+
+
+def _referee_closed(h, decay, param, mode) -> float:
+    """The closed energy of one perturbation by np.convolve and a scalar gamma sum."""
+    lam = abs(mode.lam)
+    nu = mode_eigenvalue(mode)
+    two_c = 2.0 * decay
+
+    def integral(poly, weight_exp):
+        total = 0.0
+        for j, coef in enumerate(poly):
+            if coef:
+                s = j + (weight_exp + 1.0) / 2.0
+                total += 0.5 * coef * math.gamma(s) / two_c**s
+        return total
+
+    hh = np.convolve(h, h)
+    if param.is_high:
+        al = param.alpha
+        g = _lop_poly(h, decay, al, lam * lam, nu)
+        poly = np.convolve(g, g)
+        poly[: len(hh)] -= 4.0 * lam * lam * hh
+        return integral(poly, 1.0 - 2.0 * al)
+    hp = _xp_dx(h)
+    core = -decay * h
+    core[: len(hp)] += hp
+    grad = np.convolve(core, core)
+    poly = np.zeros(2 * len(h) + 1)
+    poly[1 : 1 + len(grad)] += 4.0 * grad
+    poly[: len(hh)] += nu * hh
+    poly[1 : 1 + len(hh)] += lam * lam * hh
+    return integral(poly, 1.0 - 2.0 * param.gamma)
+
+
 @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.3, 1.7])
 def test_perturbation_energy_closed_matches_quadrature(gamma):
     par = GammaParam(gamma)
     rng = random.Random(f"pq:{gamma}")
     for mode in MODES:
-        pert = random_perturbation(rng, abs(mode.lam))
-        closed = perturbation_energy_closed(pert, par, mode)
-        quadrature = perturbation_energy_quadrature(pert, par, mode)
+        ws = _workspace(gamma, mode)
+        h, c = _object_rows(rng, abs(mode.lam), 1)
+        closed = float(_closed_energies(h, c, ws)[0])
+        parts = tuple(x[0] for x in _perturbation_parts(h, c, ws))
+        quadrature = _bulk(ws, parts, parts)
         assert quadrature == pytest.approx(closed, rel=1e-10)
         assert closed > 0.0
+        assert closed == pytest.approx(_referee_closed(h[0], c[0, 0], par, mode), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.25, 0.75, 0.999, 1.001, 1.25, 1.75, 1.999])
+@pytest.mark.parametrize("mode", MODES)
+def test_closed_energies_match_the_convolved_referee(gamma, mode):
+    param = GammaParam(gamma)
+    h, c, _ = _draw_perturbations(random.Random(f"closed:{gamma}:{mode}"), abs(mode.lam), 20)
+    got = _closed_energies(h, c, _workspace(gamma, mode))
+    want = [_referee_closed(row, decay, param, mode) for row, decay in zip(h, c[:, 0])]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
+@pytest.mark.parametrize("mode", MODES)
+def test_each_row_of_a_closed_energy_call_is_its_one_row_call_bitwise(gamma, mode):
+    ws = _workspace(gamma, mode)
+    h, c, _ = _draw_perturbations(random.Random(f"rows:{gamma}:{mode}"), abs(mode.lam), 70)
+    rows = _closed_energies(h, c, ws)
+    assert rows.shape == (70,)
+    for i in range(70):
+        one = _closed_energies(h[i : i + 1], c[i : i + 1], ws)
+        assert float.hex(float(one[0])) == float.hex(float(rows[i]))
+
+
+def test_closed_weighted_integral_against_adaptive_quadrature():
+    # One row's energy density, formed pointwise from its profile and
+    # integrated adaptively: an independent referee for the gamma-function sum.
+    mode = ModeIndex(lam=1.0, k=1, n=1)
+    for gamma in (0.3, 0.7, 1.3, 1.7):
+        param = GammaParam(gamma)
+        ws = _workspace(gamma, mode)
+        h, c, _ = _draw_perturbations(random.Random(f"quad:{gamma}"), ws.lam, 1)
+        row, decay = h[0], c[0, 0]
+        g = _lop_poly(row, decay, param.alpha, ws.lam * ws.lam, ws.nu)
+
+        def integrand(rho):
+            r = np.array([rho])
+            u2 = _w_value(row, decay, r)[0] ** 2
+            if param.is_high:
+                density = _w_value(g, decay, r)[0] ** 2 - 4.0 * ws.lam**2 * u2
+            else:
+                density = _w_deriv(row, decay, r)[0] ** 2 + (ws.nu + ws.lam**2 * rho * rho) * u2
+            return density * rho ** (1.0 - ws.beta)
+
+        reach = math.sqrt(60.0 / decay)
+        reference, _ = quad(integrand, 0.0, reach, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert float(_closed_energies(h, c, ws)[0]) == pytest.approx(reference, rel=1e-11)
+
+
+def test_drawn_perturbations_follow_the_object_path_draw_order():
+    # Row by row: r0 magnitude, its sign, r1, r2, the decay, then the step t.
+    for count in (1, 33):
+        rng, ref = random.Random("order:1"), random.Random("order:1")
+        h, c, t = _draw_perturbations(rng, 1.5, count)
+        want = [(*_object_draw(ref, 1.5), ref.uniform(0.3, 1.0)) for _ in range(count)]
+        assert h.shape == (count, 4) and c.shape == (count, 1) and t.shape == (count,)
+        assert np.array_equal(h, np.array([w[0] for w in want]))
+        assert np.array_equal(c[:, 0], np.array([w[1] for w in want]))
+        assert np.array_equal(t, np.array([w[2] for w in want]))
+        assert rng.random() == ref.random()
+
+
+def test_dirichlet_check_runs_without_numpy_convolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve is off the energy path")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    mode = ModeIndex(lam=0.5, k=0, n=1)
+    for gamma in (0.5, 1.5):
+        gap, floor = dirichlet_principle_check(GammaParam(gamma), mode, seed=1, count=8)
+        assert gap < 1e-10
+        assert floor > 0.0
 
 
 def test_perturbation_vanishes_at_the_boundary_with_no_singular_branch():
-    pert = Perturbation((0.8, -0.3, 0.1), 0.9)
+    h, c = np.array([[0.0, 0.8, -0.3, 0.1]]), np.array([[0.9]])
 
     def value(r):
-        return _w_value(pert.h, pert.decay, r)
+        return _w_value(h[0], 0.9, r)
 
     assert value(np.array([0.0]))[0] == 0.0
     for gamma in (0.4, 1.4):
-        parts = _perturbation_parts((pert,), _workspace(gamma, ModeIndex(lam=1.0, k=0, n=1)))
+        parts = _perturbation_parts(h, c, _workspace(gamma, ModeIndex(lam=1.0, k=0, n=1)))
         for series in parts[:2]:
             assert series.shape == (1, 2 * _NP)
             assert np.all(series[0, _NP :] == 0.0)
     rho = np.array([0.17, 0.8])
     step = 1e-6
     fd = (value(rho + step) - value(rho - step)) / (2 * step)
-    assert np.allclose(_w_deriv(pert.h, pert.decay, rho), fd, rtol=1e-8)
+    assert np.allclose(_w_deriv(h[0], 0.9, rho), fd, rtol=1e-8)
 
 
 def test_perturbation_operator_value_solves_its_defining_formula():
-    pert = Perturbation((0.5, 0.2, -0.4), 0.7)
+    h, decay = np.array([0.0, 0.5, 0.2, -0.4]), 0.7
     alpha, lam_sq, nu = 0.35, 1.21, 6.6
     rho = np.array([0.3, 0.9, 1.6])
     step = 1e-5
 
     def value(r):
-        return _w_value(pert.h, pert.decay, r)
+        return _w_value(h, decay, r)
 
     upp = (value(rho + step) - 2 * value(rho) + value(rho - step)) / step**2
     lop_fd = (
         upp
-        + (1.0 - 2.0 * alpha) / rho * _w_deriv(pert.h, pert.decay, rho)
+        + (1.0 - 2.0 * alpha) / rho * _w_deriv(h, decay, rho)
         - (lam_sq * rho**2 + nu) * value(rho)
     )
-    lop_value = _w_value(pert.lop_poly(alpha, lam_sq, nu), pert.decay, rho)
+    lop_value = _w_value(_lop_poly(h, decay, alpha, lam_sq, nu), decay, rho)
     assert np.allclose(lop_value, lop_fd, rtol=1e-5, atol=1e-7)
 
 
 def test_random_perturbation_is_seed_deterministic():
-    first = random_perturbation(random.Random("s:1"), 2.0)
-    second = random_perturbation(random.Random("s:1"), 2.0)
-    other = random_perturbation(random.Random("s:2"), 2.0)
-    assert first == second
-    assert first != other
-    assert abs(first.r[0]) >= 0.2
-    assert 0.4 * 2.0 <= first.decay <= 2.0 * 2.0
-
-
-def test_closed_weighted_integral_against_adaptive_quadrature():
-    poly = np.array([0.0, 1.5, -0.4])
-    weight, two_c = 0.5, 1.8
-
-    def integrand(rho):
-        x = rho * rho
-        return rho**weight * (1.5 * x - 0.4 * x * x) * math.exp(-two_c * x)
-
-    reference, _ = quad(integrand, 0.0, 25.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert _closed_weighted_integral(poly, weight, two_c) == pytest.approx(
-        reference, rel=1e-11
-    )
+    first = _draw_perturbations(random.Random("s:1"), 2.0, 1)
+    second = _draw_perturbations(random.Random("s:1"), 2.0, 1)
+    other = _draw_perturbations(random.Random("s:2"), 2.0, 1)
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    assert not all(np.array_equal(x, y) for x, y in zip(first, other))
+    h, c, _ = first
+    assert h[0, 0] == 0.0
+    assert abs(h[0, 1]) >= 0.2
+    assert 0.4 * 2.0 <= c[0, 0] <= 2.0 * 2.0
 
 
 def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
@@ -337,10 +446,9 @@ def _referee_bulk(ws, partsP, partsQ) -> float:
 @pytest.mark.parametrize("mode", MODES)
 def test_gram_form_matches_the_convolved_series(gamma, mode):
     ws = _workspace(gamma, mode)
-    rng = random.Random(f"gram:{gamma}:{mode}")
-    perts = [random_perturbation(rng, abs(mode.lam)) for _ in range(3)]
-    stacked = _perturbation_parts(perts, ws)
-    others = list(ws.basis) + [tuple(x[i] for x in stacked) for i in range(len(perts))]
+    h, c = _object_rows(random.Random(f"gram:{gamma}:{mode}"), abs(mode.lam), 3)
+    stacked = _perturbation_parts(h, c, ws)
+    others = list(ws.basis) + [tuple(x[i] for x in stacked) for i in range(len(h))]
     for p in ws.basis:
         for q in others:
             want = _referee_bulk(ws, p, q)
@@ -379,7 +487,7 @@ def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
 
 
 def _dirichlet_one_at_a_time(param, mode, seed, count):
-    """The Dirichlet check with every perturbation evaluated on its own."""
+    """The Dirichlet check with every perturbation drawn, graded and evaluated on its own."""
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
     ws = _workspace(param.gamma, mode)
     data = (1.0, 0.6) if param.is_high else (1.0,)
@@ -387,10 +495,10 @@ def _dirichlet_one_at_a_time(param, mode, seed, count):
     e_base = _energy(ws, base, data)
     worst, floor = 0.0, math.inf
     for _ in range(count):
-        pert = random_perturbation(rng, abs(mode.lam))
+        h, decay = _object_draw(rng, abs(mode.lam))
         t = rng.uniform(0.3, 1.0)
-        e_w = perturbation_energy_closed(pert, param, mode)
-        w = tuple(x[0] for x in _perturbation_parts((pert,), ws))
+        e_w = _referee_closed(h, decay, param, mode)
+        w = tuple(x[0] for x in _perturbation_parts(h[None], np.array([[decay]]), ws))
         e_shift = _energy(ws, _combine((1.0, t), (base, w)), data)
         worst = max(worst, abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w)))
         floor = min(floor, e_w)
