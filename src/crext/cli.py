@@ -373,6 +373,9 @@ def _suite_energy(cfg: SuiteConfig) -> list:
     entries = []
     spot = cfg.spot_modes()
     count = cfg.perturbations
+    # The tail profiles of every order the checks read on a mode take one batch.
+    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
+    energy.prepare_profiles((o, mode) for p in params for mode in spot for o in p.orders)
     for g in cfg.gammas_low + cfg.gammas_high:
         param = spectral.GammaParam(g)
         worst = max(energy.trace_equality_check(param, mode) for mode in spot)

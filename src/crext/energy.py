@@ -40,15 +40,18 @@ the summed branch and power, so the inner integral is the Gram form
     a_P . G_A . a_Q + u_P . G_m . u_Q,   G_A[i, j] = mu(b_i + b_j, p_i + p_j),
 
 and G_m folds in m's coefficients the same way.  The workspace caches the
-1-D table of mu over (b, p) and the Gram cells that gather its NaN
-entries; the two 128 x 128 Grams are gathered from it once per check.  A
-degenerate exponent (|e| < 1e-9) leaves the lattice and raises if any
-nonzero pair of coefficients lands on it.  On [rho_c, rho(80/lam)] the
-solutions are evaluated through the U-function ladder on Gauss-Legendre
-panels whose widths are capped in w = lam rho^2 units, riding the Gaussian
-decay.  Each (order, mode) tail profile is
-evaluated once per process and shared between the ranges: the high range at
-gamma reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
+1-D table of mu over (b, p); the Gram cells that gather its NaN entries
+depend on beta and on which of m's coefficients are nonzero only, and are
+found once per gamma.  Each 128 x 128 Gram is one gather per check from
+its m-weighted row of moments.  A degenerate exponent (|e| < 1e-9) leaves
+the lattice and raises if any nonzero pair of coefficients lands on it.
+On [rho_c, rho(80/lam)] the solutions are evaluated through the U-function
+ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
+units, riding the Gaussian decay.  The tail grid depends on the mode only,
+so every order of a mode shares it: `prepare_profiles` builds all the
+orders the checks will read on a mode with one U batch.  Profiles are kept
+per (order, mode) and shared between the ranges: the high range at gamma
+reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
 second being the low-range profile at 2 - gamma.
 
 Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
@@ -72,12 +75,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .extend import FourthOrderMode, ModeSolution, frobenius_series
+from .extend import FourthOrderMode, ModeSolution, frobenius_series, mode_derivatives
 from .special import gamma_fn, legendre_rule
 from .spectral import GammaParam, ModeIndex, boundary_targets
 
 __all__ = [
     "mode_energy",
+    "prepare_profiles",
     "trace_equality_check",
     "dirichlet_principle_check",
     "q_symmetry_check",
@@ -98,6 +102,7 @@ _FACT = np.array([float(math.factorial(j)) for j in _J])
 _NCOLS = 2 * _NP + 1
 _BRANCH, _POWER = np.divmod(np.arange(2 * _NP), _NP)
 _GRAM_INDEX = (_BRANCH[:, None] + _BRANCH) * _NCOLS + _POWER[:, None] + _POWER
+_GRAM_SPAN = int(_GRAM_INDEX.max()) + 1
 
 
 def _lattice(*terms) -> np.ndarray:
@@ -123,24 +128,34 @@ def _moments(beta: float, rho_c: float) -> np.ndarray:
     return mu
 
 
-def _degenerate_cells(moments: np.ndarray, m: np.ndarray) -> tuple:
-    """(rows, columns) of the Gram cells that gather a NaN moment, per A A and m u u term."""
-    nan = np.isnan(moments).ravel()
+@lru_cache(maxsize=64)
+def _degenerate_cells(beta: float, live: tuple) -> tuple:
+    """(rows, columns) of the Gram cells that gather a NaN moment, per A A and m u u term.
+
+    The NaN moments depend on beta only, so the cells depend on beta and on
+    `live`, which of m's coefficients are nonzero.
+    """
+    nan = np.isnan(_moments(beta, 1.0)).ravel()
     out = []
-    for weights in ((1.0,), m):
+    for weights in ((True,), live):
         bad = np.zeros(_GRAM_INDEX.shape, dtype=bool)
         for k, w in enumerate(weights):
             if w:
                 bad |= nan[_GRAM_INDEX + k]
         out.append(np.nonzero(bad))
-    return tuple(out)
+    return _read_only(tuple(out))
 
 
 def _grams(ws: _Workspace) -> tuple:
-    """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms."""
+    """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms.
+
+    Each Gram is one gather from its m-weighted row of moments.
+    """
+    flat = ws.moments.ravel()
     out = []
     for weights, (rows, cols) in zip(((1.0,), ws.m), ws.degenerate):
-        gram = sum(w * np.take(ws.moments, _GRAM_INDEX + k) for k, w in enumerate(weights) if w)
+        row = sum(w * flat[k : k + _GRAM_SPAN] for k, w in enumerate(weights) if w)
+        gram = np.take(row, _GRAM_INDEX)
         gram[rows, cols] = 0.0
         out.append((gram, rows, cols))
     return tuple(out)
@@ -264,18 +279,42 @@ def _read_only(x):
     return x
 
 
-@lru_cache(maxsize=1024)
+_PROFILE_CACHE = 1024
+_profiles: dict = {}  # (order, mode) -> profile, least recently read first
+
+
+def prepare_profiles(pairs) -> None:
+    """Build the tail profiles of the (order, mode) pairs that later checks read.
+
+    The tail grid depends on the mode only, so the orders of one mode share
+    it and one batch of derivatives, whose Kummer U ladders take one call.
+    Pairs already built are skipped.  At most _PROFILE_CACHE profiles are
+    kept, the least recently read leaving first.
+    """
+    by_mode = {}
+    for order, mode in pairs:
+        if (float(order), mode) not in _profiles:
+            by_mode.setdefault(mode, {})[float(order)] = None
+    for mode, orders in by_mode.items():
+        sols = [ModeSolution(order, mode) for order in orders]
+        rho_c = _rho_cut(sols[0].lam, sols[0].nu)
+        rho_t, wt_t = _tail_grid(sols[0].lam, rho_c)
+        for sol, d in zip(sols, mode_derivatives(sols, rho_t, upto=1)):
+            _profiles[sol.order, mode] = _read_only((sol, rho_c, rho_t, wt_t, *d))
+    while len(_profiles) > _PROFILE_CACHE:
+        del _profiles[next(iter(_profiles))]
+
+
 def _mode_profile(order: float, mode: ModeIndex) -> tuple:
     """(solution, rho_c, tail nodes, tail weights, u, u') of one order, read-only.
 
-    The tail grid depends on the mode only.  Built once per (order, mode): the
+    Built once per (order, mode), as a batch of one if not prepared: the
     workspaces at gamma below 1 and at 1 +- alpha above it share the entries.
     """
-    sol = ModeSolution(order, mode)
-    rho_c = _rho_cut(sol.lam, sol.nu)
-    rho_t, wt_t = _tail_grid(sol.lam, rho_c)
-    u_t, du_t = sol.derivatives(rho_t, upto=1)
-    return _read_only((sol, rho_c, rho_t, wt_t, u_t, du_t))
+    key = (float(order), mode)
+    prepare_profiles([key])
+    profile = _profiles[key] = _profiles.pop(key)
+    return profile
 
 
 def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
@@ -302,7 +341,7 @@ def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
 class _Workspace:
     """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments.
 
-    `degenerate` holds the Gram cells that `_degenerate_cells` finds in the moments.
+    `degenerate` holds the Gram cells that `_degenerate_cells` finds for beta and m.
     """
 
     param: GammaParam
@@ -344,10 +383,8 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
         basis = [(*_mode_pair_series(sol, _INNER_TERMS), u_t, du_t)]
         boundary = np.zeros((1, 1))
     moments = _moments(2.0 * al, rho_c)
-    degenerate = _degenerate_cells(moments, m)
-    m, m_t, basis, boundary, moments, degenerate = _read_only(
-        (m, m_t, tuple(basis), boundary, moments, degenerate)
-    )
+    degenerate = _degenerate_cells(2.0 * al, tuple(bool(w) for w in m))
+    m, m_t, basis, boundary, moments = _read_only((m, m_t, tuple(basis), boundary, moments))
     return _Workspace(
         param, lam, nu, 2.0 * al, rho_c, rho_t, wt_t, m, m_t, basis, boundary, moments, degenerate
     )

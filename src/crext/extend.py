@@ -10,7 +10,10 @@ w = |lam| rho^2, u = e^{-w/2} g(w) turns it into Kummer's equation with
 a = (1 - gamma' + 2k + n)/2 and b = 1 - gamma', so the decaying solution is
 an explicit U-function; `ModeSolution` wraps it, normalized to boundary
 value 1, with derivatives of any order up to four through the contiguous
-ladder U' = -a U(a+1, b+1, .).  Its rho^(2 gamma') expansion coefficient
+ladder U' = -a U(a+1, b+1, .).  `mode_derivatives` evaluates several
+solutions of one mode at the same radii: they share w, so every rung of
+every ladder goes to one U batch, and `ModeSolution.derivatives` is its
+one-solution case.  Its rho^(2 gamma') expansion coefficient
 c1, a pure gamma-ratio, carries the Dirichlet-to-Neumann datum -2 gamma' c1.
 
 `fit_boundary_expansion` recovers the same number without touching the
@@ -51,6 +54,7 @@ from .spectral import GammaParam, ModeIndex, boundary_targets, kummer_a, mode_ei
 __all__ = [
     "frobenius_series",
     "ModeSolution",
+    "mode_derivatives",
     "FourthOrderMode",
     "NumericFit",
     "fit_boundary_expansion",
@@ -94,19 +98,56 @@ def frobenius_series(order, nu, lam_sq, nterms: int = SERIES_TERMS):
     return a, b
 
 
-def _u_ladder(a: float, b: float, w: np.ndarray, upto: int) -> list[np.ndarray]:
-    """Derivatives of U(a, b, .) at w: U^(i) = (-1)^i (a)_i U(a+i, b+i, .).
+def mode_derivatives(solutions: Sequence[ModeSolution], rho, upto: int = 2) -> list:
+    """[u, u', ..., u^(upto)] of each ModeSolution of one mode at the same radii.
 
-    The rungs (a+i, b+i) go to one kummer_u_batch call, one row each.
+    All solutions share w = lam rho^2, so the rungs (a + i, b + i), i <= upto,
+    of every solution go to one kummer_u_batch call on that one row of w.
+    Each solution then takes its derivatives through the contiguous ladder
+    U^(i) = (-1)^i (a)_i U(a + i, b + i, .) and the chain rule in w; a list's
+    bits do not depend on the other solutions of the batch.
     """
+    if upto > 4:
+        raise ValueError("derivative ladder implemented through order four")
+    if len({sol.lam for sol in solutions}) > 1:
+        raise ValueError("a derivative batch takes the solutions of one mode")
+    rho = np.asarray(rho, dtype=float)
+    lam = solutions[0].lam
+    w = lam * rho**2
+    wp = 2.0 * lam * rho
+    wpp = 2.0 * lam
     rung = np.arange(upto + 1)
-    values = kummer_u_batch(a + rung, b + rung, w)
+    values = kummer_u_batch(
+        np.concatenate([sol.a + rung for sol in solutions]),
+        np.concatenate([sol.b + rung for sol in solutions]),
+        w,
+    )
+    damp = np.exp(-w / 2.0)
     out = []
-    poch = 1.0
-    for i in range(upto + 1):
-        if i:
-            poch *= a + i - 1
-        out.append((-1.0) ** i * poch * values[i])
+    for sol, rows in zip(solutions, np.split(values, len(solutions))):
+        ladder = []
+        poch = 1.0
+        for i in range(upto + 1):
+            if i:
+                poch *= sol.a + i - 1
+            ladder.append((-1.0) ** i * poch * rows[i])
+        # f = e^{-w/2} U as a function of w; chain rule with w'' constant.
+        f = [
+            damp
+            * sum(comb(m, i) * (-0.5) ** (m - i) * ladder[i] for i in range(m + 1))
+            for m in range(upto + 1)
+        ]
+        norm = sol.norm
+        derivs = [norm * f[0]]
+        if upto >= 1:
+            derivs.append(norm * f[1] * wp)
+        if upto >= 2:
+            derivs.append(norm * (f[2] * wp**2 + f[1] * wpp))
+        if upto >= 3:
+            derivs.append(norm * (f[3] * wp**3 + 3.0 * f[2] * wp * wpp))
+        if upto >= 4:
+            derivs.append(norm * (f[4] * wp**4 + 6.0 * f[3] * wp**2 * wpp + 3.0 * f[2] * wpp**2))
+        out.append(derivs)
     return out
 
 
@@ -137,32 +178,7 @@ class ModeSolution:
 
     def derivatives(self, rho: np.ndarray, upto: int = 2) -> list[np.ndarray]:
         """[u, u', u'', ...] at the given positive radii, up to order four."""
-        if upto > 4:
-            raise ValueError("derivative ladder implemented through order four")
-        rho = np.asarray(rho, dtype=float)
-        w = self.lam * rho**2
-        wp = 2.0 * self.lam * rho
-        wpp = 2.0 * self.lam
-        ladder = _u_ladder(self.a, self.b, w, upto)
-        damp = np.exp(-w / 2.0)
-        # f = e^{-w/2} U as a function of w; chain rule with w'' constant.
-        f = [
-            damp
-            * sum(comb(m, i) * (-0.5) ** (m - i) * ladder[i] for i in range(m + 1))
-            for m in range(upto + 1)
-        ]
-        out = [self.norm * f[0]]
-        if upto >= 1:
-            out.append(self.norm * f[1] * wp)
-        if upto >= 2:
-            out.append(self.norm * (f[2] * wp**2 + f[1] * wpp))
-        if upto >= 3:
-            out.append(self.norm * (f[3] * wp**3 + 3.0 * f[2] * wp * wpp))
-        if upto >= 4:
-            out.append(
-                self.norm * (f[4] * wp**4 + 6.0 * f[3] * wp**2 * wpp + 3.0 * f[2] * wpp**2)
-            )
-        return out
+        return mode_derivatives([self], rho, upto)[0]
 
 
 class NumericFit(NamedTuple):

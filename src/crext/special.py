@@ -23,10 +23,14 @@ a ladder of rungs (a[i], b[i]), one row each, either all at the points of a
 1-D z or each at its own row of a 2-D z.  Every panel is one array over
 (node, rung, point) for the rungs still live: a shared z gets e^{-zt} once
 per direct panel and (1 + tau/z)^(b-a-1) once per distinct exponent on the
-scaled ones, while each rung keeps its own head, quiet-panel count, budget
-and checks.  Node sums run in node order for every block shape, including
-a single value, so a value's bits do not depend on its batch: every row is
-bitwise its scalar call.
+scaled ones, while each rung keeps its own head, budget and checks.  The
+direct form counts quiet panels per (rung, point) and retires points one
+column at a time: a column leaves once it has been quiet for two panels in
+every live rung, and a rung once all its live points have.  A later panel
+would add less than half an ulp to a settled point, so retiring it changes
+no bits.  Node sums run in node order for every block shape, including a
+single value, so a value's bits depend neither on its batch nor on its
+companion points: every value is bitwise its lone (rung, point) call.
 
 Both forms run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
@@ -141,7 +145,9 @@ def _u_panels_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Laplace integral in t, for z <= 6 where e^{-zt} is mild on [0, 1]; one row per rung.
 
     z holds one row of points shared by every rung, or one row per rung.  The
-    live rungs' state is kept compact and shrinks as rungs converge.
+    live state is kept compact: a rung leaves once it has been quiet for two
+    panels at every live point, and a point column once it has been quiet for
+    two panels in every live rung.
     """
     power = b - a - 1.0
     exact = _exact_exponents(a - 1.0, power)
@@ -153,7 +159,8 @@ def _u_panels_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     xl, wl = legendre_rule(_PANEL_NODES)
     out = np.empty_like(acc)
-    live, zl, quiet = np.arange(len(a)), z, np.zeros(len(a), dtype=int)
+    live, cols, zl = np.arange(len(a)), np.arange(acc.shape[1]), z
+    quiet = np.zeros(acc.shape, dtype=int)
     lo = 1.0
     while live.size:
         hi = 2.0 * lo
@@ -165,13 +172,16 @@ def _u_panels_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
         contrib = _node_sum(damp * lift * rise)
         # Checked per panel: a NaN would defeat the convergence test below.
         acc = _finite(acc + contrib, live, a, b, z)
-        quiet = (quiet + 1) * np.all(contrib <= 1e-18 * acc, axis=1)
-        done = quiet >= 2
-        if done.any():
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, acc, quiet = live[keep], acc[keep], quiet[keep]
-            zl = zl if len(zl) == 1 else zl[keep]
+        # A contribution below 1e-18 of the total is under half an ulp of it.
+        quiet = (quiet + 1) * (contrib <= 1e-18 * acc)
+        settled = quiet >= 2
+        rungs_done, cols_done = np.all(settled, axis=1), np.all(settled, axis=0)
+        if rungs_done.any() or cols_done.any():
+            out[live[rungs_done, None], cols] = acc[rungs_done]
+            out[live[:, None], cols[cols_done]] = acc[:, cols_done]
+            keep = np.ix_(~rungs_done, ~cols_done)
+            live, cols, acc, quiet = live[~rungs_done], cols[~cols_done], acc[keep], quiet[keep]
+            zl = zl[:, ~cols_done] if len(zl) == 1 else zl[keep]
         lo = hi
         if live.size and lo > _PANEL_CAP:
             i = live[0]

@@ -9,6 +9,8 @@ benchmark is run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -51,3 +53,21 @@ def test_counted_foreign_functions_are_bound_by_name_in_crext():
     from scipy.integrate import solve_ivp
 
     assert crext.extend.solve_ivp is solve_ivp
+
+
+def test_importing_the_cli_alone_loads_every_module_the_tracer_wraps():
+    # The tracer installs its wrappers right after `import crext.cli` in a
+    # fresh process.  Here that import runs alone, so a module that only a
+    # test or a later call would load shows up missing.
+    spans = _load_spans()
+    wanted = {name for name, *_ in spans.SPANS} | {name for name, *_ in spans.FOREIGN}
+    src = str(Path(crext.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, crext.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert sorted(wanted - set(loaded)) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crext import cli, extend
+from crext import cli, energy, extend
 from crext.energy import (
     _GRAM_INDEX,
     _NP,
@@ -28,6 +28,7 @@ from crext.energy import (
     _xp_dx,
     dirichlet_principle_check,
     mode_energy,
+    prepare_profiles,
     q_symmetry_check,
     trace_equality_check,
 )
@@ -346,31 +347,98 @@ def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
 
 
 def _clear_workspace_caches():
-    for cached in (_mode_profile, _workspace):
-        cached.cache_clear()
+    energy._profiles.clear()
+    _workspace.cache_clear()
 
 
-def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
-    # The high range at 1.5 needs W1 (order 1.5) and W2 (order 0.5), and W2
-    # is the low-range solution at 0.5: two orders, one ladder of two rungs each.
+def _count_u_calls(monkeypatch) -> list:
+    """Record the (a, b) rungs of every kummer_u_batch call the derivative ladders make."""
     calls = []
     counted = extend.kummer_u_batch
 
     def counting(a, b, z):
-        calls.append(tuple(zip(a, b)))
+        calls.append(tuple(zip(a.tolist(), b.tolist())))
         return counted(a, b, z)
 
+    monkeypatch.setattr(extend, "kummer_u_batch", counting)
+    return calls
+
+
+def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
+    # The high range at 1.5 needs W1 (order 1.5) and W2 (order 0.5), and W2
+    # is the low-range solution at 0.5.  Prepared together, the two orders of
+    # the mode take one call carrying their four rungs.
     mode = ModeIndex(lam=0.5, k=1, n=2)
     _clear_workspace_caches()
-    monkeypatch.setattr(extend, "kummer_u_batch", counting)
+    calls = _count_u_calls(monkeypatch)
+    try:
+        prepare_profiles([(o, mode) for g in (0.5, 1.5) for o in GammaParam(g).orders])
+        _workspace(0.5, mode)
+        _workspace(1.5, mode)
+    finally:
+        _clear_workspace_caches()
+    assert len(calls) == 1
+    assert len(set(calls[0])) == 4
+
+
+def test_an_unprepared_profile_is_built_as_a_batch_of_one(monkeypatch):
+    mode = ModeIndex(lam=0.5, k=1, n=2)
+    _clear_workspace_caches()
+    calls = _count_u_calls(monkeypatch)
     try:
         _workspace(0.5, mode)
         _workspace(1.5, mode)
     finally:
         _clear_workspace_caches()
-    # one kummer_u_batch call per ladder, carrying both rungs
-    assert len(calls) == 2
+    # order 0.5 for the low workspace, then only order 1.5 is missing
+    assert [len(call) for call in calls] == [2, 2]
     assert len({rung for call in calls for rung in call}) == 4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_profile_built_with_its_mode_is_bitwise_the_one_built_alone(mode):
+    orders = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
+    _clear_workspace_caches()
+    try:
+        prepare_profiles([(o, mode) for o in orders])
+        together = [_mode_profile(o, mode) for o in orders]
+        for order, batched in zip(orders, together):
+            energy._profiles.clear()
+            alone = _mode_profile(order, mode)
+            assert batched[0].order == alone[0].order
+            assert batched[1] == alone[1]
+            for x, y in zip(batched[2:], alone[2:]):
+                assert np.array_equal(x, y)
+    finally:
+        _clear_workspace_caches()
+
+
+def test_the_profile_cache_keeps_the_most_recently_read(monkeypatch):
+    mode = ModeIndex(lam=2.0, k=0, n=1)
+    monkeypatch.setattr(energy, "_PROFILE_CACHE", 3)
+    _clear_workspace_caches()
+    try:
+        prepare_profiles([(o, mode) for o in (0.2, 0.4, 0.6, 0.8, 1.2)])
+        assert list(energy._profiles) == [(o, mode) for o in (0.6, 0.8, 1.2)]
+        kept = _mode_profile(0.6, mode)
+        for order in (0.2, 1.4):
+            assert _mode_profile(order, mode)[0].order == order
+            assert len(energy._profiles) == 3
+        assert _mode_profile(0.6, mode) is kept
+        assert list(energy._profiles) == [(o, mode) for o in (0.2, 1.4, 0.6)]
+    finally:
+        _clear_workspace_caches()
+
+
+def test_the_default_energy_suite_makes_one_u_call_per_spot_mode(monkeypatch):
+    # Eight spot modes; six distinct orders (0.25 .. 1.75) of two rungs each.
+    _clear_workspace_caches()
+    calls = _count_u_calls(monkeypatch)
+    try:
+        cli._suite_energy(cli.SuiteConfig())
+    finally:
+        _clear_workspace_caches()
+    assert [len(call) for call in calls] == [12] * 8
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.7])

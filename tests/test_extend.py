@@ -6,6 +6,7 @@ possible), and blind ODE integration.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from crext.extend import (
     exclusion_residuals,
     fit_boundary_expansion,
     frobenius_series,
+    mode_derivatives,
     verify_dtn_theorem,
     verify_fourth_constants,
 )
 from crext.scatter import raw_recursion
+from crext.special import kummer_u_batch
 from crext.spectral import GammaParam, ModeIndex, mode_eigenvalue
 
 
@@ -271,3 +274,57 @@ def test_derivative_ladder_depth_guard():
     sol = ModeSolution(0.5, ModeIndex(1.0, 0, 1))
     with pytest.raises(ValueError):
         sol.derivatives(np.array([1.0]), upto=5)
+
+
+def _referee_derivatives(sol: ModeSolution, rho, upto: int) -> list:
+    """[u, ..., u^(upto)] from the solution's own ladder of upto + 1 rungs, one call."""
+    w = sol.lam * rho**2
+    wp = 2.0 * sol.lam * rho
+    wpp = 2.0 * sol.lam
+    rung = np.arange(upto + 1)
+    values = kummer_u_batch(sol.a + rung, sol.b + rung, w)
+    ladder, poch = [], 1.0
+    for i in range(upto + 1):
+        if i:
+            poch *= sol.a + i - 1
+        ladder.append((-1.0) ** i * poch * values[i])
+    damp = np.exp(-w / 2.0)
+    f = [
+        damp * sum(comb(m, i) * (-0.5) ** (m - i) * ladder[i] for i in range(m + 1))
+        for m in range(upto + 1)
+    ]
+    out = [sol.norm * f[0]]
+    if upto >= 1:
+        out.append(sol.norm * f[1] * wp)
+    if upto >= 2:
+        out.append(sol.norm * (f[2] * wp**2 + f[1] * wpp))
+    if upto >= 3:
+        out.append(sol.norm * (f[3] * wp**3 + 3.0 * f[2] * wp * wpp))
+    if upto >= 4:
+        out.append(sol.norm * (f[4] * wp**4 + 6.0 * f[3] * wp**2 * wpp + 3.0 * f[2] * wpp**2))
+    return out
+
+
+@pytest.mark.parametrize("upto", range(5))
+@pytest.mark.parametrize("mode", [ModeIndex(0.5, 0, 1), ModeIndex(2.0, 3, 2)])
+def test_batch_derivatives_are_each_solutions_own_bitwise(upto, mode):
+    # w = lam rho^2 runs from 1e-3 to 18: both forms of the U quadrature.
+    rho = np.geomspace(0.02, 3.0, 13) / np.sqrt(mode.lam / 2.0)
+    sols = [ModeSolution(order, mode) for order in (0.25, 0.5, 1.25, 1.75)]
+    batch = mode_derivatives(sols, rho, upto)
+    assert len(batch) == len(sols)
+    for sol, got in zip(sols, batch):
+        own = ModeSolution(sol.order, mode).derivatives(rho, upto)
+        referee = _referee_derivatives(sol, rho, upto)
+        assert len(got) == len(own) == upto + 1
+        for x, y, r in zip(got, own, referee):
+            assert np.array_equal(x, y)
+            assert np.array_equal(x, r)
+
+
+def test_a_derivative_batch_takes_one_mode():
+    sols = [ModeSolution(0.5, ModeIndex(1.0, 0, 1)), ModeSolution(0.5, ModeIndex(2.0, 0, 1))]
+    with pytest.raises(ValueError, match="one mode"):
+        mode_derivatives(sols, np.array([1.0]))
+    with pytest.raises(ValueError, match="order four"):
+        mode_derivatives(sols[:1], np.array([1.0]), upto=5)

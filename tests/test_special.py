@@ -15,7 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from crext.special import _validate_u_args, gamma_fn, kummer_u_batch
+from crext.special import (
+    _PANEL_NODES,
+    _exact_exponents,
+    _finite,
+    _heads,
+    _node_sum,
+    _power,
+    _validate_u_args,
+    gamma_fn,
+    kummer_u_batch,
+    legendre_rule,
+)
 
 
 # The scalar referee: adaptive quadrature of the Laplace representation,
@@ -201,10 +212,10 @@ def test_rung_arrays_must_match():
 # Rungs of the probe family: b avoids the integers below 0.5.  The sampled
 # values give exponents a - 1, b - a - 1 and -a that numpy can take by an
 # exact operation instead of the general power.
-_RUNG = st.tuples(
-    st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(0.3, 14.0),
-    st.sampled_from([2.0, 3.0, 4.0]) | st.floats(-0.9, 4.5),
-).filter(lambda ab: not (ab[1] < 0.5 and abs(ab[1] - round(ab[1])) < 0.05))
+_RUNG_B = st.sampled_from([2.0, 3.0, 4.0]) | st.floats(-0.9, 4.5).filter(
+    lambda b: not (b < 0.5 and abs(b - round(b)) < 0.05)
+)
+_RUNG = st.tuples(st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(0.3, 14.0), _RUNG_B)
 
 
 def _single(a: float, b: float, z: float) -> float:
@@ -284,3 +295,63 @@ def test_per_rung_rows_must_match_the_rung_count():
 def test_an_overflowing_row_is_named_by_its_own_rung_and_points(a, b, z, named):
     with pytest.raises(OverflowError, match=named):
         kummer_u_batch(np.array(a), np.array(b), np.array(z))
+
+
+def _referee_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The direct form as a row-wide loop, one row per rung.
+
+    A rung adds panels at every one of its points until all of them have
+    been quiet for two panels.
+    """
+    power = b - a - 1.0
+    exact = _exact_exponents(a - 1.0, power)
+    xj, wj, scale = _heads(a)
+    t = (xj + 1.0) / 2.0
+    rise = _power(1.0 + t, power, exact)
+    acc = _node_sum((wj * scale)[..., None] * np.exp(-t[..., None] * z) * rise[..., None])
+    xl, wl = legendre_rule(_PANEL_NODES)
+    out = np.empty_like(acc)
+    live, zl, quiet = np.arange(len(a)), z, np.zeros(len(a), dtype=int)
+    lo = 1.0
+    while live.size:
+        hi = 2.0 * lo
+        t = (hi - lo) / 2.0 * xl + (hi + lo) / 2.0
+        damp = ((hi - lo) / 2.0 * wl)[:, None, None] * np.exp(-t[:, None, None] * zl)
+        lift = _power(t[:, None], a[live] - 1.0, exact)[..., None]
+        rise = _power((1.0 + t)[:, None], power[live], exact)[..., None]
+        contrib = _node_sum(damp * lift * rise)
+        acc = _finite(acc + contrib, live, a, b, z)
+        quiet = (quiet + 1) * np.all(contrib <= 1e-18 * acc, axis=1)
+        done = quiet >= 2
+        out[live[done]] = acc[done]
+        live, acc, quiet = live[~done], acc[~done], quiet[~done]
+        zl = zl if len(zl) == 1 else zl[~done]
+        lo = hi
+    return out / np.array([gamma_fn(ai) for ai in a.tolist()])[:, None]
+
+
+_DIRECT_RUNG = st.tuples(st.floats(0.3, 40.0) | st.sampled_from([1.0, 2.0, 3.0]), _RUNG_B)
+_DIRECT_POINT = st.floats(1e-3, 6.0) | st.sampled_from([6.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rungs=st.lists(_DIRECT_RUNG, min_size=1, max_size=5),
+    shared=st.lists(_DIRECT_POINT, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_direct_form_retires_points_without_moving_a_bit(rungs, shared, data):
+    # A point leaves the panel chain once quiet in every live rung; what it
+    # would still have gathered is below half an ulp, so every value is its
+    # row-wide loop's and its lone call's, on a shared z and on per-rung rows.
+    a = np.array([r[0] for r in rungs])
+    b = np.array([r[1] for r in rungs])
+    width = data.draw(st.integers(1, 5))
+    rows = [data.draw(st.lists(_DIRECT_POINT, min_size=width, max_size=width)) for _ in rungs]
+    for z in (np.array(shared), np.array(rows)):
+        got = kummer_u_batch(a, b, z)
+        z2 = np.atleast_2d(z)
+        assert np.array_equal(got, _referee_direct(a, b, z2))
+        for i, (ai, bi) in enumerate(rungs):
+            row = z2[i if len(z2) > 1 else 0]
+            assert np.array_equal(got[i], [_single(ai, bi, zz) for zz in row])
