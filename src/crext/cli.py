@@ -336,14 +336,20 @@ def _gamma_entry(check: str, anchor: str, g: float, modes, err, tol, **extra) ->
     return CheckEntry.graded(f"{check}.gamma={g}", anchor, parameters, err, tol)
 
 
+def _spot_pairs(cfg: SuiteConfig) -> list:
+    """Distinct (order, mode) pairs of the gammas' orders on the spot modes, first seen first."""
+    spot = cfg.spot_modes()
+    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
+    return list(dict.fromkeys((o, mode) for p in params for mode in spot for o in p.orders))
+
+
 def _suite_dtn(cfg: SuiteConfig) -> list:
     entries = []
     full = cfg.full_modes()
     spot = cfg.spot_modes()
-    # Every numeric check of the suite reads its fits off one stacked solve,
-    # which fits each distinct (order, mode) pair once.
-    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
-    pairs = list(dict.fromkeys((o, mode) for p in params for mode in spot for o in p.orders))
+    # Every numeric check reads its fits off one stacked solve that fits each
+    # distinct pair once; its step control sums over them in this order.
+    pairs = _spot_pairs(cfg)
     fits = dict(zip(pairs, extend.fit_boundary_expansion(pairs)))
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)
@@ -374,8 +380,7 @@ def _suite_energy(cfg: SuiteConfig) -> list:
     spot = cfg.spot_modes()
     count = cfg.perturbations
     # The tail profiles of every order the checks read on a mode take one batch.
-    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
-    energy.prepare_profiles((o, mode) for p in params for mode in spot for o in p.orders)
+    energy.prepare_profiles(_spot_pairs(cfg))
     for g in cfg.gammas_low + cfg.gammas_high:
         param = spectral.GammaParam(g)
         worst = max(energy.trace_equality_check(param, mode) for mode in spot)

@@ -50,9 +50,10 @@ ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
 units, riding the Gaussian decay.  The tail grid depends on the mode only,
 so every order of a mode shares it: `prepare_profiles` builds all the
 orders the checks will read on a mode with one U batch.  Profiles are kept
-per (order, mode) and shared between the ranges: the high range at gamma
-reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
-second being the low-range profile at 2 - gamma.
+per (order, mode), each with its two Frobenius branches, and shared between
+the ranges: the high range at gamma reads the profiles of orders 1 + alpha
+and 1 - alpha = 2 - gamma, the second being the low-range profile at
+2 - gamma.
 
 Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
 x = rho^2, closed under every operation above.  They live as rows from the
@@ -256,10 +257,10 @@ def _draw_perturbations(rng: random.Random, lam: float, count: int) -> tuple:
 # -- workspaces -------------------------------------------------------------
 
 
-def _mode_pair_series(sol: ModeSolution, nterms: int):
+def _mode_pair_series(sol: ModeSolution, series):
     """(value, derivative) dense series of the normalized decaying solution."""
-    ca, cb = map(np.asarray, frobenius_series(sol.order, sol.nu, sol.lam**2, nterms))
-    j2 = 2.0 * np.arange(nterms)
+    ca, cb = series
+    j2 = 2.0 * np.arange(len(ca))
     u = _lattice((0, 0, ca), (1, 0, sol.c1 * cb))
     du = _lattice((0, -1, j2 * ca), (1, -1, sol.c1 * (j2 + 2.0 * sol.order) * cb))
     return u, du
@@ -300,13 +301,15 @@ def prepare_profiles(pairs) -> None:
         rho_c = _rho_cut(sols[0].lam, sols[0].nu)
         rho_t, wt_t = _tail_grid(sols[0].lam, rho_c)
         for sol, d in zip(sols, mode_derivatives(sols, rho_t, upto=1)):
-            _profiles[sol.order, mode] = _read_only((sol, rho_c, rho_t, wt_t, *d))
+            series = frobenius_series(sol.order, sol.nu, sol.lam**2, _INNER_TERMS)
+            series = tuple(map(np.asarray, series))
+            _profiles[sol.order, mode] = _read_only((sol, rho_c, series, rho_t, wt_t, *d))
     while len(_profiles) > _PROFILE_CACHE:
         del _profiles[next(iter(_profiles))]
 
 
 def _mode_profile(order: float, mode: ModeIndex) -> tuple:
-    """(solution, rho_c, tail nodes, tail weights, u, u') of one order, read-only.
+    """(solution, rho_c, Frobenius branches, tail nodes, tail weights, u, u'), read-only.
 
     Built once per (order, mode), as a batch of one if not prepared: the
     workspaces at gamma below 1 and at 1 +- alpha above it share the entries.
@@ -317,16 +320,13 @@ def _mode_profile(order: float, mode: ModeIndex) -> tuple:
     return profile
 
 
-def _fourth_pairs(fourth: FourthOrderMode, nterms: int):
-    """(value, Lop value) dense series of the assembled fourth-order solution."""
+def _fourth_pairs(fourth: FourthOrderMode, series1, series2):
+    """(value, Lop value) dense series of the fourth-order solution, from its orders' branches."""
     al = fourth.alpha
-    lam, nu = fourth.lam, fourth.nu
-    (a1c, b1c), (a2c, b2c) = (
-        map(np.asarray, frobenius_series(o, nu, lam * lam, nterms)) for o in fourth.param.orders
-    )
+    (a1c, b1c), (a2c, b2c) = series1, series2
     A, B = fourth.coef_a, fourth.coef_b
     c11, c12 = fourth.w1.c1, fourth.w2.c1
-    j2 = 2.0 * np.arange(nterms)
+    j2 = 2.0 * np.arange(len(a1c))
     u = _lattice((0, 0, A * a1c), (0, 2, B * c12 * b2c), (1, 0, B * a2c), (1, 2, A * c11 * b1c))
     lop = _lattice(
         (0, -2, 2.0 * A * j2 * a1c),
@@ -365,8 +365,8 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
     param = GammaParam(gamma)
     al = param.alpha
     if param.is_high:
-        w1, rho_c, rho_t, wt_t, *d1 = _mode_profile(param.orders[0], mode)
-        d2 = _mode_profile(param.orders[1], mode)[4:]
+        w1, rho_c, s1, rho_t, wt_t, *d1 = _mode_profile(param.orders[0], mode)
+        _, _, s2, _, _, *d2 = _mode_profile(param.orders[1], mode)
         lam, nu = w1.lam, w1.nu
         m_0 = -4.0 * (lam * lam)
         m, m_t = np.array([m_0]), np.full_like(rho_t, m_0)
@@ -374,13 +374,13 @@ def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
         for data in ((1.0, 0.0), (0.0, 1.0)):
             fourth = FourthOrderMode(param, mode, *data)
             (value,), lop = fourth.assemble(rho_t, d1, d2, 0)
-            basis.append((*_fourth_pairs(fourth, _INNER_TERMS), value, lop))
+            basis.append((*_fourth_pairs(fourth, s1, s2), value, lop))
         boundary = np.array([[0.0, 1.0], [1.0, 0.0]]) * (nu / al)
     else:
-        sol, rho_c, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
+        sol, rho_c, series, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
         lam, nu = sol.lam, sol.nu
         m, m_t = np.array([nu, 0.0, lam * lam]), nu + lam * lam * rho_t * rho_t
-        basis = [(*_mode_pair_series(sol, _INNER_TERMS), u_t, du_t)]
+        basis = [(*_mode_pair_series(sol, series), u_t, du_t)]
         boundary = np.zeros((1, 1))
     moments = _moments(2.0 * al, rho_c)
     degenerate = _degenerate_cells(2.0 * al, tuple(bool(w) for w in m))

@@ -12,31 +12,31 @@ can suffer subtractive cancellation.  (The classical two-term connection
 formula in M was measured to lose ten digits by z ~ 6 once a reaches the
 range this package produces, and was dropped for that reason.)
 
-`kummer_u_batch` evaluates it vectorized over z with fixed Gauss rules.
-For z <= 6 it works in t directly: a Gauss-Jacobi head on [0, 1] carrying
-the t^{a-1} weight, then dyadic Gauss-Legendre panels [1, 2], [2, 4], ...
-until the (positive) contributions fall below 1e-18 of the running total.
-For z > 6 the substitution tau = z t trades the stiff e^{-zt} for a fixed
-e^{-tau} profile and the same head/panel split is applied in tau out to a
-budget that scales with a.  Given equal-length arrays a and b it evaluates
-a ladder of rungs (a[i], b[i]), one row each, either all at the points of a
-1-D z or each at its own row of a 2-D z.  Every panel is one array over
-(node, rung, point) for the rungs still live: a shared z gets e^{-zt} once
-per direct panel and (1 + tau/z)^(b-a-1) once per distinct exponent on the
-scaled ones, while each rung keeps its own head, budget and checks.  The
-direct form counts quiet panels per (rung, point) and retires points one
-column at a time: a column leaves once it has been quiet for two panels in
-every live rung, and a rung once all its live points have.  A later panel
-would add less than half an ulp to a settled point, so retiring it changes
-no bits.  Node sums run in node order for every block shape, including a
-single value, so a value's bits depend neither on its batch nor on its
-companion points: every value is bitwise its lone (rung, point) call.
+`kummer_u_batch` evaluates it vectorized over z with fixed Gauss rules and
+one panel chain for e^{-s c} s^{a-1} (1 + s/d)^{b-a-1}: a Gauss-Jacobi head
+on [0, 1] carrying the s^{a-1} weight, then dyadic Gauss-Legendre panels
+[1, 2], [2, 4], ...  For z <= 6 the chain works in t directly, (c, d) =
+(z, 1).  For z > 6 the substitution tau = z t trades the stiff e^{-zt} for
+a fixed e^{-tau} profile, (c, d) = (1, z), and the result carries z^{-a}.
+Given equal-length arrays a and b it evaluates a ladder of rungs (a[i],
+b[i]), one row each, either all at the points of a 1-D z or each at its
+own row of a 2-D z.  Every panel is one array over (node, rung, point) for
+the rungs still live, with (1 + s/d)^(b-a-1) taken once per distinct
+exponent on a shared z.  Both forms track quiet panels (a contribution
+below 1e-18 of the running total) per (rung, point): a point column leaves
+once it has been quiet for two panels in every live rung, and a rung once
+all its live points have or, in the scaled form, once it passes its budget
+max(2a + 60, 80) in tau.  A later panel would add less than half an ulp to
+a settled point, so retiring it changes no bits.  Node sums run in node
+order for every block shape, including a single value, so every value is
+bitwise its lone (rung, point) call.
 
 Both forms run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
 example U(75.75, 0.5, 0.0125) ~ 3.5e-111).  A quadrature that leaves double
 range raises OverflowError naming the rung's a and b and the smallest of its
-points in that form instead of returning inf or NaN.
+points in that form instead of returning inf or NaN; both forms check
+every panel, since a NaN would defeat the quiet test.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def _validate_u_args(a: float, z_min: float) -> None:
 @lru_cache(maxsize=1024)
 def _jacobi_rule(a: float):
     # Rule on [-1, 1] with weight (1+x)^(a-1); transformed below to t^(a-1) on [0, 1].
-    x, w = roots_jacobi(_PANEL_NODES, 0.0, a - 1.0)
-    return x, w
+    return roots_jacobi(_PANEL_NODES, 0.0, a - 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -141,46 +140,55 @@ def _finite(values: np.ndarray, rungs: np.ndarray, a, b, z: np.ndarray) -> np.nd
     )
 
 
-def _u_panels_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Laplace integral in t, for z <= 6 where e^{-zt} is mild on [0, 1]; one row per rung.
+def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.ndarray:
+    """The Laplace integral in the direct or the scaled form, one row per rung.
 
-    z holds one row of points shared by every rung, or one row per rung.  The
-    live state is kept compact: a rung leaves once it has been quiet for two
-    panels at every live point, and a point column once it has been quiet for
-    two panels in every live rung.
+    Integrates e^{-s c} s^(a-1) (1 + s/d)^(b-a-1) with (c, d) = (z, 1), or
+    (1, z) times z^-a when `scaled`.  z holds one row of points shared by
+    every rung, or one row per rung.
     """
     power = b - a - 1.0
-    exact = _exact_exponents(a - 1.0, power)
+    exact = _exact_exponents(a - 1.0, power, -a)
     xj, wj, scale = _heads(a)
-    t = (xj + 1.0) / 2.0
-    head_w = wj * scale
-    rise = _power(1.0 + t, power, exact)
-    acc = _node_sum(head_w[..., None] * np.exp(-t[..., None] * z) * rise[..., None])
+    s = (xj + 1.0) / 2.0
+    c, d = (1.0, z) if scaled else (z, 1.0)
+    w, damp = wj[..., None], np.exp(-s[..., None] * c)
+    # Each form has its own head product order: one shared order moves the bits.
+    head = w * damp * scale[:, None] if scaled else w * scale[:, None] * damp
+    acc = _node_sum(head * _power(1.0 + s[..., None] / d, power[:, None], exact))
 
     xl, wl = legendre_rule(_PANEL_NODES)
+    # A base that every rung shares at several points is raised once per distinct exponent.
+    exps, which = np.unique(power, return_inverse=True)
+    top = np.maximum(2.0 * a + 60.0, 80.0) if scaled else np.full(len(a), np.inf)
     out = np.empty_like(acc)
     live, cols, zl = np.arange(len(a)), np.arange(acc.shape[1]), z
-    quiet = np.zeros(acc.shape, dtype=int)
+    calm = np.zeros(acc.shape, dtype=bool)
     lo = 1.0
     while live.size:
         hi = 2.0 * lo
-        t = (hi - lo) / 2.0 * xl + (hi + lo) / 2.0
-        wt = (hi - lo) / 2.0 * wl
-        damp = wt[:, None, None] * np.exp(-t[:, None, None] * zl)
-        lift = _power(t[:, None], a[live] - 1.0, exact)[..., None]
-        rise = _power((1.0 + t)[:, None], power[live], exact)[..., None]
+        s = (hi - lo) / 2.0 * xl + (hi + lo) / 2.0
+        c, d = (1.0, zl) if scaled else (zl, 1.0)
+        damp = ((hi - lo) / 2.0 * wl)[:, None, None] * np.exp(-s[:, None, None] * c)
+        lift = _power(s[:, None], a[live] - 1.0, exact)[..., None]
+        base = 1.0 + s[:, None, None] / d
+        shared = base.shape[1] == 1 < base.shape[2]
+        rise = _power(base, (exps if shared else power[live])[:, None], exact)
+        rise = rise[:, which[live]] if shared and len(exps) > 1 else rise
         contrib = _node_sum(damp * lift * rise)
         # Checked per panel: a NaN would defeat the convergence test below.
         acc = _finite(acc + contrib, live, a, b, z)
-        # A contribution below 1e-18 of the total is under half an ulp of it.
-        quiet = (quiet + 1) * (contrib <= 1e-18 * acc)
-        settled = quiet >= 2
-        rungs_done, cols_done = np.all(settled, axis=1), np.all(settled, axis=0)
+        # A contribution below 1e-18 of the total is under half an ulp of it;
+        # a point is settled after two such panels in a row.
+        quiet = contrib <= 1e-18 * acc
+        settled, calm = calm & quiet, quiet
+        rungs_done = np.all(settled, axis=1) | (hi >= top[live])
+        cols_done = np.all(settled, axis=0)
         if rungs_done.any() or cols_done.any():
             out[live[rungs_done, None], cols] = acc[rungs_done]
             out[live[:, None], cols[cols_done]] = acc[:, cols_done]
             keep = np.ix_(~rungs_done, ~cols_done)
-            live, cols, acc, quiet = live[~rungs_done], cols[~cols_done], acc[keep], quiet[keep]
+            live, cols, acc, calm = live[~rungs_done], cols[~cols_done], acc[keep], calm[keep]
             zl = zl[:, ~cols_done] if len(zl) == 1 else zl[keep]
         lo = hi
         if live.size and lo > _PANEL_CAP:
@@ -189,54 +197,9 @@ def _u_panels_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
                 f"panel chain failed to converge by t = {lo:g} "
                 f"(a = {a[i]:g}, b = {b[i]:g}, min z = {_min_z(z, i):g})"
             )
-    gammas = np.array([gamma_fn(ai) for ai in a.tolist()])
-    return _finite(out / gammas[:, None], np.arange(len(a)), a, b, z)
-
-
-def _u_panels_scaled(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Laplace integral after tau = z t, for z > 6 where e^{-zt} is stiff; one row per rung.
-
-    z holds one row of points shared by every rung, or one row per rung.  A
-    rung leaves the panel chain at its own budget `top`.
-    """
-    power = b - a - 1.0
-    exact = _exact_exponents(a - 1.0, power, -a)
-    xj, wj, scale = _heads(a)
-    tau = (xj + 1.0) / 2.0
-    head_w = wj * np.exp(-(xj + 1.0) / 2.0) * scale
-    acc = _node_sum(head_w[..., None] * _power(1.0 + tau[..., None] / z, power[:, None], exact))
-
-    xl, wl = legendre_rule(_PANEL_NODES)
-    # On a shared z, (1 + tau/z)^(b - a - 1) is taken once per distinct exponent.
-    exps, which = np.unique(power, return_inverse=True)
-    top = np.maximum(2.0 * a + 60.0, 80.0)
-    out = np.empty_like(acc)
-    live, zl = np.arange(len(a)), z
-    lo = 1.0
-    while live.size:
-        done = lo >= top[live]
-        if done.any():
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, acc = live[keep], acc[keep]
-            zl = zl if len(zl) == 1 else zl[keep]
-            continue
-        hi = 2.0 * lo
-        tau = (hi - lo) / 2.0 * xl + (hi + lo) / 2.0
-        wt = (hi - lo) / 2.0 * wl
-        damp = wt * np.exp(-tau)
-        base = 1.0 + tau[:, None, None] / zl
-        if len(zl) > 1:
-            rise = _power(base, power[live][:, None], exact)
-        else:
-            rise = _power(base, exps[:, None], exact)
-            rise = rise if len(exps) == 1 else rise[:, which[live]]
-        lift = (damp[:, None] * _power(tau[:, None], a[live] - 1.0, exact))[..., None]
-        acc = acc + _node_sum(lift * rise)
-        lo = hi
-    gammas = np.array([gamma_fn(ai) for ai in a.tolist()])
-    scaled = _power(z, -a[:, None], exact) / gammas[:, None] * out
-    return _finite(scaled, np.arange(len(a)), a, b, z)
+    gammas = np.array([gamma_fn(ai) for ai in a.tolist()])[:, None]
+    out = _power(z, -a[:, None], exact) / gammas * out if scaled else out / gammas
+    return _finite(out, np.arange(len(a)), a, b, z)
 
 
 def kummer_u_batch(a, b, z) -> np.ndarray:
@@ -266,10 +229,10 @@ def kummer_u_batch(a, b, z) -> np.ndarray:
     out = np.empty((len(rungs_a), rows.shape[1]))
     direct = rows <= _FORM_SWITCH
     with np.errstate(over="ignore", invalid="ignore"):
-        for form, mask in ((_u_panels_direct, direct), (_u_panels_scaled, ~direct)):
+        for scaled, mask in ((False, direct), (True, ~direct)):
             if shared:
                 if mask.any():
-                    out[:, mask[0]] = form(rungs_a, rungs_b, rows[:, mask[0]])
+                    out[:, mask[0]] = _u_panels(rungs_a, rungs_b, rows[:, mask[0]], scaled)
                 continue
             # Each row's points of this form, padded to one width with its first.
             counts = np.sum(mask, axis=1)
@@ -280,5 +243,5 @@ def kummer_u_batch(a, b, z) -> np.ndarray:
             first = np.argsort(~mask[keep], axis=1, kind="stable")[:, :width]
             cols = np.where(np.arange(width) < counts[keep, None], first, first[:, :1])
             points = np.take_along_axis(rows[keep], cols, axis=1)
-            out[keep[:, None], cols] = form(rungs_a[keep], rungs_b[keep], points)
+            out[keep[:, None], cols] = _u_panels(rungs_a[keep], rungs_b[keep], points, scaled)
     return out if np.ndim(a) else out[0]

@@ -441,6 +441,26 @@ def test_the_default_energy_suite_makes_one_u_call_per_spot_mode(monkeypatch):
     assert [len(call) for call in calls] == [12] * 8
 
 
+def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
+    # Eight spot modes times six distinct orders: 48 pairs, each of whose
+    # Frobenius branches the low and high workspaces read off its profile.
+    calls = []
+    counted = energy.frobenius_series
+
+    def counting(*args):
+        calls.append(args[:3])
+        return counted(*args)
+
+    monkeypatch.setattr(energy, "frobenius_series", counting)
+    _clear_workspace_caches()
+    try:
+        cli._suite_energy(cli.SuiteConfig())
+    finally:
+        _clear_workspace_caches()
+    assert len(calls) == 48
+    assert len(set(calls)) == 48
+
+
 @pytest.mark.parametrize("gamma", [1.25, 1.7])
 @pytest.mark.parametrize("mode", MODES)
 def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
@@ -454,7 +474,11 @@ def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
 
 def test_cached_profiles_are_read_only():
     mode = ModeIndex(lam=2.0, k=2, n=1)
-    _, _, *arrays = _mode_profile(0.25, mode)
+    arrays = []
+    for order in (0.25, 1.75):
+        _, _, series, *tail = _mode_profile(order, mode)
+        assert [x.shape for x in series] == [(energy._INNER_TERMS,)] * 2
+        arrays += [*series, *tail]
     low = _workspace(0.25, mode)
     high = _workspace(1.75, mode)
     for ws in (low, high):

@@ -330,28 +330,109 @@ def _referee_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out / np.array([gamma_fn(ai) for ai in a.tolist()])[:, None]
 
 
+def _referee_scaled(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The scaled form as its own chain, one row per rung.
+
+    After tau = z t, a rung adds panels at every one of its points until it
+    reaches its budget `top`; no point leaves early.
+    """
+    power = b - a - 1.0
+    exact = _exact_exponents(a - 1.0, power, -a)
+    xj, wj, scale = _heads(a)
+    tau = (xj + 1.0) / 2.0
+    head_w = wj * np.exp(-(xj + 1.0) / 2.0) * scale
+    acc = _node_sum(head_w[..., None] * _power(1.0 + tau[..., None] / z, power[:, None], exact))
+
+    xl, wl = legendre_rule(_PANEL_NODES)
+    # On a shared z, (1 + tau/z)^(b - a - 1) is taken once per distinct exponent.
+    exps, which = np.unique(power, return_inverse=True)
+    top = np.maximum(2.0 * a + 60.0, 80.0)
+    out = np.empty_like(acc)
+    live, zl = np.arange(len(a)), z
+    lo = 1.0
+    while live.size:
+        done = lo >= top[live]
+        if done.any():
+            out[live[done]] = acc[done]
+            keep = ~done
+            live, acc = live[keep], acc[keep]
+            zl = zl if len(zl) == 1 else zl[keep]
+            continue
+        hi = 2.0 * lo
+        tau = (hi - lo) / 2.0 * xl + (hi + lo) / 2.0
+        wt = (hi - lo) / 2.0 * wl
+        damp = wt * np.exp(-tau)
+        base = 1.0 + tau[:, None, None] / zl
+        if len(zl) > 1:
+            rise = _power(base, power[live][:, None], exact)
+        else:
+            rise = _power(base, exps[:, None], exact)
+            rise = rise if len(exps) == 1 else rise[:, which[live]]
+        lift = (damp[:, None] * _power(tau[:, None], a[live] - 1.0, exact))[..., None]
+        acc = acc + _node_sum(lift * rise)
+        lo = hi
+    gammas = np.array([gamma_fn(ai) for ai in a.tolist()])
+    scaled = _power(z, -a[:, None], exact) / gammas[:, None] * out
+    return _finite(scaled, np.arange(len(a)), a, b, z)
+
+
 _DIRECT_RUNG = st.tuples(st.floats(0.3, 40.0) | st.sampled_from([1.0, 2.0, 3.0]), _RUNG_B)
 _DIRECT_POINT = st.floats(1e-3, 6.0) | st.sampled_from([6.0])
+# Up to a = 100 the scaled panels stay in double range out to the budget.
+_SCALED_RUNG = st.tuples(st.floats(0.3, 100.0) | st.sampled_from([1.0, 2.0, 99.5]), _RUNG_B)
+_SCALED_POINT = st.floats(6.0, 60.0, exclude_min=True) | st.sampled_from([6.01])
+_FORMS = (
+    (_DIRECT_RUNG, _DIRECT_POINT, _referee_direct),
+    (_SCALED_RUNG, _SCALED_POINT, _referee_scaled),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(form=st.sampled_from(_FORMS), data=st.data())
+def test_direct_form_retires_points_without_moving_a_bit(form, data):
+    # A point leaves the panel chain once quiet in every live rung; what it
+    # would still have gathered is below half an ulp, so every value is its
+    # row-wide loop's and its lone call's, on a shared z and on per-rung rows,
+    # in the direct form and in the scaled one.
+    rung, point, referee = form
+    rungs = data.draw(st.lists(rung, min_size=1, max_size=5))
+    a = np.array([r[0] for r in rungs])
+    b = np.array([r[1] for r in rungs])
+    shared = data.draw(st.lists(point, min_size=1, max_size=8))
+    width = data.draw(st.integers(1, 5))
+    rows = [data.draw(st.lists(point, min_size=width, max_size=width)) for _ in rungs]
+    for z in (np.array(shared), np.array(rows)):
+        got = kummer_u_batch(a, b, z)
+        z2 = np.atleast_2d(z)
+        assert np.array_equal(got, referee(a, b, z2))
+        for i, (ai, bi) in enumerate(rungs):
+            row = z2[i if len(z2) > 1 else 0]
+            assert np.array_equal(got[i], [_single(ai, bi, zz) for zz in row])
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    rungs=st.lists(_DIRECT_RUNG, min_size=1, max_size=5),
-    shared=st.lists(_DIRECT_POINT, min_size=1, max_size=8),
+    rungs=st.lists(_RUNG, min_size=1, max_size=4),
+    direct=st.integers(0, 3),
+    scaled=st.integers(0, 3),
     data=st.data(),
 )
-def test_direct_form_retires_points_without_moving_a_bit(rungs, shared, data):
-    # A point leaves the panel chain once quiet in every live rung; what it
-    # would still have gathered is below half an ulp, so every value is its
-    # row-wide loop's and its lone call's, on a shared z and on per-rung rows.
+def test_the_one_panel_chain_is_bitwise_both_referees(rungs, direct, scaled, data):
+    # Points on each side of the switch, interleaved: each form's points get
+    # exactly their own referee's bits, on a shared z and on per-rung rows.
     a = np.array([r[0] for r in rungs])
     b = np.array([r[1] for r in rungs])
-    width = data.draw(st.integers(1, 5))
-    rows = [data.draw(st.lists(_DIRECT_POINT, min_size=width, max_size=width)) for _ in rungs]
-    for z in (np.array(shared), np.array(rows)):
-        got = kummer_u_batch(a, b, z)
-        z2 = np.atleast_2d(z)
-        assert np.array_equal(got, _referee_direct(a, b, z2))
-        for i, (ai, bi) in enumerate(rungs):
-            row = z2[i if len(z2) > 1 else 0]
-            assert np.array_equal(got[i], [_single(ai, bi, zz) for zz in row])
+    order = data.draw(st.permutations(range(direct + scaled)))
+    for count in (1, len(rungs)):
+        blocks = [
+            np.array(
+                [data.draw(st.lists(point, min_size=width, max_size=width)) for _ in range(count)]
+            ).reshape(count, width)
+            for point, width in ((_DIRECT_POINT, direct), (_SCALED_POINT, scaled))
+        ]
+        want = np.hstack(
+            [referee(a, b, z) for referee, z in zip((_referee_direct, _referee_scaled), blocks)]
+        )
+        z = np.hstack(blocks)[:, order]
+        got = kummer_u_batch(a, b, z[0] if count == 1 else z)
+        assert np.array_equal(got, want[:, order])
