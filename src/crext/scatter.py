@@ -16,25 +16,26 @@ where p_l is the monic degree-l polynomial from the three-term recurrence
     p_0 = 1,  p_1 = x,  p_l = x p_{l-1} - (l-1)(m - 2s + l - 1) p_{l-2}.
 
 A companion family g_l uses the reversed linear factor (2s - m + l - 1) and
-matches p_l under the reflection s -> m - s.  Both families are built once
-per (l, m) as integer `opalg.Poly`s in (x, s); the closed form substitutes
-a sampled s into p_l, and the duality check substitutes the polynomial
-m - s into g_l.  With s = p/q both sides of the check run on Python ints:
-the closed form is q^l p_l(x, p/q) over the integer (-1)^l l! prod_j
-((m + j)q - 2p), one running product over the orders, and the raw
-recursion that grades it keeps each f_l as integer numerators over one
-shared denominator, reduced once per order.
-They are compared cross-multiplied, so a matching coefficient costs two
-integer products and no gcd.  All arithmetic is exact over the rationals;
-the recursion denominators vanish exactly when 2s - m is a positive integer
-<= l, and those poles raise instead of degrading silently.
+matches p_l under the reflection s -> m - s.  Both families are integer
+`opalg.Poly`s in (x, s), and each (m, family) ladder is built once, one
+order on top of the two below it, so orders 0..l cost about 2l products
+however they are asked for; the closed form substitutes a sampled s into
+p_l, and the duality check substitutes the polynomial m - s into g_l.
+With s = p/q both sides of the check run on Python ints: the closed form is
+q^l p_l(x, p/q) over the integer (-1)^l l! prod_j ((m + j)q - 2p), one
+running product over the orders, and the raw recursion that grades it
+returns each f_l as integer numerators over one positive shared
+denominator, reduced once per order.  They are compared cross-multiplied,
+so a matching coefficient costs two integer products and no gcd, and a
+Fraction is formed only for a mismatch.  All arithmetic is exact over the
+rationals; the recursion denominators vanish exactly when 2s - m is a
+positive integer <= l, and those poles raise instead of degrading silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .opalg import Poly, _exact
@@ -60,20 +61,22 @@ def _validate_order(l: int, m: int) -> None:
 
 _X = Poly.gen(0, 2)
 
+# q_l does not depend on s: each (m, reflected) ladder q_0, q_1, ... is built
+# once, upward from its top order, and its coefficients stay Python ints.
+_ladders: dict[tuple[int, bool], list[Poly]] = {}
 
-# q_l does not depend on s, so each (l, m, reflected) is built once however
-# many spectral values are checked; the bound sits far above any verify grid.
-# The coefficients lie in Z and stay Python ints.
-@lru_cache(maxsize=1024)
+
 def _three_term(l: int, m: int, reflected: bool) -> Poly:
     """q_l in (x, s): q_0 = 1, q_1 = x, q_l = x q_{l-1} - (l-1)(f + l-1) q_{l-2},
     with the linear factor f = m - 2s, or 2s - m when reflected."""
+    ladder = _ladders.get((m, reflected))
+    if ladder is None:
+        ladder = _ladders[m, reflected] = [Poly({(0, 0): 1}), Poly(_X)]
     sign = -1 if reflected else 1
-    prev, cur = Poly(), Poly({(0, 0): 1})
-    for ell in range(1, l + 1):
+    for ell in range(len(ladder), l + 1):
         drop = Poly({(0, 0): (ell - 1) * (sign * m + ell - 1), (0, 1): -2 * sign * (ell - 1)})
-        prev, cur = cur, _X * cur - drop * prev
-    return cur
+        ladder.append(_X * ladder[-1] - drop * ladder[-2])
+    return ladder[l]
 
 
 def recurrence_p(l: int, m: int) -> Poly:
@@ -125,10 +128,12 @@ def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:
     return ExpansionCoefficient(l, m)
 
 
-def raw_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
+def raw_recursion(l: int, m: int, s) -> list[tuple[dict[tuple[int, int], int], int]]:
     """Terms f_0 .. f_l straight from the two-step recursion at rational s.
 
-    Returned dicts map (i, j) -> coefficient of L1^i L2^j.  Raises at the
+    Term f_ell is a pair (numerators, denominator): the dict maps (i, j) to
+    the integer numerator of the coefficient of L1^i L2^j over one positive
+    denominator, with no factor common to all of them.  Raises at the
     exact parameter values where a recursion denominator vanishes.  This is
     the oracle for the closed form, so it shares no arithmetic with it.
 
@@ -153,7 +158,7 @@ def raw_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
         den *= lin
         g = gcd(den, *nums.values()) * (1 if den > 0 else -1)
         steps.append(({k: v // g for k, v in nums.items() if v}, den // g))
-    return [{k: Fraction(v, den) for k, v in nums.items()} for nums, den in steps]
+    return steps
 
 
 def _closed_numerators(l: int, m: int, s: int | Fraction) -> dict:
@@ -163,7 +168,7 @@ def _closed_numerators(l: int, m: int, s: int | Fraction) -> dict:
     times the coefficient at s, as p_l has s-degree at most l/2.
     """
     p, q = s.numerator, s.denominator
-    mono = [p**k * q ** (l - k) for k in range(l + 1)]
+    mono = [p**k * q ** (l - k) for k in range(l // 2 + 1)]
     nums: dict[int, int] = {}
     for (i, k), a in _three_term(l, m, False).items():
         nums[i] = nums.get(i, 0) + a * mono[k]
@@ -193,10 +198,11 @@ def check_expansion(l_max: int, m: int, s) -> Fraction:
     worst = Fraction(0)
     for ell, den in enumerate(dens):
         closed = _closed_numerators(ell, m, s)
-        for key in closed.keys() | terms[ell].keys():
-            n, r = closed.get(key, 0), terms[ell].get(key, 0)
-            if n * r.denominator != r.numerator * den:
-                gap = abs(Fraction(n, den) - r)
+        nums, raw_den = terms[ell]
+        for key in closed.keys() | nums.keys():
+            n, r = closed.get(key, 0), nums.get(key, 0)
+            if n * raw_den != r * den:
+                gap = abs(Fraction(n, den) - Fraction(r, raw_den))
                 if gap > worst:
                     worst = gap
     return worst

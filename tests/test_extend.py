@@ -25,6 +25,7 @@ from crext.extend import (
 from crext.scatter import raw_recursion
 from crext.special import kummer_u_batch
 from crext.spectral import GammaParam, ModeIndex, mode_eigenvalue
+from test_scatter import as_fractions
 
 
 def _series_eval(coeffs, rho):
@@ -69,8 +70,8 @@ def test_frobenius_matches_two_symbol_recursion_exactly():
         s_reg = Fraction(m + order, 2)
         s_sing = Fraction(m - order, 2)
         coeff_a, coeff_b = frobenius_series(order, nu, lam_sq, nterms=9)
-        reg = raw_recursion(8, m, s_reg)
-        sing = raw_recursion(8, m, s_sing)
+        reg = as_fractions(raw_recursion(8, m, s_reg))
+        sing = as_fractions(raw_recursion(8, m, s_sing))
         for ell in range(9):
             val_reg = sum(
                 c * (-nu / 2) ** i * (-lam_sq) ** j for (i, j), c in reg[ell].items()

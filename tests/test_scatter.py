@@ -7,7 +7,7 @@ spectral values.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +36,11 @@ def _seeded_spectral_values(m: int, count: int) -> list[Fraction]:
         if s not in poles:
             out.append(s)
     return out
+
+
+def as_fractions(terms) -> list[dict[tuple[int, int], Fraction]]:
+    """`raw_recursion`'s (numerators, denominator) pairs as dicts of Fractions."""
+    return [{k: Fraction(v, den) for k, v in nums.items()} for nums, den in terms]
 
 
 def _reflection(m: int) -> Poly:
@@ -93,7 +98,7 @@ def test_polynomials_are_monic_with_fixed_parity(m):
 def test_low_order_terms_by_hand():
     m = 3
     s = Fraction(1, 4)
-    f = raw_recursion(2, m, s)
+    f = as_fractions(raw_recursion(2, m, s))
     d1 = m - 2 * s + 1
     d2 = m - 2 * s + 2
     assert f[1] == {(1, 0): Fraction(-1) / d1}
@@ -191,8 +196,10 @@ def test_the_recursion_oracle_shares_no_arithmetic_with_the_closed_form(monkeypa
     monkeypatch.setattr(Poly, "__add__", refuse)
     monkeypatch.setattr(Poly, "__mul__", refuse)
     assert raw_recursion(8, 3, Fraction(1, 4)) == want
+    # From a cold cache the closed side does reach it.
+    monkeypatch.setattr(scatter, "_ladders", {})
     with pytest.raises(AssertionError, match="Poly arithmetic"):
-        scatter._three_term.__wrapped__(4, 3, False)
+        scatter._three_term(4, 3, False)
 
 
 def _with_extra_top_term(three_term):
@@ -211,6 +218,51 @@ def test_a_wrong_closed_polynomial_reports_its_exact_gap(monkeypatch):
     # The gaps the per-coefficient Fraction comparison reports for this mutation.
     assert got == [Fraction(21, 20), Fraction(21, 16), Fraction(3, 8)]
     assert all(type(g) is Fraction for g in got)
+
+
+def test_a_mutated_ladder_never_reaches_the_cache(monkeypatch):
+    # The ladder is built by the module's own loop, so a rebound _three_term
+    # leaves no mutated order behind for the higher orders built on it.
+    monkeypatch.setattr(scatter, "_ladders", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(scatter, "_three_term", _with_extra_top_term(scatter._three_term))
+        assert check_expansion(8, 3, Fraction(7, 3)) == Fraction(21, 16)
+    assert check_expansion(8, 3, Fraction(7, 3)) == 0
+
+
+def _three_term_loop(l: int, m: int, reflected: bool) -> Poly:
+    """q_l by the recurrence run from q_0 for every order, the form the
+    cached ladder replaced."""
+    sign = -1 if reflected else 1
+    prev, cur = Poly(), Poly({(0, 0): 1})
+    for ell in range(1, l + 1):
+        drop = Poly({(0, 0): (ell - 1) * (sign * m + ell - 1), (0, 1): -2 * sign * (ell - 1)})
+        prev, cur = cur, Poly.gen(0, 2) * cur - drop * prev
+    return cur
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_the_ladder_equals_the_loop_from_q0(m, reflected):
+    for ell in (16, *range(16)):
+        q = scatter._three_term(ell, m, reflected)
+        assert q == _three_term_loop(ell, m, reflected)
+        assert all(type(c) is int for c in q.values())
+
+
+def test_a_cold_ladder_takes_two_products_per_order(monkeypatch):
+    monkeypatch.setattr(scatter, "_ladders", {})
+    products = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for ell in (12, *range(12)):
+        scatter._three_term(ell, 4, True)
+    assert 0 < len(products) <= 24
 
 
 def _fraction_recursion(l: int, m: int, s) -> list[dict[tuple[int, int], Fraction]]:
@@ -240,8 +292,11 @@ def test_integer_recursion_equals_the_fraction_recursion(num, den, l, m):
     s = Fraction(num, den) if den > 1 else num  # an int s as well
     assume(all(m - 2 * s + j != 0 for j in range(1, l + 1)))
     got = raw_recursion(l, m, s)
-    assert got == _fraction_recursion(l, m, s)
-    assert all(type(v) is Fraction for term in got for v in term.values())
+    assert as_fractions(got) == _fraction_recursion(l, m, s)
+    for nums, shared in got:
+        assert type(shared) is int and shared > 0
+        assert all(type(v) is int and v for v in nums.values())
+        assert gcd(shared, *nums.values()) == 1
 
 
 def test_check_expansion_reaches_the_module_level_recursion_once(monkeypatch):

@@ -14,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
+from crext import special
 from crext.special import (
     _PANEL_NODES,
     _exact_exponents,
     _finite,
     _heads,
+    _jacobi_rules,
     _node_sum,
     _power,
     _validate_u_args,
@@ -297,18 +300,18 @@ def test_an_overflowing_row_is_named_by_its_own_rung_and_points(a, b, z, named):
         kummer_u_batch(np.array(a), np.array(b), np.array(z))
 
 
-def _referee_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _referee_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray, quiet_below=1e-18) -> np.ndarray:
     """The direct form as a row-wide loop, one row per rung.
 
     A rung adds panels at every one of its points until all of them have
-    been quiet for two panels.
+    been quiet (a contribution at most `quiet_below` of the total) for two
+    panels; with `quiet_below` = 0 until the contributions underflow to 0.
     """
     power = b - a - 1.0
     exact = _exact_exponents(a - 1.0, power)
-    xj, wj, scale = _heads(a)
-    t = (xj + 1.0) / 2.0
+    t, wj = _heads(a)
     rise = _power(1.0 + t, power, exact)
-    acc = _node_sum((wj * scale)[..., None] * np.exp(-t[..., None] * z) * rise[..., None])
+    acc = _node_sum(wj[..., None] * np.exp(-t[..., None] * z) * rise[..., None])
     xl, wl = legendre_rule(_PANEL_NODES)
     out = np.empty_like(acc)
     live, zl, quiet = np.arange(len(a)), z, np.zeros(len(a), dtype=int)
@@ -321,7 +324,7 @@ def _referee_direct(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
         rise = _power((1.0 + t)[:, None], power[live], exact)[..., None]
         contrib = _node_sum(damp * lift * rise)
         acc = _finite(acc + contrib, live, a, b, z)
-        quiet = (quiet + 1) * np.all(contrib <= 1e-18 * acc, axis=1)
+        quiet = (quiet + 1) * np.all(contrib <= quiet_below * acc, axis=1)
         done = quiet >= 2
         out[live[done]] = acc[done]
         live, acc, quiet = live[~done], acc[~done], quiet[~done]
@@ -338,9 +341,8 @@ def _referee_scaled(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     power = b - a - 1.0
     exact = _exact_exponents(a - 1.0, power, -a)
-    xj, wj, scale = _heads(a)
-    tau = (xj + 1.0) / 2.0
-    head_w = wj * np.exp(-(xj + 1.0) / 2.0) * scale
+    tau, wj = _heads(a)
+    head_w = wj * np.exp(-tau)
     acc = _node_sum(head_w[..., None] * _power(1.0 + tau[..., None] / z, power[:, None], exact))
 
     xl, wl = legendre_rule(_PANEL_NODES)
@@ -436,3 +438,67 @@ def test_the_one_panel_chain_is_bitwise_both_referees(rungs, direct, scaled, dat
         z = np.hstack(blocks)[:, order]
         got = kummer_u_batch(a, b, z[0] if count == 1 else z)
         assert np.array_equal(got, want[:, order])
+
+
+@pytest.mark.parametrize("b", [-0.9, 0.5, 2.0])
+def test_the_quiet_rule_keeps_every_bit_of_a_slow_tail(b):
+    # At b = -0.9 the tail decays slowly enough that retiring a point on a
+    # looser threshold (1e-9 instead of 1e-18) moves values; the chain must
+    # give every point the bits of panels run until they underflow.
+    z = np.geomspace(1e-4, 6.0, 60)
+    for a in (0.3, 0.9, 2.5, 7.0):
+        want = _referee_direct(np.array([a]), np.array([b]), z[None, :], quiet_below=0.0)
+        assert np.array_equal(kummer_u_batch(a, b, z), want[0])
+
+
+# a - 1 across the range (-1, 171) the Gauss-Jacobi rules serve.
+_RULE_A = [0.1, 0.5, 1.0, 1.375, 2.0, 8.5, 34.0, 101.0, 171.0]
+
+
+def test_jacobi_rules_integrate_monomials_to_their_beta_integrals():
+    # The 40-node rule is exact for degree <= 79: sum w s^j = B(j + a, 1).
+    s, w = _heads(np.array(_RULE_A))
+    for r, a in enumerate(_RULE_A):
+        nodes = [mpmath.mpf(float(v)) for v in s[:, r]]
+        weights = [mpmath.mpf(float(v)) for v in w[:, r]]
+        for j in range(80):
+            got = mpmath.fsum(wi * si**j for wi, si in zip(weights, nodes))
+            assert abs(got / mpmath.beta(j + a, 1) - 1) < 3e-14, (a, j)
+
+
+def test_jacobi_nodes_agree_with_scipy():
+    for a in np.geomspace(0.05, 172.0, 30):
+        x, _ = roots_jacobi(_PANEL_NODES, 0.0, a - 1.0)
+        s, _ = _jacobi_rules(np.array([a]))
+        np.testing.assert_allclose(s[:, 0], (x + 1.0) / 2.0, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.05, 172.0) | st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=6))
+def test_a_rule_built_in_a_batch_is_bitwise_the_rule_built_alone(a):
+    nodes, weights = _jacobi_rules(np.array(a))
+    for i, ai in enumerate(a):
+        alone = _jacobi_rules(np.array([ai]))
+        assert np.array_equal(nodes[:, i], alone[0][:, 0])
+        assert np.array_equal(weights[:, i], alone[1][:, 0])
+
+
+def test_the_rule_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(special, "_rules", {})
+    monkeypatch.setattr(special, "_RULE_CACHE", 4)
+    a = np.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 1.5])
+    nodes, weights = _heads(a)
+    assert list(special._rules) == [2.5, 3.5, 4.5, 5.5]
+    built = _jacobi_rules(a[:6])
+    assert np.array_equal(nodes, built[0][:, [0, 1, 2, 3, 4, 5, 1]])
+    assert np.array_equal(weights, built[1][:, [0, 1, 2, 3, 4, 5, 1]])
+    assert np.array_equal(_heads(a[1:3])[1], built[1][:, 1:3])
+
+
+def test_u_with_b_twice_a_matches_mpmath_to_a_few_ulps():
+    # a < 1 included: the endpoint weight s^(a-1) is singular there.
+    beta = np.linspace(0.3, 6.0, 20)
+    z = np.geomspace(1e-3, 60.0, 25)
+    got = kummer_u_batch(beta, 2.0 * beta, z)
+    want = np.array([[float(mpmath.hyperu(b, 2.0 * b, zz)) for zz in z] for b in beta])
+    np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
