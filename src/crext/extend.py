@@ -19,15 +19,19 @@ c1, a pure gamma-ratio, carries the Dirichlet-to-Neumann datum -2 gamma' c1.
 `fit_boundary_expansion` recovers the same number without touching the
 closed form: an inward Riccati integration of r = u'/u from deep in the
 decay region, followed by a least-squares split of the recovered profile
-into the two Frobenius branches near the boundary.  It takes a whole batch
-of (order, mode) pairs and integrates them as one stacked system in the
-normalized variable x = rho / rho_max, so a batch costs one ODE solve
-however many modes it holds; since the step size then follows the hardest
-pair, a fit's last digits depend on its batch (and are deterministic for a
-given batch).  Closed and numeric paths share no formulas past the ODE
-itself, which is what makes the comparison a test; `verify_dtn_theorem` and
-`verify_fourth_constants` grade the closed form by default and a fit when
-one is passed.
+into the two Frobenius branches near the boundary.  Each pair starts at
+w = |lam| rho^2 = max(50, 2a + 40), the turning point plus 40 e-folds.
+Inward the Riccati flow contracts, damping an error in r by the squared
+decay of u before it reaches the boundary, so a loose deep leg carries r
+down to where every pair still has w >= 10 ahead of its fit grid, and a
+tight fit leg carries (r, log u) from there across the fit points.  A whole
+batch of (order, mode) pairs is one stacked system in x = rho / rho_max,
+two ODE solves however many modes it holds; since the step size follows
+the hardest pair, a fit's last digits depend on its batch (and are
+deterministic for a given batch).  Closed and numeric paths share no
+formulas past the ODE itself, which is what makes the comparison a test;
+`verify_dtn_theorem` and `verify_fourth_constants` grade the closed form by
+default and a fit when one is passed.
 
 Orders gamma in (1, 2) are handled by `FourthOrderMode`: the fourth-order
 mode equation factors through the weight-alpha second-order operator
@@ -68,6 +72,9 @@ __all__ = [
 
 FIT_POINTS = 12
 SERIES_TERMS = 40
+# w = lam rho^2 that every pair still has ahead of its fit grid where the
+# loose deep leg of the boundary fit hands over to the tight fit leg.
+_SETTLED_W = 10.0
 
 
 def _validate_order(order: float) -> None:
@@ -199,19 +206,24 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
     `pairs` is a sequence of (order, mode); one NumericFit comes back per
     pair, in order.  Each pair integrates the Riccati form
     r' = -r^2 + (2 gamma' - 1) r / rho + lam^2 rho^2 + nu, together with
-    (log u)' = r, inward from deep inside its Gaussian decay region at
-    rho_max, where r = u'/u = -lam rho - 2a/rho + o(1) is insensitive to the
-    choice of solution (errors contract like the square of the decay
-    factor).  In the normalized variable x = rho / rho_max every pair starts
-    at x = 1, so all of them are stacked into one DOP853 system on the
-    shared interval [x_end, 1], x_end the smallest scaled fit point.  The
-    profiles are read off at the sorted union of the scaled dyadic grids,
-    and each pair's log-profile is split over its two Frobenius branches by
-    least squares on its own grid near the boundary.
+    (log u)' = r, inward from rho_max, where w = lam rho^2 is
+    w_max = max(50, 2a + 40) and r starts at its asymptote -lam rho - 2a/rho.
+    Inward the flow contracts: an error in r at w is damped by
+    (u(w) / u(w'))^2 before it reaches w' < w, so neither the start nor the
+    deep stretch need be tight.  In x = rho / rho_max every pair starts at
+    x = 1, and the batch is one stacked DOP853 system in two legs:
 
-    The step size is set by the hardest pair of the batch, so a fit's last
-    digits depend on which pairs share its batch; for a given batch the
-    result is deterministic.
+    - the deep leg carries r alone from x = 1 to `split` at rtol 1e-7, with
+      no output points;
+    - the fit leg carries (r, log u) from `split` across the sorted union of
+      the scaled fit grids at rtol 1e-12; log u restarts at 0, an offset
+      that cancels in u / max(u).
+
+    `split` is the larger of sqrt(10 / min w_max) and the largest scaled
+    fit point, so every pair still has w >= 10 ahead of its fit grid.  Each
+    profile is then split over its two Frobenius branches by least squares
+    on its own grid: one two-column modified Gram-Schmidt for the batch,
+    in elementwise products and sums.
     """
     setups = []
     for gam, mode in pairs:
@@ -219,55 +231,79 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
         lam = abs(mode.lam)
         nu = mode_eigenvalue(mode)
         a = kummer_a(gam, mode)
-        w_max = max(50.0, 10.0 * (a + gam + 1.0))
+        w_max = max(50.0, 2.0 * a + 40.0)
         rho_max = math.sqrt(w_max / lam)
-        setups.append((float(gam), lam, nu, a, rho_max, _fit_grid(lam, nu)))
+        setups.append((float(gam), lam, nu, a, w_max, rho_max, _fit_grid(lam, nu)))
     if not setups:
         return []
     count = len(setups)
-    order, lam, nu, a, rho_max = map(np.array, list(zip(*setups))[:5])
+    order, lam, nu, a, w_max, rho_max = map(np.array, list(zip(*setups))[:6])
 
     # d/dx of (r, log u) at rho = rho_max x is rho_max times d/drho.
     drift = 2.0 * order - 1.0
     well = lam * lam * rho_max**3
     shift = nu * rho_max
 
+    def riccati(x, r):
+        return r * (drift / x - rho_max * r) + (well * (x * x) + shift)
+
     def rhs(x, y):
         r = y[:count]
-        return np.concatenate(
-            (-rho_max * r * r + drift * r / x + well * x * x + shift, rho_max * r)
-        )
+        return np.concatenate((riccati(x, r), rho_max * r))
 
-    scaled = [grid / top for *_, top, grid in setups]
-    ascending = np.unique(np.concatenate(scaled))
-    start = np.concatenate((-lam * rho_max - 2.0 * a / rho_max, np.zeros(count)))
+    grids = np.array([grid for *_, grid in setups])
+    scaled = grids / rho_max[:, None]
+    ascending = np.unique(scaled)
+    split = max(math.sqrt(_SETTLED_W / float(np.min(w_max))), float(ascending[-1]))
+    deep = solve_ivp(
+        riccati,
+        (1.0, split),
+        -lam * rho_max - 2.0 * a / rho_max,
+        method="DOP853",
+        rtol=1e-7,
+        atol=1e-13,
+    )
+    if not deep.success:
+        raise RuntimeError(f"inward integration failed: {deep.message}")
     sol = solve_ivp(
         rhs,
-        (1.0, float(ascending[0])),
-        start,
+        (split, float(ascending[0])),
+        np.concatenate((deep.y[:, -1], np.zeros(count))),
         t_eval=ascending[::-1],
         method="DOP853",
-        rtol=1e-11,
+        rtol=1e-12,
         atol=1e-13,
     )
     if not sol.success:
         raise RuntimeError(f"inward integration failed: {sol.message}")
 
     log_profiles = sol.y[count:, ::-1]  # columns follow `ascending`
-    fits = []
-    for i, (gam, lam_i, nu_i, _, _, grid) in enumerate(setups):
-        log_u = log_profiles[i, np.searchsorted(ascending, scaled[i])]
-        u = np.exp(log_u - np.max(log_u))
+    log_u = np.take_along_axis(log_profiles, np.searchsorted(ascending, scaled), axis=1)
+    u = np.exp(log_u - np.max(log_u, axis=1, keepdims=True))  # each row peaks at 1
 
-        coeff_a, coeff_b = frobenius_series(gam, nu_i, lam_i * lam_i)
-        powers = grid[:, None] ** (2 * np.arange(SERIES_TERMS)[None, :])
-        col_reg = powers @ np.asarray(coeff_a)
-        col_sing = grid ** (2.0 * gam) * (powers @ np.asarray(coeff_b))
-        design = np.stack([col_reg, col_sing], axis=1)
-        (c0, c1), *_ = np.linalg.lstsq(design, u, rcond=None)
-        resid = float(np.max(np.abs(design @ np.array([c0, c1]) - u)) / np.max(np.abs(u)))
-        fits.append(NumericFit(float(c0), float(c1), -2.0 * gam * float(c1) / float(c0), resid))
-    return fits
+    series = [frobenius_series(gam, nu_i, lam_i * lam_i) for gam, lam_i, nu_i, *_ in setups]
+    coeff_a, coeff_b = (np.array(branch)[:, None, :] for branch in zip(*series))
+    powers = grids[:, :, None] ** (2 * np.arange(SERIES_TERMS))
+    col_reg = np.sum(powers * coeff_a, axis=2)
+    col_sing = grids ** (2.0 * order[:, None]) * np.sum(powers * coeff_b, axis=2)
+
+    # Two-column modified Gram-Schmidt, one row per pair, in elementwise
+    # products and sums only.
+    def dot(p, q):
+        return np.sum(p * q, axis=1)
+
+    r11 = np.sqrt(dot(col_reg, col_reg))
+    q1 = col_reg / r11[:, None]
+    r12 = dot(q1, col_sing)
+    v = col_sing - r12[:, None] * q1
+    r22 = np.sqrt(dot(v, v))
+    q2 = v / r22[:, None]
+    y1 = dot(q1, u)
+    c1 = dot(q2, u - y1[:, None] * q1) / r22
+    c0 = (y1 - r12 * c1) / r11
+    resid = np.max(np.abs(c0[:, None] * col_reg + c1[:, None] * col_sing - u), axis=1)
+    dtn = -2.0 * order * c1 / c0
+    return [NumericFit(*row) for row in zip(c0.tolist(), c1.tolist(), dtn.tolist(), resid.tolist())]
 
 
 def verify_dtn_theorem(

@@ -19,9 +19,10 @@ A companion family g_l uses the reversed linear factor (2s - m + l - 1) and
 matches p_l under the reflection s -> m - s.  Both families are integer
 `opalg.Poly`s in (x, s), and each (m, family) ladder is built once, one
 order on top of the two below it, so orders 0..l cost about 2l products
-however they are asked for; the closed form substitutes a sampled s into
-p_l, and the duality check substitutes the polynomial m - s into g_l.
-With s = p/q both sides of the check run on Python ints: the closed form is
+however they are asked for.  The duality check reflects the integer
+coefficients of g_l under s -> m - s by binomial sums, reading both ladders
+in place.  The closed form substitutes a sampled s into p_l: with s = p/q
+both sides of that check run on Python ints, the closed form being
 q^l p_l(x, p/q) over the integer (-1)^l l! prod_j ((m + j)q - 2p), one
 running product over the orders, and the raw recursion that grades it
 returns each f_l as integer numerators over one positive shared
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .opalg import Poly, _exact
 
@@ -209,9 +210,20 @@ def check_expansion(l_max: int, m: int, s) -> Fraction:
 
 
 def check_duality(l_max: int, m: int) -> bool:
-    """Structural identity p_l = g_l o (s -> m - s) for every l <= l_max."""
-    reflection = Poly({(0, 0): m, (0, 1): -1})
+    """Structural identity p_l = g_l o (s -> m - s) for every l <= l_max.
+
+    Both ladders are read in place, without copies or Poly products: the
+    s^j coefficient of g_l(x, m - s) at x^i is the binomial sum
+    (-1)^j sum_k C(k, j) m^(k - j) g_l[i, k] over the integer coefficients
+    of g_l, and it must equal p_l[i, j] exactly, once per order.
+    """
+    _validate_order(l_max, m)
     for ell in range(l_max + 1):
-        if recurrence_p(ell, m) != recurrence_g(ell, m).subs(1, reflection):
+        reflected: dict[tuple[int, int], int] = {}
+        for (i, k), c in _three_term(ell, m, True).items():
+            for j in range(k + 1):
+                term = comb(k, j) * m ** (k - j) * c
+                reflected[i, j] = reflected.get((i, j), 0) + (-term if j % 2 else term)
+        if _three_term(ell, m, False) != {key: c for key, c in reflected.items() if c}:
             return False
     return True

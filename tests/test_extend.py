@@ -11,6 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from crext import cli, extend
 from crext.extend import (
     FourthOrderMode,
     ModeSolution,
@@ -125,14 +126,17 @@ def full_batch():
     return pairs, fit_boundary_expansion(pairs)
 
 
-def test_stacked_batch_recovers_every_closed_coefficient(full_batch):
-    pairs, fits = full_batch
-    assert len(fits) == len(pairs) == 810
-    worst = max(
+def _worst_c1_error(pairs, fits):
+    return max(
         abs(fit.c1 / fit.c0 / ModeSolution(order, mode).c1 - 1.0)
         for (order, mode), fit in zip(pairs, fits)
     )
-    assert worst < 1e-9
+
+
+def test_stacked_batch_recovers_every_closed_coefficient(full_batch):
+    pairs, fits = full_batch
+    assert len(fits) == len(pairs) == 810
+    assert _worst_c1_error(pairs, fits) < 1e-9
 
 
 def test_stacked_batch_fits_stay_tight(full_batch):
@@ -147,6 +151,59 @@ def test_singleton_batch_agrees_with_the_large_batch(full_batch, index):
     together = fits[index]
     assert alone.c1 / alone.c0 == pytest.approx(together.c1 / together.c0, rel=1e-9)
     assert alone.dtn == pytest.approx(together.dtn, rel=1e-9)
+
+
+def test_stacked_batch_holds_the_two_leg_accuracy(full_batch):
+    assert _worst_c1_error(*full_batch) < 5e-12
+
+
+def _recording_solve_ivp(monkeypatch, perturb=None):
+    """Rebind extend's solve_ivp to record each call's arguments and result;
+    `perturb` may rewrite the start of the call without output points."""
+    calls = []
+    solve = extend.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        if perturb is not None and "t_eval" not in kwargs:
+            y0 = perturb(y0)
+        result = solve(fun, t_span, y0, **kwargs)
+        calls.append((t_span, kwargs, result))
+        return result
+
+    monkeypatch.setattr(extend, "solve_ivp", recording)
+    return calls
+
+
+def test_a_batch_makes_two_counted_solves_through_the_module_binding(monkeypatch):
+    # The benchmark counts ODE work by rebinding extend.solve_ivp; both legs
+    # must go through that name, the deep leg first and without output points.
+    calls = _recording_solve_ivp(monkeypatch)
+    pairs = cli._spot_pairs(cli.SuiteConfig())
+    assert len(fit_boundary_expansion(pairs)) == len(pairs)
+    assert len(calls) == 2
+    (deep_span, deep_kwargs, deep), (fit_span, fit_kwargs, fit) = calls
+    assert "t_eval" not in deep_kwargs
+    assert deep_span[0] == 1.0 and deep_span[1] == fit_span[0]
+    assert fit_span[0] >= max(fit_kwargs["t_eval"])
+    assert deep.nfev + fit.nfev > 0
+
+
+def test_the_deep_legs_error_contracts_before_the_fit_grid(monkeypatch):
+    pairs = cli._spot_pairs(cli.SuiteConfig())
+    clean = fit_boundary_expansion(pairs)
+    _recording_solve_ivp(monkeypatch, perturb=lambda r: r * (1.0 + 1e-6))
+    shaken = fit_boundary_expansion(pairs)
+    for a, b in zip(clean, shaken):
+        assert abs(b.c0 / a.c0 - 1.0) < 1e-12
+        assert abs((b.c1 / b.c0) / (a.c1 / a.c0) - 1.0) < 1e-12
+        assert abs(b.dtn / a.dtn - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0.25, 1.75])
+def test_a_large_level_fit_recovers_the_closed_coefficient(order):
+    mode = ModeIndex(4.0, 120, 3)
+    (fit,) = fit_boundary_expansion([(order, mode)])
+    assert fit.c1 / fit.c0 == pytest.approx(ModeSolution(order, mode).c1, rel=1e-11)
 
 
 def test_empty_batch_returns_no_fits():

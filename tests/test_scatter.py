@@ -311,3 +311,44 @@ def test_check_expansion_reaches_the_module_level_recursion_once(monkeypatch):
     monkeypatch.setattr(scatter, "raw_recursion", counting)
     assert check_expansion(6, 3, Fraction(1, 4)) == 0
     assert calls == [(6, 3, Fraction(1, 4))]
+
+
+def _duality_by_subs(l_max: int, m: int) -> bool:
+    """The duality check as it was: copies of both families and Poly.subs."""
+    reflection = Poly({(0, 0): m, (0, 1): -1})
+    for ell in range(l_max + 1):
+        if recurrence_p(ell, m) != recurrence_g(ell, m).subs(1, reflection):
+            return False
+    return True
+
+
+def _with_one_reflected_coefficient_off(m: int, ell: int) -> dict:
+    """A copy of the ladder cache whose g-ladder of m has one coefficient of
+    g_ell moved by 1; the p-ladders and the other orders are untouched."""
+    scatter._three_term(16, m, True)
+    scatter._three_term(16, m, False)
+    ladders = {key: list(ladder) for key, ladder in scatter._ladders.items()}
+    g = Poly(ladders[m, True][ell])
+    key = max(g)
+    g[key] += 1
+    ladders[m, True][ell] = g
+    return ladders
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_binomial_duality_equals_the_subs_route(m, monkeypatch):
+    # The ladder cache is shared: every mutated copy is made from the true one.
+    for l_max in range(17):
+        assert check_duality(l_max, m) is _duality_by_subs(l_max, m) is True
+    for ell in (1, 3, 16):
+        with monkeypatch.context() as patch:
+            patch.setattr(scatter, "_ladders", _with_one_reflected_coefficient_off(m, ell))
+            for l_max in (ell - 1, ell, 16):
+                assert check_duality(l_max, m) is _duality_by_subs(l_max, m) is (l_max < ell)
+
+
+def test_one_mutated_reflected_coefficient_fails_the_duality(monkeypatch):
+    monkeypatch.setattr(scatter, "_ladders", _with_one_reflected_coefficient_off(4, 7))
+    assert not check_duality(12, 4)
+    assert check_duality(6, 4)
+    assert check_duality(12, 5)
