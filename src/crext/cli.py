@@ -178,7 +178,7 @@ def _suite_algebra(cfg: SuiteConfig) -> list:
 
 
 def _sample_spectral_values(rng: random.Random, l_max: int, m: int, count: int):
-    poles = set(scatter.expansion_coefficient(l_max, m).poles())
+    poles = set(scatter.expansion_poles(l_max, m))
     values = []
     while len(values) < count:
         s = Fraction(rng.randint(-60, 60), rng.randint(1, 12))

@@ -408,17 +408,6 @@ def _pairing(ws: _Workspace, grams, partsP, partsQ):
     return inner + np.sum(ws.wt_t * integrand, axis=-1)
 
 
-def _bulk(ws: _Workspace, partsP, partsQ) -> float:
-    """int_0^inf (A_P A_Q + m u_P u_Q) rho^(1 - beta) drho, inner series plus tail."""
-    return float(_pairing(ws, _grams(ws), partsP, partsQ))
-
-
-def _energy(ws: _Workspace, parts, data) -> float:
-    """The form on the solution with boundary data `data`, given its parts."""
-    d = np.asarray(data)
-    return _bulk(ws, parts, parts) + float(d @ ws.boundary @ d)
-
-
 # -- public functionals -----------------------------------------------------
 
 
@@ -427,7 +416,9 @@ def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
     ws = _workspace(param.gamma, mode)
     if len(data) != len(ws.basis):
         raise ValueError(f"gamma = {param.gamma} takes {len(ws.basis)} data, got {len(data)}")
-    return _energy(ws, _combine(data, ws.basis), data)
+    parts = _combine(data, ws.basis)
+    d = np.asarray(data)
+    return float(_pairing(ws, _grams(ws), parts, parts)) + float(d @ ws.boundary @ d)
 
 
 def _perturbation_parts(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> tuple:

@@ -80,16 +80,12 @@ class GaussRat:
 
     An operand of another type gets NotImplemented, so Python can try the
     reflected operation on it (a polynomial scaled by a GaussRat, say).
+    Equality and hash are the frozen dataclass's, field by field: `Poly`
+    compares with 0 itself and subtracts as `+` of a negation.
     """
 
     re: Exact = 0
     im: Exact = 0
-
-    @staticmethod
-    def of(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        return GaussRat(_exact(x), 0)
 
     def __add__(self, other) -> "GaussRat":
         other = _operand(other)
@@ -98,18 +94,6 @@ class GaussRat:
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussRat":
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussRat":
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other) -> "GaussRat":
         other = _operand(other)
@@ -124,16 +108,6 @@ class GaussRat:
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
-
-    def __eq__(self, other) -> bool:
-        """Equal to a plain int or Fraction when the imaginary part is zero."""
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -211,35 +185,6 @@ class Poly(dict):
                 out[lowered] = c * exps[index]
         return type(self)(out)
 
-    def subs(self, index: int, value) -> "Poly":
-        """Replace the variable with the given index by value.
-
-        value is an exact scalar or a Poly in the same variables.  Each
-        coefficient polynomial in that variable is evaluated by Horner's
-        rule, on plain coefficients for a scalar.
-        """
-        by_rest: dict[tuple, dict[int, object]] = {}
-        for exps, c in self.items():
-            rest = exps[:index] + (0,) + exps[index + 1 :]
-            by_rest.setdefault(rest, {})[exps[index]] = c
-        if not isinstance(value, Poly):
-            out = {}
-            for rest, cs in by_rest.items():
-                acc = 0
-                for d in range(max(cs), -1, -1):
-                    acc = acc * value + cs[d] if d in cs else acc * value
-                out[rest] = acc
-            return type(self)(out)
-        out = type(self)()
-        for rest, cs in by_rest.items():
-            acc = type(self)()
-            for d in range(max(cs), -1, -1):
-                acc = Poly.__mul__(acc, value)
-                if d in cs:
-                    acc = acc + type(self)({rest: cs[d]})
-            out = out + acc
-        return out
-
 
 def _parts(c) -> tuple:
     """The real and imaginary parts of an exact coefficient."""
@@ -314,30 +259,28 @@ def _dt_shift_factor(c: int) -> Operator:
     return weighted_laplacian(0) + Operator({(0, 0, 0, 1, 0): I_UNIT * (2 * c)})
 
 
+def _ordered_product(k: int, factor) -> Operator:
+    """factor(k-1-2j) over j = 0..k-1, the j = 0 factor rightmost (applied first)."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("order k must be an integer >= 1")
+    acc = factor(k - 1)
+    for j in range(1, k):
+        acc = factor(k - 1 - 2 * j) * acc
+    return acc
+
+
 def build_poly_sublaplacian(k: int) -> Operator:
     """Product of the k weight-shifted operators L_{gamma - 2j}, gamma = g + (k-1).
 
     The j = 0 factor (weight gamma) sits rightmost, i.e. it is applied first;
     successive factors drop the weight by 2 down to g - (k-1).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("order k must be an integer >= 1")
-    acc = None
-    for j in range(k):
-        factor = weighted_laplacian(k - 1 - 2 * j)
-        acc = factor if acc is None else factor * acc
-    return acc
+    return _ordered_product(k, weighted_laplacian)
 
 
 def factored_product(k: int) -> Operator:
     """Product of the commuting factors L_g + 2i(k-1-2j) d_t, j = 0..k-1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("order k must be an integer >= 1")
-    acc = None
-    for j in range(k):
-        factor = _dt_shift_factor(k - 1 - 2 * j)
-        acc = factor if acc is None else factor * acc
-    return acc
+    return _ordered_product(k, _dt_shift_factor)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

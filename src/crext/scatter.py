@@ -31,11 +31,11 @@ so a matching coefficient costs two integer products and no gcd, and a
 Fraction is formed only for a mismatch.  All arithmetic is exact over the
 rationals; the recursion denominators vanish exactly when 2s - m is a
 positive integer <= l, and those poles raise instead of degrading silently.
+`expansion_poles` lists them, for samplers that must step around them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -44,10 +44,8 @@ from .opalg import Poly, _exact
 __all__ = [
     "recurrence_p",
     "recurrence_g",
-    "ExpansionCoefficient",
-    "expansion_coefficient",
+    "expansion_poles",
     "raw_recursion",
-    "closed_term",
     "check_expansion",
     "check_duality",
 ]
@@ -92,19 +90,10 @@ def recurrence_g(l: int, m: int) -> Poly:
     return Poly(_three_term(l, m, True))
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficient:
-    """The scalar prefactor c_l(s), kept in factored form so poles stay exact."""
-
-    l: int
-    m: int
-
-    def poles(self) -> list[Fraction]:
-        return [Fraction(self.m + j, 2) for j in range(1, self.l + 1)]
-
-    def eval(self, s) -> Fraction:
-        s = _exact(s)
-        return Fraction(s.denominator**self.l, _coefficient_denominators(self.l, self.m, s)[-1])
+def expansion_poles(l: int, m: int) -> list[Fraction]:
+    """The values s = (m + j)/2, j = 1..l, where c_1 .. c_l have their poles."""
+    _validate_order(l, m)
+    return [Fraction(m + j, 2) for j in range(1, l + 1)]
 
 
 def _coefficient_denominators(l_max: int, m: int, s: int | Fraction) -> list[int]:
@@ -122,11 +111,6 @@ def _coefficient_denominators(l_max: int, m: int, s: int | Fraction) -> list[int
             raise ValueError(f"expansion coefficient of order {l_max} has a pole at s = {s}")
         dens.append(dens[-1] * -j * lin)
     return dens
-
-
-def expansion_coefficient(l: int, m: int) -> ExpansionCoefficient:
-    _validate_order(l, m)
-    return ExpansionCoefficient(l, m)
 
 
 def raw_recursion(l: int, m: int, s) -> list[tuple[dict[tuple[int, int], int], int]]:
@@ -163,10 +147,12 @@ def raw_recursion(l: int, m: int, s) -> list[tuple[dict[tuple[int, int], int], i
 
 
 def _closed_numerators(l: int, m: int, s: int | Fraction) -> dict:
-    """`closed_term` as nonzero integer numerators over `_coefficient_denominators`.
+    """The closed form c_l(s) p_l at rational s, lifted to the two symbols, as
+    nonzero integer numerators over `_coefficient_denominators`.
 
-    With s = p/q the x^i numerator is sum_k a_ik p^k q^(l-k), which is q^l
-    times the coefficient at s, as p_l has s-degree at most l/2.
+    x^i becomes L1^i L2^((l-i)/2); p_l has the parity of l, so the power of
+    L2 is whole.  With s = p/q the x^i numerator is sum_k a_ik p^k q^(l-k),
+    which is q^l times the coefficient at s, as p_l has s-degree at most l/2.
     """
     p, q = s.numerator, s.denominator
     mono = [p**k * q ** (l - k) for k in range(l // 2 + 1)]
@@ -174,19 +160,6 @@ def _closed_numerators(l: int, m: int, s: int | Fraction) -> dict:
     for (i, k), a in _three_term(l, m, False).items():
         nums[i] = nums.get(i, 0) + a * mono[k]
     return {(i, (l - i) // 2): v for i, v in nums.items() if v}
-
-
-def closed_term(l: int, m: int, s) -> dict[tuple[int, int], Fraction]:
-    """The closed form c_l(s) * p_l lifted to the two symbols, at rational s.
-
-    x^i becomes L1^i L2^((l-i)/2); p_l has the parity of l, so the power of
-    L2 is whole.
-    """
-    _validate_order(l, m)
-    s = _exact(s)
-    den = _coefficient_denominators(l, m, s)[-1]
-    nums = _closed_numerators(l, m, s)
-    return {key: Fraction(v, den) for key, v in nums.items()}
 
 
 def check_expansion(l_max: int, m: int, s) -> Fraction:

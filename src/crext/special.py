@@ -37,9 +37,11 @@ panels (a contribution below 1e-18 of the running total) per (rung, point):
 a point column leaves once it has been quiet for two panels in every live
 rung, and a rung once all its live points have or, in the scaled form, once
 it passes its budget max(2a + 60, 80) in tau.  A later panel would add less
-than half an ulp to a settled point, so retiring it changes no bits.  Node
-sums run in node order for every block shape, including a single value, so
-every value is bitwise its lone (rung, point) call.
+than half an ulp to a settled point, so retiring it changes no bits.  The
+budget also keeps tau^(a-1) in range: U(104, 0.5, 1e3) would overflow at
+tau = 1024 without it.  Node sums run in node order for every block shape,
+including a single value, so every value is bitwise its lone (rung, point)
+call.
 
 Both forms run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
@@ -252,7 +254,13 @@ def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.n
                 f"(a = {a[i]:g}, b = {b[i]:g}, min z = {_min_z(z, i):g})"
             )
     gammas = np.array([gamma_fn(ai) for ai in a.tolist()])[:, None]
-    out = _power(z, -a[:, None], exact) / gammas * out if scaled else out / gammas
+    if scaled:
+        # z^-a / Gamma(a) can fall below double range where U does not: the
+        # mantissa of z^-a is carried through, and its exponent applied last.
+        mantissa, exponent = np.frexp(_power(z, -a[:, None], exact))
+        out = np.ldexp(mantissa / gammas * out, exponent)
+    else:
+        out = out / gammas
     return _finite(out, np.arange(len(a)), a, b, z)
 
 

@@ -12,14 +12,13 @@ from crext.energy import (
     _GRAM_INDEX,
     _NP,
     _P_LO,
-    _bulk,
     _closed_energies,
     _combine,
     _draw_perturbations,
-    _energy,
     _grams,
     _lop_poly,
     _mode_profile,
+    _pairing,
     _perturbation_parts,
     _tail_grid,
     _w_deriv,
@@ -205,7 +204,7 @@ def test_perturbation_energy_closed_matches_quadrature(gamma):
         h, c = _object_rows(rng, abs(mode.lam), 1)
         closed = float(_closed_energies(h, c, ws)[0])
         parts = tuple(x[0] for x in _perturbation_parts(h, c, ws))
-        quadrature = _bulk(ws, parts, parts)
+        quadrature = _pairing(ws, _grams(ws), parts, parts)
         assert quadrature == pytest.approx(closed, rel=1e-10)
         assert closed > 0.0
         assert closed == pytest.approx(_referee_closed(h[0], c[0, 0], par, mode), rel=1e-12)
@@ -498,7 +497,8 @@ def test_cached_profiles_are_read_only():
 @pytest.mark.parametrize("mode", MODES)
 def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
     ws = _workspace(gamma, mode)
-    q = np.array([[_bulk(ws, p, r) for r in ws.basis] for p in ws.basis]) + ws.boundary
+    grams = _grams(ws)
+    q = np.array([[_pairing(ws, grams, p, r) for r in ws.basis] for p in ws.basis]) + ws.boundary
     rng = random.Random(f"qdata:{gamma}:{mode}")
     for _ in range(5):
         data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
@@ -544,7 +544,7 @@ def test_gram_form_matches_the_convolved_series(gamma, mode):
     for p in ws.basis:
         for q in others:
             want = _referee_bulk(ws, p, q)
-            assert _bulk(ws, p, q) == pytest.approx(want, rel=1e-12)
+            assert _pairing(ws, _grams(ws), p, q) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.5, 1.75])
@@ -573,9 +573,10 @@ def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
     tail = np.zeros_like(ws.rho_t)
     part = (np.zeros_like(a), a, tail, tail)
     with pytest.raises(RuntimeError, match="lattice violated"):
-        _bulk(ws, part, part)
+        _pairing(ws, _grams(ws), part, part)
     cells[1, -2 - _P_LO] = 0.0
-    assert _bulk(ws, part, part) == pytest.approx(_referee_bulk(ws, part, part), rel=1e-12)
+    got = _pairing(ws, _grams(ws), part, part)
+    assert got == pytest.approx(_referee_bulk(ws, part, part), rel=1e-12)
 
 
 def _dirichlet_one_at_a_time(param, mode, seed, count):
@@ -584,14 +585,16 @@ def _dirichlet_one_at_a_time(param, mode, seed, count):
     ws = _workspace(param.gamma, mode)
     data = (1.0, 0.6) if param.is_high else (1.0,)
     base = _combine(data, ws.basis)
-    e_base = _energy(ws, base, data)
+    e_base = mode_energy(param, mode, data)
+    edge = float(np.array(data) @ ws.boundary @ np.array(data))
     worst, floor = 0.0, math.inf
     for _ in range(count):
         h, decay = _object_draw(rng, abs(mode.lam))
         t = rng.uniform(0.3, 1.0)
         e_w = _referee_closed(h, decay, param, mode)
         w = tuple(x[0] for x in _perturbation_parts(h[None], np.array([[decay]]), ws))
-        e_shift = _energy(ws, _combine((1.0, t), (base, w)), data)
+        shifted = _combine((1.0, t), (base, w))
+        e_shift = float(_pairing(ws, _grams(ws), shifted, shifted)) + edge
         worst = max(worst, abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w)))
         floor = min(floor, e_w)
     return worst, floor

@@ -26,7 +26,7 @@ from crext.extend import (
 from crext.scatter import raw_recursion
 from crext.special import kummer_u_batch
 from crext.spectral import GammaParam, ModeIndex, mode_eigenvalue
-from test_scatter import as_fractions
+from referees import as_fractions
 
 
 def _series_eval(coeffs, rho):

@@ -188,6 +188,30 @@ def test_largest_direct_panel_case_below_overflow_stays_accurate():
     assert got == pytest.approx(float(mpmath.hyperu(70.75, 0.5, 0.0125)), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a,b,z",
+    [
+        (104.0, 0.5, 30.0),  # was off by 3.0e-7
+        (100.0, 2.0, 45.0),  # was off by 4.8e-3
+        (60.0, 0.5, 1e4),  # was off by 3.1e-4
+        (104.0, 0.5, 60.0),  # was 0.0 for 1.29e-222
+        (110.0, 1.5, 40.0),  # was 0.0 for 4.80e-227
+    ],
+)
+def test_a_subnormal_scaled_prefactor_keeps_every_digit(a, b, z):
+    # z^-a / Gamma(a) lies below double range here while U does not.
+    got = kummer_u_batch(a, b, np.array([z]))[0]
+    assert got == pytest.approx(float(mpmath.hyperu(a, b, z)), rel=3e-15)
+
+
+def test_the_scaled_budget_keeps_a_large_a_in_range():
+    # Past the budget max(2a + 60, 80) in tau the panels of this rung would
+    # overflow (tau^(a-1) at tau = 1024); the budget stops the chain first.
+    got = kummer_u_batch(104.0, 0.5, np.array([1e3]))[0]
+    assert got == pytest.approx(float(mpmath.hyperu(104, 0.5, 1e3)), rel=1e-6)
+
+
 @pytest.mark.parametrize("a,b", [(0.3, -0.8), (1.85, 0.25), (9.125, -0.375)])
 def test_ladder_rows_are_bitwise_the_scalar_calls(a, b):
     z = np.array([3e-4, 0.05, 1.0, 5.9, 6.0, 6.01, 12.0, 150.0])
@@ -374,7 +398,8 @@ def _referee_scaled(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
         acc = acc + _node_sum(lift * rise)
         lo = hi
     gammas = np.array([gamma_fn(ai) for ai in a.tolist()])
-    scaled = _power(z, -a[:, None], exact) / gammas[:, None] * out
+    mantissa, exponent = np.frexp(_power(z, -a[:, None], exact))
+    scaled = np.ldexp(mantissa / gammas[:, None] * out, exponent)
     return _finite(scaled, np.arange(len(a)), a, b, z)
 
 
