@@ -29,7 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 import json
 
 from . import energy, extend, opalg, scatter, special, spectral
-from .report import CheckEntry, VerificationReport, render_json, render_table
+from .report import CheckEntry, VerificationReport, render_json, render_table, worst_error
 
 __all__ = ["ConfigError", "SuiteError", "SuiteConfig", "load_config", "run_suites", "main"]
 
@@ -124,56 +124,88 @@ def _validate(cfg: SuiteConfig) -> SuiteConfig:
 
 # -- suites -----------------------------------------------------------------
 
-_ANCHOR_FACTOR = (
-    "the weight-k vertical operator equals the ordered product "
-    "prod_j (L + 2i(k-1-2j) d_t) of shifted second-order factors"
-)
-_ANCHOR_CHAIN = (
-    "the bracket of rho^{-1} d_rho against the factored product collapses: "
-    "[Y, Lt L] = 2(k-1)(Y Lt Y + Lt d_t^2)"
-)
-_ANCHOR_EXPANSION = (
-    "the recursive boundary-expansion coefficients equal the rational "
-    "prefactor c_l(s) times the two-symbol polynomial p_l"
-)
-_ANCHOR_DUALITY = "the symbol polynomials at s and at m - s are exchanged by the dual substitution"
-_ANCHOR_EIGEN = "Delta_b u = 2 |lam| (2k + n) u on the twisted Hermite-Fourier mode"
-_ANCHOR_REFLECTION = "Gamma(x) Gamma(1 - x) sin(pi x) = pi"
-_ANCHOR_SHIFT_LOW = "Gamma(1 + g) = g Gamma(g)"
-_ANCHOR_SHIFT_HIGH = "Gamma(2 - g) = g (g - 1) Gamma(-g)"
-_ANCHOR_CONTIGUOUS = "U(a-1, b, z) + (b - 2a - z) U(a, b, z) + a (a - b + 1) U(a+1, b, z) = 0"
-_ANCHOR_KUMMER_ODE = "z U'' + (b - z) U' - a U = 0 along the raising ladder"
-_ANCHOR_DTN = (
+# The check contract, one row per family: family -> (tolerance, anchor).  An
+# entry's id is its family plus a suffix naming its parameter point.
+_DTN_ANCHOR = (
     "the boundary derivative of the normalized decaying profile equals the "
     "spectral constant times the fractional symbol of the mode"
 )
-_ANCHOR_FOURTH = (
+_FOURTH_ANCHOR = (
     "the conormal pair of the fourth-order profile carries the two spectral "
     "constants times the order-g and order-(2-g) symbols"
 )
-_ANCHOR_EXCLUSION = "polarized boundary data annihilate the complementary conormal functionals"
-_ANCHOR_TRACE = "the minimal weighted energy equals the spectral constant times the fractional symbol"
-_ANCHOR_DIRICHLET = "E(U + tW) - E(U) = t^2 E(W) for every admissible perturbation W"
-_ANCHOR_COERCIVE = "admissible perturbations carry strictly positive energy"
-_ANCHOR_SYMMETRY = "the polarized energy form is symmetric and diagonalized by the boundary data"
+_FAMILIES = {
+    "algebra.factorization": (
+        0.0,
+        "the weight-k vertical operator equals the ordered product "
+        "prod_j (L + 2i(k-1-2j) d_t) of shifted second-order factors",
+    ),
+    "algebra.commutator_chain": (
+        0.0,
+        "the bracket of rho^{-1} d_rho against the factored product collapses: "
+        "[Y, Lt L] = 2(k-1)(Y Lt Y + Lt d_t^2)",
+    ),
+    "expansion.closed_form": (
+        0.0,
+        "the recursive boundary-expansion coefficients equal the rational "
+        "prefactor c_l(s) times the two-symbol polynomial p_l",
+    ),
+    "expansion.duality": (
+        0.0,
+        "the symbol polynomials at s and at m - s are exchanged by the dual substitution",
+    ),
+    "spectral.eigenvalue": (
+        0.0,
+        "Delta_b u = 2 |lam| (2k + n) u on the twisted Hermite-Fourier mode",
+    ),
+    "spectral.gamma_reflection": (1e-12, "Gamma(x) Gamma(1 - x) sin(pi x) = pi"),
+    "spectral.gamma_shift.low": (1e-12, "Gamma(1 + g) = g Gamma(g)"),
+    "spectral.gamma_shift.high": (1e-12, "Gamma(2 - g) = g (g - 1) Gamma(-g)"),
+    "spectral.kummer_contiguous": (
+        1e-6,
+        "U(a-1, b, z) + (b - 2a - z) U(a, b, z) + a (a - b + 1) U(a+1, b, z) = 0",
+    ),
+    "spectral.kummer_equation": (1e-6, "z U'' + (b - z) U' - a U = 0 along the raising ladder"),
+    "dtn.closed": (1e-8, _DTN_ANCHOR),
+    "dtn.numeric": (1e-4, _DTN_ANCHOR),
+    "dtn.fourth_constants": (1e-6, _FOURTH_ANCHOR),
+    "dtn.fourth_constants_numeric": (1e-6, _FOURTH_ANCHOR),
+    "dtn.exclusion": (
+        1e-8,
+        "polarized boundary data annihilate the complementary conormal functionals",
+    ),
+    "energy.trace": (
+        1e-6,
+        "the minimal weighted energy equals the spectral constant times the fractional symbol",
+    ),
+    "energy.dirichlet": (1e-6, "E(U + tW) - E(U) = t^2 E(W) for every admissible perturbation W"),
+    "energy.coercivity": (0.0, "admissible perturbations carry strictly positive energy"),
+    "energy.symmetry": (
+        1e-8,
+        "the polarized energy form is symmetric and diagonalized by the boundary data",
+    ),
+}
+
+
+def _entry(family: str, errors, suffix: str = "", **parameters) -> CheckEntry:
+    """The entry `<family><suffix>`, graded on the worst of `errors` by its family's row."""
+    tolerance, anchor = _FAMILIES[family]
+    return CheckEntry.graded(family + suffix, anchor, parameters, worst_error(errors), tolerance)
+
+
+def _gamma_entry(family: str, g: float, modes, errors, **parameters) -> CheckEntry:
+    """The entry `<family>.gamma=<g>` graded over `modes` at order g."""
+    return _entry(family, errors, f".gamma={g}", gamma=g, modes=len(modes), **parameters)
 
 
 def _suite_algebra(cfg: SuiteConfig) -> list:
     entries = []
     for k in range(1, cfg.max_weight + 1):
-        err = float(opalg.check_factorization(k).max_abs_coeff())
-        entries.append(
-            CheckEntry.graded(
-                f"algebra.factorization.k={k}", _ANCHOR_FACTOR, {"k": k}, err, 0.0
-            )
-        )
+        err = opalg.check_factorization(k).max_abs_coeff()
+        entries.append(_entry("algebra.factorization", [err], f".k={k}", k=k))
     for k in range(3, min(cfg.max_weight, 5) + 1):
-        err = float(opalg.check_commutator_chain(k).max_abs_coeff())
-        entries.append(
-            CheckEntry.graded(
-                f"algebra.commutator_chain.k={k}", _ANCHOR_CHAIN, {"k": k}, err, 0.0
-            )
-        )
+        err = opalg.check_commutator_chain(k).max_abs_coeff()
+        entries.append(_entry("algebra.commutator_chain", [err], f".k={k}", k=k))
     return entries
 
 
@@ -189,30 +221,17 @@ def _sample_spectral_values(rng: random.Random, l_max: int, m: int, count: int):
 
 def _suite_expansion(cfg: SuiteConfig) -> list:
     entries = []
+    l_max = cfg.expansion_orders
     for m in cfg.expansion_dims:
         rng = random.Random(f"{cfg.seed}:expansion:{m}")
-        worst = Fraction(0)
-        for s in _sample_spectral_values(rng, cfg.expansion_orders, m, cfg.sample_count):
-            worst = max(worst, scatter.check_expansion(cfg.expansion_orders, m, s))
+        points = _sample_spectral_values(rng, l_max, m, cfg.sample_count)
+        errors = [scatter.check_expansion(l_max, m, s) for s in points]
+        samples = len(points)
         entries.append(
-            CheckEntry.graded(
-                f"expansion.closed_form.m={m}",
-                _ANCHOR_EXPANSION,
-                {"m": m, "l_max": cfg.expansion_orders, "samples": cfg.sample_count},
-                float(worst),
-                0.0,
-            )
+            _entry("expansion.closed_form", errors, f".m={m}", m=m, l_max=l_max, samples=samples)
         )
-        dual_ok = scatter.check_duality(cfg.expansion_orders, m)
-        entries.append(
-            CheckEntry.graded(
-                f"expansion.duality.m={m}",
-                _ANCHOR_DUALITY,
-                {"m": m, "l_max": cfg.expansion_orders},
-                0.0 if dual_ok else 1.0,
-                0.0,
-            )
-        )
+        errors = [0.0 if scatter.check_duality(l_max, m) else 1.0]
+        entries.append(_entry("expansion.duality", errors, f".m={m}", m=m, l_max=l_max))
     return entries
 
 
@@ -234,63 +253,18 @@ def _suite_spectral(cfg: SuiteConfig) -> list:
         for k in (0, 1):
             for sign in (1, -1):
                 residual = spectral.mode_eigenvalue_symbolic(k, n, sign)
-                err = 0.0 if residual == 0 else 1.0
-                entries.append(
-                    CheckEntry.graded(
-                        f"spectral.eigenvalue.k={k}.n={n}.sign={'+' if sign > 0 else '-'}",
-                        _ANCHOR_EIGEN,
-                        {"k": k, "n": n, "sign": sign},
-                        err,
-                        0.0,
-                    )
-                )
+                suffix = f".k={k}.n={n}.sign={'+' if sign > 0 else '-'}"
+                errors = [0.0 if residual == 0 else 1.0]
+                entries.append(_entry("spectral.eigenvalue", errors, suffix, k=k, n=n, sign=sign))
+    gamma = special.gamma_fn
     rng = random.Random(f"{cfg.seed}:reflection")
-    worst = 0.0
-    for _ in range(cfg.sample_count):
-        x = rng.uniform(0.05, 0.95)
-        worst = max(
-            worst,
-            abs(special.gamma_fn(x) * special.gamma_fn(1.0 - x) * math.sin(math.pi * x) / math.pi - 1.0),
-        )
-    entries.append(
-        CheckEntry.graded(
-            "spectral.gamma_reflection",
-            _ANCHOR_REFLECTION,
-            {"samples": cfg.sample_count},
-            worst,
-            1e-12,
-        )
-    )
-    worst_low = 0.0
-    for g in cfg.gammas_low:
-        worst_low = max(
-            worst_low,
-            abs(special.gamma_fn(1.0 + g) / (g * special.gamma_fn(g)) - 1.0),
-        )
-    entries.append(
-        CheckEntry.graded(
-            "spectral.gamma_shift.low",
-            _ANCHOR_SHIFT_LOW,
-            {"gammas": list(cfg.gammas_low)},
-            worst_low,
-            1e-12,
-        )
-    )
-    worst_high = 0.0
-    for g in cfg.gammas_high:
-        worst_high = max(
-            worst_high,
-            abs(special.gamma_fn(2.0 - g) / (g * (g - 1.0) * special.gamma_fn(-g)) - 1.0),
-        )
-    entries.append(
-        CheckEntry.graded(
-            "spectral.gamma_shift.high",
-            _ANCHOR_SHIFT_HIGH,
-            {"gammas": list(cfg.gammas_high)},
-            worst_high,
-            1e-12,
-        )
-    )
+    xs = [rng.uniform(0.05, 0.95) for _ in range(cfg.sample_count)]
+    errors = [abs(gamma(x) * gamma(1.0 - x) * math.sin(math.pi * x) / math.pi - 1.0) for x in xs]
+    entries.append(_entry("spectral.gamma_reflection", errors, samples=cfg.sample_count))
+    errors = [abs(gamma(1.0 + g) / (g * gamma(g)) - 1.0) for g in cfg.gammas_low]
+    entries.append(_entry("spectral.gamma_shift.low", errors, gammas=list(cfg.gammas_low)))
+    errors = [abs(gamma(2.0 - g) / (g * (g - 1.0) * gamma(-g)) - 1.0) for g in cfg.gammas_high]
+    entries.append(_entry("spectral.gamma_shift.high", errors, gammas=list(cfg.gammas_high)))
 
     probes = _kummer_probes(random.Random(f"{cfg.seed}:kummer"), cfg.sample_count)
     # One call for every probe: per probe the contiguous rungs a - 1, a, a + 1
@@ -300,40 +274,18 @@ def _suite_spectral(cfg: SuiteConfig) -> list:
         [x for _, b, _ in probes for x in (b, b, b, b + 1, b + 2)],
         [[z] for _, _, z in probes for _ in range(5)],
     )[:, 0].tolist()
-    worst_rec = worst_ode = 0.0
+    recurrence, equation = [], []
     for i, (a, b, z) in enumerate(probes):
         u_m, u_0, u_p, u_1, u_2 = values[5 * i : 5 * i + 5]
         terms = (u_m, (b - 2.0 * a - z) * u_0, a * (a - b + 1.0) * u_p)
-        worst_rec = max(worst_rec, abs(sum(terms)) / sum(abs(t) for t in terms))
+        recurrence.append(abs(sum(terms)) / sum(abs(t) for t in terms))
         du = -a * u_1
         ddu = a * (a + 1.0) * u_2
         ode = (z * ddu, (b - z) * du, -a * u_0)
-        worst_ode = max(worst_ode, abs(sum(ode)) / sum(abs(t) for t in ode))
-    entries.append(
-        CheckEntry.graded(
-            "spectral.kummer_contiguous",
-            _ANCHOR_CONTIGUOUS,
-            {"probes": cfg.sample_count},
-            worst_rec,
-            1e-6,
-        )
-    )
-    entries.append(
-        CheckEntry.graded(
-            "spectral.kummer_equation",
-            _ANCHOR_KUMMER_ODE,
-            {"probes": cfg.sample_count},
-            worst_ode,
-            1e-6,
-        )
-    )
+        equation.append(abs(sum(ode)) / sum(abs(t) for t in ode))
+    entries.append(_entry("spectral.kummer_contiguous", recurrence, probes=cfg.sample_count))
+    entries.append(_entry("spectral.kummer_equation", equation, probes=cfg.sample_count))
     return entries
-
-
-def _gamma_entry(check: str, anchor: str, g: float, modes, err, tol, **extra) -> CheckEntry:
-    """The entry `<check>.gamma=<g>` graded over `modes` at order g."""
-    parameters = {"gamma": g, "modes": len(modes), **extra}
-    return CheckEntry.graded(f"{check}.gamma={g}", anchor, parameters, err, tol)
 
 
 def _spot_pairs(cfg: SuiteConfig) -> list:
@@ -353,25 +305,21 @@ def _suite_dtn(cfg: SuiteConfig) -> list:
     fits = dict(zip(pairs, extend.fit_boundary_expansion(pairs)))
     for g in cfg.gammas_low:
         param = spectral.GammaParam(g)
-        worst = max(extend.verify_dtn_theorem(param, mode) for mode in full)
-        entries.append(_gamma_entry("dtn.closed", _ANCHOR_DTN, g, full, worst, 1e-8))
-        worst = max(extend.verify_dtn_theorem(param, mode, fits[g, mode]) for mode in spot)
-        entries.append(_gamma_entry("dtn.numeric", _ANCHOR_DTN, g, spot, worst, 1e-4))
+        errors = [extend.verify_dtn_theorem(param, mode) for mode in full]
+        entries.append(_gamma_entry("dtn.closed", g, full, errors))
+        errors = [extend.verify_dtn_theorem(param, mode, fits[g, mode]) for mode in spot]
+        entries.append(_gamma_entry("dtn.numeric", g, spot, errors))
     for g in cfg.gammas_high:
         param = spectral.GammaParam(g)
-        worst = max(max(extend.verify_fourth_constants(param, mode)) for mode in full)
-        entries.append(
-            _gamma_entry("dtn.fourth_constants", _ANCHOR_FOURTH, g, full, worst, 1e-6)
-        )
-        worst = max(
-            max(extend.verify_fourth_constants(param, mode, [fits[o, mode] for o in param.orders]))
-            for mode in spot
-        )
-        entries.append(
-            _gamma_entry("dtn.fourth_constants_numeric", _ANCHOR_FOURTH, g, spot, worst, 1e-6)
-        )
-        worst = max(max(extend.exclusion_residuals(param, mode)) for mode in spot)
-        entries.append(_gamma_entry("dtn.exclusion", _ANCHOR_EXCLUSION, g, spot, worst, 1e-8))
+        errors = [e for mode in full for e in extend.verify_fourth_constants(param, mode)]
+        entries.append(_gamma_entry("dtn.fourth_constants", g, full, errors))
+        errors = []
+        for mode in spot:
+            fitted = [fits[o, mode] for o in param.orders]
+            errors += extend.verify_fourth_constants(param, mode, fitted)
+        entries.append(_gamma_entry("dtn.fourth_constants_numeric", g, spot, errors))
+        errors = [e for mode in spot for e in extend.exclusion_residuals(param, mode)]
+        entries.append(_gamma_entry("dtn.exclusion", g, spot, errors))
     return entries
 
 
@@ -383,37 +331,22 @@ def _suite_energy(cfg: SuiteConfig) -> list:
     energy.prepare_profiles(_spot_pairs(cfg))
     for g in cfg.gammas_low + cfg.gammas_high:
         param = spectral.GammaParam(g)
-        worst = max(energy.trace_equality_check(param, mode) for mode in spot)
-        entries.append(_gamma_entry("energy.trace", _ANCHOR_TRACE, g, spot, worst, 1e-6))
-        worst_gap = 0.0
-        floor = math.inf
-        for mode in spot:
-            gap, low = energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
-            worst_gap = max(worst_gap, gap)
-            floor = min(floor, low)
-        entries.append(
-            _gamma_entry(
-                "energy.dirichlet", _ANCHOR_DIRICHLET, g, spot, worst_gap, 1e-6, perturbations=count
-            )
-        )
-        entries.append(
-            _gamma_entry(
-                "energy.coercivity",
-                _ANCHOR_COERCIVE,
-                g,
-                spot,
-                max(0.0, -floor),
-                0.0,
-                perturbations=count,
-            )
-        )
+        errors = [energy.trace_equality_check(param, mode) for mode in spot]
+        entries.append(_gamma_entry("energy.trace", g, spot, errors))
+        checks = [
+            energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
+            for mode in spot
+        ]
+        gaps = [gap for gap, _ in checks]
+        entries.append(_gamma_entry("energy.dirichlet", g, spot, gaps, perturbations=count))
+        # Coercivity fails when some perturbation's energy falls below zero.
+        lows = [-low for _, low in checks]
+        entries.append(_gamma_entry("energy.coercivity", g, spot, lows, perturbations=count))
         if param.is_high:
-            worst = max(
+            errors = [
                 energy.q_symmetry_check(param, mode, seed=cfg.seed, count=count) for mode in spot
-            )
-            entries.append(
-                _gamma_entry("energy.symmetry", _ANCHOR_SYMMETRY, g, spot, worst, 1e-8, pairs=count)
-            )
+            ]
+            entries.append(_gamma_entry("energy.symmetry", g, spot, errors, pairs=count))
     return entries
 
 

@@ -77,6 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .extend import FourthOrderMode, ModeSolution, frobenius_series, mode_derivatives
+from .report import worst_error
 from .special import gamma_fn, legendre_rule
 from .spectral import GammaParam, ModeIndex, boundary_targets
 
@@ -516,7 +517,7 @@ def q_symmetry_check(
     )
     closed = np.diag(boundary_targets(param, mode))
     rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    worst = 0.0
+    errors = []
     for _ in range(count):
         du = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
         dv = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
@@ -526,5 +527,5 @@ def q_symmetry_check(
         q_uv = float(du @ measured @ dv)
         q_vu = float(dv @ measured @ du)
         q_closed = float(du @ closed @ dv)
-        worst = max(worst, abs(q_uv - q_vu) / scale, abs(q_uv - q_closed) / scale)
-    return worst
+        errors += [abs(q_uv - q_vu) / scale, abs(q_uv - q_closed) / scale]
+    return worst_error(errors)

@@ -14,9 +14,20 @@ errors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["CheckEntry", "VerificationReport", "render_json", "render_table"]
+__all__ = ["CheckEntry", "VerificationReport", "render_json", "render_table", "worst_error"]
+
+
+def worst_error(errors) -> float:
+    """The largest of `errors` and 0.0, or NaN when any error is NaN.
+
+    Python's `max` keeps its running value past a NaN, so a NaN measurement
+    would read as a pass; here it fails every tolerance instead.
+    """
+    values = [0.0, *map(float, errors)]
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 @dataclass(frozen=True)
@@ -39,10 +50,6 @@ class CheckEntry:
         return CheckEntry(check_id, anchor, dict(parameters), err, tol, err <= tol)
 
 
-def _zero_bucket() -> dict:
-    return {"checks": 0, "failures": 0, "max_error": 0.0}
-
-
 @dataclass
 class VerificationReport:
     """An ordered collection of check entries plus run metadata."""
@@ -59,16 +66,18 @@ class VerificationReport:
         return all(entry.passed for entry in self.entries)
 
     def summary(self) -> dict:
-        buckets = {name: _zero_bucket() for name in self.suites}
-        total = _zero_bucket()
+        by_suite = {name: [] for name in self.suites}
         for entry in self.entries:
-            suite = entry.check_id.split(".", 1)[0]
-            for bucket in (buckets.setdefault(suite, _zero_bucket()), total):
-                bucket["checks"] += 1
-                bucket["failures"] += 0 if entry.passed else 1
-                bucket["max_error"] = max(bucket["max_error"], entry.measured_error)
-        buckets["total"] = total
-        return buckets
+            by_suite.setdefault(entry.check_id.split(".", 1)[0], []).append(entry)
+        by_suite["total"] = self.entries
+        return {
+            suite: {
+                "checks": len(entries),
+                "failures": sum(not entry.passed for entry in entries),
+                "max_error": worst_error(entry.measured_error for entry in entries),
+            }
+            for suite, entries in by_suite.items()
+        }
 
     def to_payload(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, configuration, and report rendering."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -108,6 +109,12 @@ def test_empty_gamma_lists_give_an_empty_passing_dtn_report(capsys):
     assert main(["dtn", "--gammas-low", ",", "--gammas-high", ","]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["entries"] == [] and payload["passed"] is True
+
+
+def test_empty_gamma_lists_grade_the_gamma_shifts_at_zero():
+    cfg = SuiteConfig(gammas_low=(), gammas_high=())
+    shifts = [e for e in cli._suite_spectral(cfg) if e.check_id.startswith("spectral.gamma_shift")]
+    assert [(e.measured_error, e.passed) for e in shifts] == [(0.0, True), (0.0, True)]
 
 
 def test_unexpected_suite_exception_exits_3_naming_the_suite(monkeypatch, capsys, tmp_path):
@@ -305,6 +312,26 @@ def test_dtn_suite_fits_each_distinct_pair_once_in_one_batch(monkeypatch):
     assert len(set(batches[0])) == 48
 
 
+def test_a_nan_measurement_fails_its_entry_and_shows_in_the_summary(monkeypatch, tmp_path):
+    # NaN on one spot mode only: a running max would keep the other modes'
+    # worst and pass the entry.
+    verify = extend.verify_dtn_theorem
+    second = SuiteConfig().spot_modes()[1]
+
+    def one_nan(param, mode, fit=None):
+        return math.nan if fit is not None and mode == second else verify(param, mode, fit)
+
+    monkeypatch.setattr(extend, "verify_dtn_theorem", one_nan)
+    out = tmp_path / "report.json"
+    assert main(["dtn", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    entries = {entry["check_id"]: entry for entry in payload["entries"]}
+    assert math.isnan(entries["dtn.numeric.gamma=0.25"]["measured_error"])
+    assert not entries["dtn.numeric.gamma=0.25"]["passed"]
+    assert entries["dtn.closed.gamma=0.25"]["passed"]
+    assert math.isnan(payload["summary"]["dtn"]["max_error"])
+
+
 def _skeleton(payload: dict) -> dict:
     """Everything of a report but its measured errors and the digits they feed."""
     keys = ("check_id", "paper_anchor", "parameters", "tolerance", "passed")
@@ -325,6 +352,9 @@ def test_default_report_keeps_its_skeleton():
     fixture = Path(__file__).parent / "data" / "default_report_skeleton.json"
     report = run_suites(SuiteConfig(), list(cli.SUITES))
     assert _skeleton(json.loads(render_json(report))) == json.loads(fixture.read_text())
+    # Every family of the check table grades at least one entry.
+    ids = [entry.check_id for entry in report.entries]
+    assert all(any(i == f or i.startswith(f + ".") for i in ids) for f in cli._FAMILIES)
 
 
 def test_importing_the_cli_does_not_load_sympy():

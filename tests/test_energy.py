@@ -132,6 +132,13 @@ def test_q_symmetry_and_boundary_representation(gamma, mode):
     assert q_symmetry_check(GammaParam(gamma), mode, seed=3, count=20) < 1e-10
 
 
+def test_q_symmetry_fails_an_all_nan_form(monkeypatch):
+    # A running max from 0.0 drops every NaN and would report a perfect pass.
+    pairing = energy._pairing
+    monkeypatch.setattr(energy, "_pairing", lambda *args: pairing(*args) * math.nan)
+    assert math.isnan(q_symmetry_check(GammaParam(1.5), ModeIndex(lam=0.5, k=0, n=1)))
+
+
 def test_q_symmetry_rejects_the_low_range():
     with pytest.raises(ValueError, match="gamma in"):
         q_symmetry_check(GammaParam(0.5), ModeIndex(lam=1.0, k=0, n=1))

@@ -157,6 +157,14 @@ def test_stacked_batch_holds_the_two_leg_accuracy(full_batch):
     assert _worst_c1_error(*full_batch) < 5e-12
 
 
+def test_the_default_spot_batch_pins_the_two_leg_settings():
+    # The 48 spot pairs of the default run read 7.1e-14.  A fit leg that starts
+    # at w = 3 instead of 10, or a deep leg at rtol 1e-3 instead of 1e-7, reads
+    # above 6e-13 on them; w = 6 reads 3.9e-13 and passes.
+    pairs = cli._spot_pairs(cli.SuiteConfig())
+    assert _worst_c1_error(pairs, fit_boundary_expansion(pairs)) < 5e-13
+
+
 def _recording_solve_ivp(monkeypatch, perturb=None):
     """Rebind extend's solve_ivp to record each call's arguments and result;
     `perturb` may rewrite the start of the call without output points."""
