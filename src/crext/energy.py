@@ -325,7 +325,7 @@ def _fourth_pairs(fourth: FourthOrderMode, series1, series2):
     """(value, Lop value) dense series of the fourth-order solution, from its orders' branches."""
     al = fourth.alpha
     (a1c, b1c), (a2c, b2c) = series1, series2
-    A, B = fourth.coef_a, fourth.coef_b
+    A, B = fourth.a0, fourth.b0
     c11, c12 = fourth.w1.c1, fourth.w2.c1
     j2 = 2.0 * np.arange(len(a1c))
     u = _lattice((0, 0, A * a1c), (0, 2, B * c12 * b2c), (1, 0, B * a2c), (1, 2, A * c11 * b1c))

@@ -37,10 +37,10 @@ Orders gamma in (1, 2) are handled by `FourthOrderMode`: the fourth-order
 mode equation factors through the weight-alpha second-order operator
 (alpha = gamma - 1), and its decaying solutions are the span of W1, the
 order-(1+alpha) solution, and rho^(2 alpha) W2 with W2 the order-(1-alpha)
-solution.  The four boundary functionals then act on the Frobenius data
-(a0, a1, b0, b1), each seeing exactly one of the two boundary data, and the
-closed forms of the resulting constants are checked against the spectral
-symbol elsewhere.
+solution.  `fourth_order_data` reads the Frobenius data (a0, a1, b0, b1) of
+the solution with boundary data (phi, psi) off the c1 of W1 and W2, and
+`boundary_functionals` is the one statement of the four boundary functionals
+on them, which the constant checks and the exclusion check both read.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ __all__ = [
     "verify_dtn_theorem",
     "verify_fourth_constants",
     "exclusion_residuals",
-    "eval_boundary_ops",
+    "fourth_order_data",
+    "boundary_functionals",
     "FIT_POINTS",
     "SERIES_TERMS",
 ]
@@ -339,37 +340,11 @@ class FourthOrderMode:
     def __init__(self, param: GammaParam, mode: ModeIndex, phi: float = 1.0, psi: float = 0.0):
         if not param.is_high:
             raise ValueError("fourth-order assembly requires gamma in (1, 2)")
-        self.param = param
-        self.mode = mode
         self.alpha = param.alpha
-        self.lam = abs(mode.lam)
         self.nu = mode_eigenvalue(mode)
-        self.phi = float(phi)
-        self.psi = float(psi)
         self.w1, self.w2 = (ModeSolution(order, mode) for order in param.orders)
-        self.coef_a = self.phi
-        self.coef_b = -self.psi / (2.0 * self.alpha)
-
-    # Frobenius data of the assembled solution: the regular branch carries
-    # (a0, a1) at rho^0, rho^2 and the singular branch (b0, b1) at
-    # rho^(2 alpha), rho^(2 alpha + 2).  Each second-order factor feeds the
-    # other branch through its own expansion coefficient.
-
-    @property
-    def a0(self) -> float:
-        return self.coef_a
-
-    @property
-    def a1(self) -> float:
-        return self.coef_a * (-self.nu / (4.0 * self.alpha)) + self.coef_b * self.w2.c1
-
-    @property
-    def b0(self) -> float:
-        return self.coef_b
-
-    @property
-    def b1(self) -> float:
-        return self.coef_a * self.w1.c1 + self.coef_b * (self.nu / (4.0 * self.alpha))
+        c1s = (self.w1.c1, self.w2.c1)
+        self.a0, self.a1, self.b0, self.b1 = fourth_order_data(self.alpha, self.nu, c1s, phi, psi)
 
     def assemble(self, rho, d1, d2, upto: int):
         """([u, ..., u^(upto)], Lop u) from the lists [W, W', ...] of W1 and W2 at rho.
@@ -388,34 +363,59 @@ class FourthOrderMode:
                 * d2[i]
                 for i in range(m + 1)
             )
-            out.append(self.coef_a * d1[m] + self.coef_b * sing)
+            out.append(self.a0 * d1[m] + self.b0 * sing)
         if len(d1) < 2:
             return out, None
-        lop = 2.0 * self.coef_a * d1[1] / rho + 2.0 * self.coef_b * rho ** (2.0 * al - 1.0) * d2[1]
+        lop = 2.0 * self.a0 * d1[1] / rho + 2.0 * self.b0 * rho ** (2.0 * al - 1.0) * d2[1]
         return out, lop
 
     def derivatives(self, rho, upto: int = 2) -> list[np.ndarray]:
         rho = np.asarray(rho, dtype=float)
-        d1 = self.w1.derivatives(rho, upto)
-        d2 = self.w2.derivatives(rho, upto)
-        return self.assemble(rho, d1, d2, upto)[0]
+        return self.assemble(rho, *mode_derivatives([self.w1, self.w2], rho, upto), upto)[0]
 
     def lop(self, rho) -> np.ndarray:
         """Weight-alpha second-order operator applied to the solution."""
         rho = np.asarray(rho, dtype=float)
-        return self.assemble(rho, self.w1.derivatives(rho, 1), self.w2.derivatives(rho, 1), 0)[1]
+        return self.assemble(rho, *mode_derivatives([self.w1, self.w2], rho, 1), 0)[1]
 
 
-def eval_boundary_ops(fourth: FourthOrderMode) -> dict[str, float]:
-    """The four boundary functionals, evaluated on the Frobenius data."""
-    al = fourth.alpha
-    nu = fourth.nu
+def fourth_order_data(alpha: float, nu: float, c1s, phi: float, psi: float) -> tuple:
+    """Frobenius data (a0, a1, b0, b1) of phi W1 - (psi / (2 alpha)) rho^(2 alpha) W2.
+
+    (a0, a1) sit at rho^0, rho^2 and (b0, b1) at rho^(2 alpha), rho^(2 alpha + 2);
+    each of W1, W2 feeds the other branch through its c1, in `c1s`.
+    """
+    a0, b0 = float(phi), -float(psi) / (2.0 * alpha)
+    c1_w1, c1_w2 = c1s
+    return a0, a0 * (-nu / (4.0 * alpha)) + b0 * c1_w2, b0, a0 * c1_w1 + b0 * (nu / (4.0 * alpha))
+
+
+def boundary_functionals(alpha: float, nu: float, data) -> dict[str, tuple[float, float]]:
+    """The four boundary functionals on Frobenius data, each as two terms.
+
+    A functional's value is the first term minus the second, and the sum of
+    their magnitudes is the scale its cancellation is measured against.
+    """
+    a0, a1, b0, b1 = data
     return {
-        "dirichlet": fourth.a0,
-        "second": -4.0 * (1.0 - al) * fourth.a1 - ((1.0 - al) / al) * nu * fourth.a0,
-        "fractional": -2.0 * al * fourth.b0,
-        "conormal": 8.0 * al * (1.0 + al) * fourth.b1 - 2.0 * (1.0 + al) * nu * fourth.b0,
+        "dirichlet": (a0, 0.0),
+        "second": (-4.0 * (1.0 - alpha) * a1, (1.0 - alpha) / alpha * nu * a0),
+        "fractional": (-2.0 * alpha * b0, 0.0),
+        "conormal": (8.0 * alpha * (1.0 + alpha) * b1, 2.0 * (1.0 + alpha) * nu * b0),
     }
+
+
+def _unit_data_functionals(param: GammaParam, mode: ModeIndex, fits=None) -> list[dict]:
+    """`boundary_functionals` on data (phi, psi) = (1, 0), then (0, 1), from closed or fitted c1."""
+    if not param.is_high:
+        raise ValueError("the fourth-order functionals apply above order 1 only")
+    if fits is None:
+        c1s = [ModeSolution(order, mode).c1 for order in param.orders]
+    else:
+        c1s = [fit.c1 / fit.c0 for fit in fits]
+    al, nu = param.alpha, mode_eigenvalue(mode)
+    units = ((1.0, 0.0), (0.0, 1.0))
+    return [boundary_functionals(al, nu, fourth_order_data(al, nu, c1s, *d)) for d in units]
 
 
 def exclusion_residuals(param: GammaParam, mode: ModeIndex) -> tuple[float, float]:
@@ -424,21 +424,9 @@ def exclusion_residuals(param: GammaParam, mode: ModeIndex) -> tuple[float, floa
     Returns normalized magnitudes of (conormal on pure-psi data, second on
     pure-phi data); both vanish identically in exact arithmetic.
     """
-    al = param.alpha
-    nu = mode_eigenvalue(mode)
-
-    pure_psi = FourthOrderMode(param, mode, phi=0.0, psi=1.0)
-    ops = eval_boundary_ops(pure_psi)
-    scale = 8.0 * al * (1.0 + al) * abs(pure_psi.b1) + 2.0 * (1.0 + al) * nu * abs(
-        pure_psi.b0
-    )
-    res_conormal = abs(ops["conormal"]) / scale
-
-    pure_phi = FourthOrderMode(param, mode, phi=1.0, psi=0.0)
-    ops = eval_boundary_ops(pure_phi)
-    scale = 4.0 * (1.0 - al) * abs(pure_phi.a1) + ((1.0 - al) / al) * nu * abs(pure_phi.a0)
-    res_second = abs(ops["second"]) / scale
-    return res_conormal, res_second
+    pure_phi, pure_psi = _unit_data_functionals(param, mode)
+    terms = (pure_psi["conormal"], pure_phi["second"])
+    return tuple(abs(x - y) / (abs(x) + abs(y)) for x, y in terms)
 
 
 def verify_fourth_constants(
@@ -449,21 +437,11 @@ def verify_fourth_constants(
     The conormal functional on pure Dirichlet data must equal c_phi times
     the order-gamma symbol; the second-trace functional on pure fractional
     data must equal c_psi times the order-(2-gamma) symbol.  Without `fits`
-    the expansion coefficients of W1 and W2 come from the closed form; given
-    the NumericFits of the pairs (order, mode) over `param.orders`, in that
-    order, those fits are graded instead.
+    the closed form is graded; given the NumericFits of the pairs
+    (order, mode) over `param.orders`, in that order, those fits are.
     """
-    if not param.is_high:
-        raise ValueError("the paired identity applies above order 1 only")
-    al = param.alpha
-    if fits is None:
-        c1_w1, c1_w2 = (ModeSolution(order, mode).c1 for order in param.orders)
-    else:
-        c1_w1, c1_w2 = (fit.c1 / fit.c0 for fit in fits)
-
-    targets = boundary_targets(param, mode)
-    # conormal on (phi, psi) = (1, 0): 8 alpha (1 + alpha) c1_w1
-    err_phi = abs(8.0 * al * (1.0 + al) * c1_w1 / targets[0] - 1.0)
-    # second trace on (phi, psi) = (0, 1): -4 (1 - alpha) c1_w2 * (-1 / (2 alpha))
-    err_psi = abs(2.0 * (1.0 - al) / al * c1_w2 / -targets[1] - 1.0)
-    return err_phi, err_psi
+    pure_phi, pure_psi = _unit_data_functionals(param, mode, fits)
+    # The diagonal holds c_phi P_gamma and -c_psi P_(2-gamma).
+    t_phi, t_psi = boundary_targets(param, mode)
+    graded = ((pure_phi["conormal"], t_phi), (pure_psi["second"], -t_psi))
+    return tuple(abs((x - y) / target - 1.0) for (x, y), target in graded)

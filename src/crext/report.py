@@ -30,6 +30,11 @@ def worst_error(errors) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+def _strict_dict(pairs) -> dict:
+    """The dict of `pairs`, a non-finite float named "nan", "inf" or "-inf" as RFC 8259 needs."""
+    return {k: v if not isinstance(v, float) or math.isfinite(v) else str(v) for k, v in pairs}
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     """One graded comparison: identity, parameter point, error, verdict."""
@@ -84,13 +89,13 @@ class VerificationReport:
             "seed": self.seed,
             "suites": list(self.suites),
             "passed": self.passed,
-            "summary": self.summary(),
-            "entries": [asdict(entry) for entry in self.entries],
+            "summary": {suite: _strict_dict(b.items()) for suite, b in self.summary().items()},
+            "entries": [asdict(entry, dict_factory=_strict_dict) for entry in self.entries],
         }
 
 
 def render_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report.to_payload(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_table(report: VerificationReport) -> str:

@@ -324,12 +324,16 @@ def test_a_nan_measurement_fails_its_entry_and_shows_in_the_summary(monkeypatch,
     monkeypatch.setattr(extend, "verify_dtn_theorem", one_nan)
     out = tmp_path / "report.json"
     assert main(["dtn", "--out", str(out)]) == 1
-    payload = json.loads(out.read_text())
+
+    def strict(constant):  # RFC 8259 has no NaN or Infinity
+        raise ValueError(f"non-JSON constant {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=strict)
     entries = {entry["check_id"]: entry for entry in payload["entries"]}
-    assert math.isnan(entries["dtn.numeric.gamma=0.25"]["measured_error"])
+    assert entries["dtn.numeric.gamma=0.25"]["measured_error"] == "nan"
     assert not entries["dtn.numeric.gamma=0.25"]["passed"]
     assert entries["dtn.closed.gamma=0.25"]["passed"]
-    assert math.isnan(payload["summary"]["dtn"]["max_error"])
+    assert payload["summary"]["dtn"]["max_error"] == "nan"
 
 
 def _skeleton(payload: dict) -> dict:
@@ -430,6 +434,17 @@ def test_json_rendering_is_sorted_and_newline_terminated():
     assert payload["passed"] is False
     assert list(payload) == sorted(payload)
     assert [e["check_id"] for e in payload["entries"]] == ["one.alpha", "one.beta", "two.gamma"]
+
+
+def test_json_rendering_names_infinite_errors():
+    entries = [
+        CheckEntry.graded("one.up", "first identity", {}, math.inf, 1e-8),
+        CheckEntry.graded("one.down", "second identity", {}, -math.inf, 1e-8),
+    ]
+    text = render_json(VerificationReport(seed=0, suites=("one",), entries=entries))
+    payload = json.loads(text, parse_constant=lambda constant: pytest.fail(constant))
+    assert [e["measured_error"] for e in payload["entries"]] == ["inf", "-inf"]
+    assert payload["summary"]["one"]["max_error"] == "inf"
 
 
 def test_table_rendering_marks_failures():

@@ -15,7 +15,7 @@ from crext import cli, extend
 from crext.extend import (
     FourthOrderMode,
     ModeSolution,
-    eval_boundary_ops,
+    boundary_functionals,
     exclusion_residuals,
     fit_boundary_expansion,
     frobenius_series,
@@ -251,9 +251,38 @@ def test_boundary_data_roundtrip():
     param = GammaParam(1.4)
     mode = ModeIndex(1.0, 2, 2)
     u = FourthOrderMode(param, mode, phi=0.8, psi=-1.7)
-    ops = eval_boundary_ops(u)
+    terms = boundary_functionals(u.alpha, u.nu, (u.a0, u.a1, u.b0, u.b1))
+    ops = {name: x - y for name, (x, y) in terms.items()}
     assert ops["dirichlet"] == pytest.approx(0.8, rel=1e-14)
     assert ops["fractional"] == pytest.approx(-1.7, rel=1e-14)
+
+
+def test_a_conormal_fault_in_the_functional_table_fails_every_high_range_dtn_entry(monkeypatch):
+    # The constant checks and the exclusion check read one statement of the
+    # functionals, so a fault there must reach all of them, and only them.
+    table = extend.boundary_functionals
+
+    def faulty(alpha, nu, data):
+        terms = table(alpha, nu, data)
+        x, y = terms["conormal"]
+        return {**terms, "conormal": (1.001 * x, y)}
+
+    monkeypatch.setattr(extend, "boundary_functionals", faulty)
+    entries = cli._suite_dtn(cli.SuiteConfig())
+    high = [e for e in entries if e.check_id.startswith(("dtn.fourth_constants", "dtn.exclusion"))]
+    low = [e for e in entries if e.check_id.startswith(("dtn.closed.", "dtn.numeric."))]
+    assert len(high) == 9 and len(low) == 6 and len(entries) == 15
+    assert not any(e.passed for e in high)
+    assert all(e.passed for e in low)
+
+
+def test_dtn_suite_passes_at_the_ends_of_its_envelope():
+    # At gamma = 1.001 the Frobenius data divide by 2 alpha = 0.002.
+    cfg = cli.SuiteConfig(gammas_low=(0.001, 0.999), gammas_high=(1.001, 1.999))
+    report = cli.run_suites(cfg, ["dtn"])
+    assert len(report.entries) == 10
+    for entry in report.entries:
+        assert entry.passed, (entry.check_id, entry.measured_error)
 
 
 @pytest.mark.parametrize("g", [1.25, 1.5, 1.75])
@@ -301,7 +330,7 @@ def test_fourth_order_operator_identity():
     al = param.alpha
     nu = mode_eigenvalue(mode)
     d0, d1, d2 = u.derivatives(rho, upto=2)
-    honest = d2 + (1.0 - 2.0 * al) / rho * d1 - (u.lam**2 * rho**2 + nu) * d0
+    honest = d2 + (1.0 - 2.0 * al) / rho * d1 - (u.w1.lam**2 * rho**2 + nu) * d0
     np.testing.assert_allclose(u.lop(rho), honest, rtol=1e-8, atol=1e-12)
 
 
@@ -313,7 +342,7 @@ def test_fourth_order_equation_residual():
     rho = np.geomspace(0.4, 1.8, 5)
     al = param.alpha
     nu = mode_eigenvalue(mode)
-    lam2 = u.lam**2
+    lam2 = u.w1.lam**2
     d0, d1, d2, d3, d4 = u.derivatives(rho, upto=4)
     pot = lam2 * rho**2 + nu
     v0 = d2 + (1.0 - 2.0 * al) / rho * d1 - pot * d0

@@ -6,7 +6,9 @@ benchmark workloads (read from `perfbench/workloads.py` by path, as
 `--format table` run, and reports every code object it entered.  Each
 function and method defined in the package must be among them, or on
 `NOT_ENTERED` with the reason it stays.  A fresh process starts with cold
-caches, so a body that a cache hit would skip is still entered.
+caches, so a body that a cache hit would skip is still entered.  A second
+test keeps every module's `__all__` resolvable and its lines within 100
+columns.
 """
 
 import ast
@@ -120,3 +122,21 @@ def test_verify_enters_every_function_of_the_package(tmp_path):
         "functions verify never enters must go, or join NOT_ENTERED with a reason; "
         "NOT_ENTERED names that verify now enters must leave it"
     )
+
+
+def test_every_export_resolves_and_no_source_line_passes_100_columns():
+    for path in sorted(PACKAGE.glob("*.py")):
+        dotted = "crext" if path.stem == "__init__" else f"crext.{path.stem}"
+        module = importlib.import_module(dotted)
+
+        def resolves(name):
+            # A package's `__all__` may name its submodules, which `import *` loads.
+            if hasattr(module, name):
+                return True
+            return hasattr(module, "__path__") and bool(importlib.util.find_spec(f"{dotted}.{name}"))
+
+        stale = [name for name in getattr(module, "__all__", ()) if not resolves(name)]
+        assert not stale, f"{path.name} exports names it does not define: {stale}"
+        lines = path.read_text().splitlines()
+        wide = [n for n, line in enumerate(lines, 1) if len(line) > 100]
+        assert not wide, f"{path.name} has lines over 100 columns: {wide}"
