@@ -16,6 +16,7 @@ message is one stderr line naming the offending value, path or suite.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
@@ -506,6 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The import graph lives until exit: frozen, no collection walks it again.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg, suite_names = load_config(args)

@@ -50,9 +50,10 @@ class CheckEntry:
     def graded(
         check_id: str, anchor: str, parameters: dict, measured_error, tolerance
     ) -> "CheckEntry":
+        """Pass when 0 <= error <= tolerance; a negative or NaN error fails."""
         err = float(measured_error)
         tol = float(tolerance)
-        return CheckEntry(check_id, anchor, dict(parameters), err, tol, err <= tol)
+        return CheckEntry(check_id, anchor, dict(parameters), err, tol, 0.0 <= err <= tol)
 
 
 @dataclass

@@ -361,36 +361,58 @@ def test_default_report_keeps_its_skeleton():
     assert all(any(i == f or i.startswith(f + ".") for i in ids) for f in cli._FAMILIES)
 
 
-def test_importing_the_cli_does_not_load_sympy():
+def _python(*args, check=True):
+    """Run `python args...` in a fresh interpreter that imports this checkout's crext."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    code = "import sys, crext.cli; print('sympy' in sys.modules, 'mpmath' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
-    assert out.stdout.split() == ["False", "False"]
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    code = "import sys, crext.cli; print('sympy' in sys.modules, 'mpmath' in sys.modules)"
+    assert _python("-c", code).stdout.split() == ["False", "False"]
+
+
+def test_importing_the_cli_leaves_the_collector_running_and_unfrozen():
+    # The benchmark's tracer wraps crext between this import and `main`, then
+    # finds leftover originals through gc.get_referrers, which is blind to
+    # frozen objects; so only `main` may freeze the heap.
+    code = (
+        "import gc, crext.cli, crext.extend, crext.special; "
+        "holders = gc.get_referrers(crext.special.kummer_u_batch); "
+        "print(gc.isenabled(), gc.get_freeze_count(), "
+        "any(h is vars(crext.extend) for h in holders))"
+    )
+    assert _python("-c", code).stdout.split() == ["True", "0", "True"]
+
+
+def test_main_freezes_the_import_graph_and_still_flushes_its_report():
+    code = (
+        "import gc, sys; from crext.cli import main; "
+        "status = main(['algebra']); "
+        "print(status, gc.get_freeze_count(), file=sys.stderr)"
+    )
+    out = _python("-c", code)
+    status, frozen = map(int, out.stderr.split())
+    assert status == 0 and frozen > 0
+    payload = json.loads(out.stdout)
+    assert payload["passed"] is True
+    assert len(payload["entries"]) == 9
 
 
 @pytest.mark.parametrize(
     "argv", [["algebra", "expansion", "spectral"], []], ids=["exact-suites", "default"]
 )
 def test_verify_runs_without_sympy_or_mpmath(argv, tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     code = (
         "import sys; from crext.cli import main; "
         "status = main(sys.argv[1:]); "
         "print(status, 'sympy' in sys.modules, 'mpmath' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "report.json")],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = _python("-c", code, *argv, "--out", str(tmp_path / "report.json"))
     assert out.stdout.split() == ["0", "False", "False"]
 
 
@@ -417,6 +439,10 @@ def _toy_report():
 def test_graded_entries_pass_exactly_at_the_tolerance():
     assert CheckEntry.graded("x", "a", {}, 1e-8, 1e-8).passed
     assert not CheckEntry.graded("x", "a", {}, 1.0000001e-8, 1e-8).passed
+    # An error is a distance: a negative one means a grader returned a signed
+    # difference, which would otherwise pass every failure in one direction.
+    assert not CheckEntry.graded("x", "a", {}, -1e-3, 1e-8).passed
+    assert not CheckEntry.graded("x", "a", {}, -math.inf, 1e-8).passed
 
 
 def test_summary_buckets_by_suite_with_totals():
@@ -444,6 +470,8 @@ def test_json_rendering_names_infinite_errors():
     text = render_json(VerificationReport(seed=0, suites=("one",), entries=entries))
     payload = json.loads(text, parse_constant=lambda constant: pytest.fail(constant))
     assert [e["measured_error"] for e in payload["entries"]] == ["inf", "-inf"]
+    assert [e["passed"] for e in payload["entries"]] == [False, False]
+    assert payload["passed"] is False
     assert payload["summary"]["one"]["max_error"] == "inf"
 
 
@@ -475,15 +503,7 @@ def test_kummer_overflow_at_a_high_level_exits_3_with_one_line(tmp_path):
         "perturbations": 1,
     }
     path.write_text(json.dumps(config))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    done = subprocess.run(
-        [sys.executable, "-m", "crext.cli", "--config", str(path)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    done = _python("-m", "crext.cli", "--config", str(path), check=False)
     assert done.returncode == 3
     assert done.stdout == ""
     lines = done.stderr.strip().splitlines()
