@@ -15,22 +15,37 @@ message is one stderr line naming the offending value, path or suite.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import math
-import os
-import random
-import stat
-import sys
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
-import json
+# The imports load numpy and scipy, whose objects live until exit, so a
+# collection during them would only walk that graph: they run with the
+# collector paused.  Then freeze + unfreeze zeroes the young count and hands
+# every tracked object to the oldest generation without walking it.  A host's
+# frozen objects stay frozen (unfreeze would thaw them), so then the handoff
+# is skipped.  `main` freezes the graph for the exit-time collection.
+_collecting, _host_frozen = gc.isenabled(), gc.get_freeze_count()
+gc.disable()
+try:
+    import argparse
+    import json
+    import math
+    import os
+    import random
+    import stat
+    import sys
+    from dataclasses import dataclass, replace
+    from fractions import Fraction
+    from pathlib import Path
+    from typing import get_args, get_origin, get_type_hints
 
-from . import energy, extend, opalg, scatter, special, spectral
-from .report import CheckEntry, VerificationReport, render_json, render_table, worst_error
+    from . import energy, extend, opalg, scatter, special, spectral
+    from .report import CheckEntry, VerificationReport, render_json, render_table, worst_error
+finally:
+    if not _host_frozen:
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
 
 __all__ = ["ConfigError", "SuiteError", "SuiteConfig", "load_config", "run_suites", "main"]
 

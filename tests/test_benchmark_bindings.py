@@ -8,7 +8,6 @@ benchmark is run.
 """
 
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -16,19 +15,11 @@ import types
 from pathlib import Path
 
 import crext.cli  # noqa: F401  (imports every crext layer)
-
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_benchmark_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from benchmark_files import load_spans
 
 
 def test_every_traced_name_resolves_to_a_crext_function():
-    spans = _load_spans()
+    spans = load_spans()
     assert spans.SPANS
     for module_name, path, *_ in spans.SPANS:
         owner = sys.modules[module_name]
@@ -41,7 +32,7 @@ def test_every_traced_name_resolves_to_a_crext_function():
 
 
 def test_counted_foreign_functions_are_bound_by_name_in_crext():
-    spans = _load_spans()
+    spans = load_spans()
     for module_name, attr, *_ in spans.FOREIGN:
         original = getattr(importlib.import_module(module_name), attr)
         holders = [
@@ -59,7 +50,7 @@ def test_importing_the_cli_alone_loads_every_module_the_tracer_wraps():
     # The tracer installs its wrappers right after `import crext.cli` in a
     # fresh process.  Here that import runs alone, so a module that only a
     # test or a later call would load shows up missing.
-    spans = _load_spans()
+    spans = load_spans()
     wanted = {name for name, *_ in spans.SPANS} | {name for name, *_ in spans.FOREIGN}
     src = str(Path(crext.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

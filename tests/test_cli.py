@@ -389,6 +389,77 @@ def test_importing_the_cli_leaves_the_collector_running_and_unfrozen():
     assert _python("-c", code).stdout.split() == ["True", "0", "True"]
 
 
+# Imports crext.cli in a fresh process after SETUP.  Prints the collector's
+# state before and after (enabled, thresholds, freeze count, and whether a
+# list made before SETUP is frozen), whether the import raised, and the
+# generation of every collection that started while cli.py's module body was
+# on the stack.
+_WATCHED_IMPORT = """
+import gc, json, sys
+
+holder = [[]]
+{setup}
+runs = []
+
+
+def watch(phase, info):
+    frame = sys._getframe()
+    while phase == "start" and frame is not None:
+        if frame.f_code.co_name == "<module>" and frame.f_globals["__name__"] == "crext.cli":
+            runs.append(info["generation"])
+        frame = frame.f_back
+
+
+def state():
+    frozen = not any(ref is holder for ref in gc.get_referrers(holder[0]))
+    return [gc.isenabled(), list(gc.get_threshold()), gc.get_freeze_count(), frozen]
+
+
+before = state()
+gc.callbacks.append(watch)
+try:
+    import crext.cli
+    raised = False
+except ImportError:
+    raised = True
+gc.callbacks.remove(watch)
+print(json.dumps({{"before": before, "after": state(), "raised": raised, "runs": runs}}))
+"""
+
+
+def _watched_import(setup: str) -> dict:
+    return json.loads(_python("-c", _WATCHED_IMPORT.format(setup=setup)).stdout)
+
+
+@pytest.mark.parametrize(
+    "setup, raised",
+    [
+        ("", False),
+        ("gc.disable(); gc.set_threshold(500, 7, 9)", False),
+        ("sys.modules['numpy'] = None", True),
+    ],
+    ids=["collector-enabled", "collector-disabled", "failing-layer-import"],
+)
+def test_importing_the_cli_runs_no_collection_and_restores_the_collector(setup, raised):
+    # The collector comes back as it was found, even when a layer fails to import.
+    watched = _watched_import(setup)
+    assert watched["raised"] is raised
+    assert watched["runs"] == []
+    assert watched["after"] == watched["before"]
+    assert watched["before"][2:] == [0, False]
+
+
+def test_importing_the_cli_leaves_a_hosts_frozen_objects_frozen():
+    # Handing the import graph to the oldest generation means unfreezing it,
+    # which would also thaw what the host froze; with a frozen host the import
+    # skips the handoff.  The freeze count drifts down as frozen objects die.
+    watched = _watched_import("gc.freeze()")
+    assert watched["raised"] is False
+    assert watched["before"][2] > 0 and watched["after"][2] > 0
+    assert watched["before"][3] is watched["after"][3] is True
+    assert watched["after"][:2] == watched["before"][:2]
+
+
 def test_main_freezes_the_import_graph_and_still_flushes_its_report():
     code = (
         "import gc, sys; from crext.cli import main; "

@@ -20,9 +20,8 @@ import sys
 from pathlib import Path
 
 import crext.cli
+from benchmark_files import load_workloads
 
-ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 PACKAGE = Path(crext.cli.__file__).resolve().parent
 
 _TRACED = "a SPANS name of the benchmark tracer, and an ODE referee in the tests"
@@ -61,17 +60,6 @@ print(json.dumps(sorted({(os.path.realpath(c.co_filename), c.co_firstlineno) for
 """
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.WORKLOADS
-
-
 def _defined() -> dict:
     """(file, first line) -> dotted name of every def in the package.
 
@@ -98,7 +86,7 @@ def _defined() -> dict:
 
 def test_verify_enters_every_function_of_the_package(tmp_path):
     runs = []
-    for name, workload in _load_workloads().items():
+    for name, workload in load_workloads().items():
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(workload.config_for(0)))
         runs.append(["--config", str(config)])
