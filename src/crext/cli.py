@@ -343,26 +343,27 @@ def _suite_energy(cfg: SuiteConfig) -> list:
     entries = []
     spot = cfg.spot_modes()
     count = cfg.perturbations
-    # The tail profiles of every order the checks read on a mode take one batch.
+    # The tail profiles the checks read take one U batch per level 2k + n.
     energy.prepare_profiles(_spot_pairs(cfg))
     for g in cfg.gammas_low + cfg.gammas_high:
         param = spectral.GammaParam(g)
-        errors = [energy.trace_equality_check(param, mode) for mode in spot]
-        entries.append(_gamma_entry("energy.trace", g, spot, errors))
-        checks = [
-            energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
-            for mode in spot
-        ]
-        gaps = [gap for gap, _ in checks]
+        # A mode's checks run in a row, so its workspace's Grams are built once.
+        traces, gaps, lows, symmetries = [], [], [], []
+        for mode in spot:
+            traces.append(energy.trace_equality_check(param, mode))
+            gap, low = energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
+            gaps.append(gap)
+            # Coercivity fails when some perturbation's energy falls below zero.
+            lows.append(-low)
+            if param.is_high:
+                symmetries.append(
+                    energy.q_symmetry_check(param, mode, seed=cfg.seed, count=count)
+                )
+        entries.append(_gamma_entry("energy.trace", g, spot, traces))
         entries.append(_gamma_entry("energy.dirichlet", g, spot, gaps, perturbations=count))
-        # Coercivity fails when some perturbation's energy falls below zero.
-        lows = [-low for _, low in checks]
         entries.append(_gamma_entry("energy.coercivity", g, spot, lows, perturbations=count))
         if param.is_high:
-            errors = [
-                energy.q_symmetry_check(param, mode, seed=cfg.seed, count=count) for mode in spot
-            ]
-            entries.append(_gamma_entry("energy.symmetry", g, spot, errors, pairs=count))
+            entries.append(_gamma_entry("energy.symmetry", g, spot, symmetries, pairs=count))
     return entries
 
 

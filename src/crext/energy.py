@@ -42,18 +42,22 @@ the summed branch and power, so the inner integral is the Gram form
 and G_m folds in m's coefficients the same way.  The workspace caches the
 1-D table of mu over (b, p); the Gram cells that gather its NaN entries
 depend on beta and on which of m's coefficients are nonzero only, and are
-found once per gamma.  Each 128 x 128 Gram is one gather per check from
-its m-weighted row of moments.  A degenerate exponent (|e| < 1e-9) leaves
-the lattice and raises if any nonzero pair of coefficients lands on it.
+found once per gamma.  Each 128 x 128 Gram is one gather from its
+m-weighted row of moments, kept for the workspace last read.  A
+degenerate exponent (|e| < 1e-9) leaves the lattice and raises if any
+nonzero pair of coefficients lands on it.
 On [rho_c, rho(80/lam)] the solutions are evaluated through the U-function
-ladder on Gauss-Legendre panels whose widths are capped in w = lam rho^2
-units, riding the Gaussian decay.  The tail grid depends on the mode only,
-so every order of a mode shares it: `prepare_profiles` builds all the
-orders the checks will read on a mode with one U batch.  Profiles are kept
-per (order, mode), each with its two Frobenius branches, and shared between
-the ranges: the high range at gamma reads the profiles of orders 1 + alpha
-and 1 - alpha = 2 - gamma, the second being the low-range profile at
-2 - gamma.
+ladder on Gauss-Legendre panels in the dilation-free radius s = sqrt(lam) rho,
+graded in w = lam rho^2 = s^2 from w_c = min(0.5625, 2 / (2k + n)) with
+widths capped in w, riding the Gaussian decay.  The tail grid in s depends
+on the level only, and one U batch serves every lam of the level: a mode's
+ladder e^{-w/2} U(a, b, w) sees lam only through w, so `prepare_profiles`
+builds every (order, mode) pair the checks will read on a level with one
+U call, and each pair maps the shared nodes to its own rho = s / sqrt(lam).
+Profiles are kept per (order, mode), each with its two Frobenius branches,
+and shared between the ranges: the high range at gamma reads the profiles
+of orders 1 + alpha and 1 - alpha = 2 - gamma, the second being the
+low-range profile at 2 - gamma.
 
 Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
 x = rho^2, closed under every operation above.  They live as rows from the
@@ -148,10 +152,13 @@ def _degenerate_cells(beta: float, live: tuple) -> tuple:
     return _read_only(tuple(out))
 
 
+@lru_cache(maxsize=1)
 def _grams(ws: _Workspace) -> tuple:
-    """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms.
+    """(Gram, degenerate rows, degenerate columns) of the A A and the m u u terms, read-only.
 
-    Each Gram is one gather from its m-weighted row of moments.
+    Each Gram is one gather from its m-weighted row of moments.  The energy
+    suite runs the checks of one workspace in a row, so only the last
+    workspace's Grams are kept: the two Grams take 256 KB a workspace.
     """
     flat = ws.moments.ravel()
     out = []
@@ -160,22 +167,29 @@ def _grams(ws: _Workspace) -> tuple:
         gram = np.take(row, _GRAM_INDEX)
         gram[rows, cols] = 0.0
         out.append((gram, rows, cols))
-    return tuple(out)
+    return _read_only(tuple(out))
 
 
-def _tail_grid(lam: float, rho_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panel nodes and weights on [rho_c, sqrt(W_TOP/lam)], graded in w = lam rho^2."""
-    edges = [lam * rho_c**2]
+def _tail_grid(level: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(w_c, nodes, weights) of the tail panels in s = sqrt(lam) rho, up to s^2 = _W_TOP.
+
+    The panels are graded in w = s^2 from w_c = min(0.75^2, 2 / level), the
+    cut rho_c = min(0.75 / sqrt(lam), 2 / sqrt(nu)) in w units.  w_c is
+    formed from the integer level 2k + n alone, so every lam of a level
+    reads the same bits.
+    """
+    w_c = min(0.5625, 2.0 / level)
+    edges = [w_c]
     while edges[-1] < _W_TOP:
         edges.append(min(2.0 * edges[-1], edges[-1] + _W_STEP_CAP, _W_TOP))
     x, w = legendre_rule(_TAIL_NODES)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
-        r_lo, r_hi = math.sqrt(lo / lam), math.sqrt(hi / lam)
-        half = (r_hi - r_lo) / 2.0
-        nodes.append(half * x + (r_hi + r_lo) / 2.0)
+        s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+        half = (s_hi - s_lo) / 2.0
+        nodes.append(half * x + (s_hi + s_lo) / 2.0)
         weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return w_c, np.concatenate(nodes), np.concatenate(weights)
 
 
 # -- profiles ---------------------------------------------------------------
@@ -267,10 +281,6 @@ def _mode_pair_series(sol: ModeSolution, series):
     return u, du
 
 
-def _rho_cut(lam: float, nu: float) -> float:
-    return min(0.5, 0.75 / math.sqrt(lam), 2.0 / math.sqrt(nu))
-
-
 def _read_only(x):
     """Mark every array in a nest of tuples read-only."""
     if isinstance(x, np.ndarray):
@@ -288,23 +298,29 @@ _profiles: dict = {}  # (order, mode) -> profile, least recently read first
 def prepare_profiles(pairs) -> None:
     """Build the tail profiles of the (order, mode) pairs that later checks read.
 
-    The tail grid depends on the mode only, so the orders of one mode share
-    it and one batch of derivatives, whose Kummer U ladders take one call.
-    Pairs already built are skipped.  At most _PROFILE_CACHE profiles are
-    kept, the least recently read leaving first.
+    The tail grid in s = sqrt(lam) rho depends on the level 2k + n only, and
+    one U batch serves every lam of the level: the pairs are grouped by
+    level, and each group's derivatives take one Kummer U call over its
+    distinct rungs.  Each profile maps the shared nodes and weights to its
+    own rho = s / sqrt(lam).  Pairs already built are skipped.  At most
+    _PROFILE_CACHE profiles are kept, the least recently read leaving first.
     """
-    by_mode = {}
+    by_level = {}
     for order, mode in pairs:
-        if (float(order), mode) not in _profiles:
-            by_mode.setdefault(mode, {})[float(order)] = None
-    for mode, orders in by_mode.items():
-        sols = [ModeSolution(order, mode) for order in orders]
-        rho_c = _rho_cut(sols[0].lam, sols[0].nu)
-        rho_t, wt_t = _tail_grid(sols[0].lam, rho_c)
-        for sol, d in zip(sols, mode_derivatives(sols, rho_t, upto=1)):
+        key = (float(order), mode)
+        if key not in _profiles:
+            by_level.setdefault(2 * mode.k + mode.n, {})[key] = None
+    for level, keys in by_level.items():
+        w_c, s_t, ws_t = _tail_grid(level)
+        sols = [ModeSolution(order, mode) for order, mode in keys]
+        # (rho_c, rho nodes, rho weights), one set per lam, shared by its orders.
+        roots = {sol.lam: math.sqrt(sol.lam) for sol in sols}
+        grids = {lam: (math.sqrt(w_c) / r, s_t / r, ws_t / r) for lam, r in roots.items()}
+        for key, sol, d in zip(keys, sols, mode_derivatives(sols, s_t, upto=1)):
             series = frobenius_series(sol.order, sol.nu, sol.lam**2, _INNER_TERMS)
             series = tuple(map(np.asarray, series))
-            _profiles[sol.order, mode] = _read_only((sol, rho_c, series, rho_t, wt_t, *d))
+            rho_c, rho_t, wt_t = grids[sol.lam]
+            _profiles[key] = _read_only((sol, rho_c, series, rho_t, wt_t, *d))
     while len(_profiles) > _PROFILE_CACHE:
         del _profiles[next(iter(_profiles))]
 
@@ -338,11 +354,12 @@ def _fourth_pairs(fourth: FourthOrderMode, series1, series2):
     return u, lop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Workspace:
     """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments.
 
     `degenerate` holds the Gram cells that `_degenerate_cells` finds for beta and m.
+    Workspaces compare by identity, which keys `_grams`.
     """
 
     param: GammaParam

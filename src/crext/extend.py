@@ -11,10 +11,12 @@ a = (1 - gamma' + 2k + n)/2 and b = 1 - gamma', so the decaying solution is
 an explicit U-function; `ModeSolution` wraps it, normalized to boundary
 value 1, with derivatives of any order up to four through the contiguous
 ladder U' = -a U(a+1, b+1, .).  `mode_derivatives` evaluates several
-solutions of one mode at the same radii: they share w, so every rung of
-every ladder goes to one U batch, and `ModeSolution.derivatives` is its
-one-solution case.  Its rho^(2 gamma') expansion coefficient
-c1, a pure gamma-ratio, carries the Dirichlet-to-Neumann datum -2 gamma' c1.
+solutions at the same dilation-free radii s = sqrt(|lam|) rho: w = s^2
+whatever lam, so the distinct rungs of every ladder go to one U batch, and
+each solution applies only its own norm and w' = 2 sqrt(|lam|) s.
+`ModeSolution.derivatives` is its one-solution case.  Its rho^(2 gamma')
+expansion coefficient c1, a pure gamma-ratio, carries the
+Dirichlet-to-Neumann datum -2 gamma' c1.
 
 `fit_boundary_expansion` recovers the same number without touching the
 closed form: an inward Riccati integration of r = u'/u from deep in the
@@ -106,45 +108,45 @@ def frobenius_series(order, nu, lam_sq, nterms: int = SERIES_TERMS):
     return a, b
 
 
-def mode_derivatives(solutions: Sequence[ModeSolution], rho, upto: int = 2) -> list:
-    """[u, u', ..., u^(upto)] of each ModeSolution of one mode at the same radii.
+def mode_derivatives(solutions: Sequence[ModeSolution], s, upto: int = 2) -> list:
+    """[u, u', ..., u^(upto)] in rho of each ModeSolution at rho = s / sqrt(lam).
 
-    All solutions share w = lam rho^2, so the rungs (a + i, b + i), i <= upto,
-    of every solution go to one kummer_u_batch call on that one row of w.
-    Each solution then takes its derivatives through the contiguous ladder
-    U^(i) = (-1)^i (a)_i U(a + i, b + i, .) and the chain rule in w; a list's
-    bits do not depend on the other solutions of the batch.
+    s = sqrt(lam) rho is the dilation-free radius: w = lam rho^2 = s^2 holds
+    for every lam, so one kummer_u_batch call on w = s^2 over the distinct
+    rungs (a + i, b + i), i <= upto, serves every solution, whatever its lam.
+    Each distinct (a, b) then takes its derivatives in w through the
+    contiguous ladder U^(i) = (-1)^i (a)_i U(a + i, b + i, .), and each
+    solution its own norm and the chain rule with w' = 2 sqrt(lam) s,
+    w'' = 2 lam; a list's bits do not depend on the other solutions of the
+    batch.
     """
     if upto > 4:
         raise ValueError("derivative ladder implemented through order four")
-    if len({sol.lam for sol in solutions}) > 1:
-        raise ValueError("a derivative batch takes the solutions of one mode")
-    rho = np.asarray(rho, dtype=float)
-    lam = solutions[0].lam
-    w = lam * rho**2
-    wp = 2.0 * lam * rho
-    wpp = 2.0 * lam
-    rung = np.arange(upto + 1)
-    values = kummer_u_batch(
-        np.concatenate([sol.a + rung for sol in solutions]),
-        np.concatenate([sol.b + rung for sol in solutions]),
-        w,
-    )
+    s = np.asarray(s, dtype=float)
+    w = s * s
+    keys = list(dict.fromkeys((sol.a, sol.b) for sol in solutions))
+    rungs = np.array([(a + i, b + i) for a, b in keys for i in range(upto + 1)])
+    values = kummer_u_batch(rungs[:, 0], rungs[:, 1], w)
     damp = np.exp(-w / 2.0)
-    out = []
-    for sol, rows in zip(solutions, np.split(values, len(solutions))):
+    in_w = {}
+    for (a, b), rows in zip(keys, np.split(values, len(keys))):
         ladder = []
         poch = 1.0
         for i in range(upto + 1):
             if i:
-                poch *= sol.a + i - 1
+                poch *= a + i - 1
             ladder.append((-1.0) ** i * poch * rows[i])
-        # f = e^{-w/2} U as a function of w; chain rule with w'' constant.
-        f = [
-            damp
-            * sum(comb(m, i) * (-0.5) ** (m - i) * ladder[i] for i in range(m + 1))
+        # f = e^{-w/2} U as a function of w.
+        in_w[a, b] = [
+            damp * sum(comb(m, i) * (-0.5) ** (m - i) * ladder[i] for i in range(m + 1))
             for m in range(upto + 1)
         ]
+    out = []
+    for sol in solutions:
+        f = in_w[sol.a, sol.b]
+        # Chain rule with w'' constant.
+        wp = 2.0 * math.sqrt(sol.lam) * s
+        wpp = 2.0 * sol.lam
         norm = sol.norm
         derivs = [norm * f[0]]
         if upto >= 1:
@@ -186,7 +188,7 @@ class ModeSolution:
 
     def derivatives(self, rho: np.ndarray, upto: int = 2) -> list[np.ndarray]:
         """[u, u', u'', ...] at the given positive radii, up to order four."""
-        return mode_derivatives([self], rho, upto)[0]
+        return mode_derivatives([self], math.sqrt(self.lam) * np.asarray(rho, dtype=float), upto)[0]
 
 
 class NumericFit(NamedTuple):
@@ -371,12 +373,14 @@ class FourthOrderMode:
 
     def derivatives(self, rho, upto: int = 2) -> list[np.ndarray]:
         rho = np.asarray(rho, dtype=float)
-        return self.assemble(rho, *mode_derivatives([self.w1, self.w2], rho, upto), upto)[0]
+        d1, d2 = mode_derivatives([self.w1, self.w2], math.sqrt(self.w1.lam) * rho, upto)
+        return self.assemble(rho, d1, d2, upto)[0]
 
     def lop(self, rho) -> np.ndarray:
         """Weight-alpha second-order operator applied to the solution."""
         rho = np.asarray(rho, dtype=float)
-        return self.assemble(rho, *mode_derivatives([self.w1, self.w2], rho, 1), 0)[1]
+        d1, d2 = mode_derivatives([self.w1, self.w2], math.sqrt(self.w1.lam) * rho, 1)
+        return self.assemble(rho, d1, d2, 0)[1]
 
 
 def fourth_order_data(alpha: float, nu: float, c1s, phi: float, psi: float) -> tuple:

@@ -32,14 +32,15 @@ Given equal-length arrays a and b it evaluates a ladder of rungs (a[i],
 b[i]), one row each, either all at the points of a 1-D z or each at its own
 row of a 2-D z.  Every panel is one array over (node, rung, point) for the
 rungs still live; on a shared z its node sums are einsum contractions, with
-(1 + s/d)^(b-a-1) taken once per distinct exponent.  Both forms track quiet
-panels (a contribution below 1e-18 of the running total) per (rung, point):
-a point column leaves once it has been quiet for two panels in every live
-rung, and a rung once all its live points have or, in the scaled form, once
-it passes its budget max(2a + 60, 80) in tau.  A later panel would add less
-than half an ulp to a settled point, so retiring it changes no bits.  The
-budget also keeps tau^(a-1) in range: U(104, 0.5, 1e3) would overflow at
-tau = 1024 without it.  Node sums run in node order for every block shape,
+(1 + s/d)^(b-a-1) taken once per distinct exponent.  The direct form
+tracks quiet panels (a contribution below 1e-18 of the running total) per
+(rung, point): a point column leaves once it has been quiet for two panels
+in every live rung, and a rung once all its live points have.  A later
+panel would add less than half an ulp to a settled point, so retiring it
+changes no bits.  A scaled rung runs to its budget max(2a + 60, 80) in tau,
+at every point: the budget always ends it before two quiet panels would.
+The budget also keeps tau^(a-1) in range: U(104, 0.5, 1e3) would overflow
+at tau = 1024 without it.  Node sums run in node order for every block shape,
 including a single value, so every value is bitwise its lone (rung, point)
 call.
 
@@ -48,7 +49,7 @@ factor t^(a-1) can overflow although U itself is representable (for
 example U(75.75, 0.5, 0.0125) ~ 3.5e-111).  A quadrature that leaves double
 range raises OverflowError naming the rung's a and b and the smallest of its
 points in that form instead of returning inf or NaN; both forms check
-every panel, since a NaN would defeat the quiet test.
+every panel, since a NaN would defeat the quiet test of the direct form.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.n
 
     xl, wl = legendre_rule(_PANEL_NODES)
     exps, which = np.unique(power, return_inverse=True)
-    top = np.maximum(2.0 * a + 60.0, 80.0) if scaled else np.full(len(a), np.inf)
+    top = np.maximum(2.0 * a + 60.0, 80.0)
     out = np.empty_like(acc)
     live, cols, zl = np.arange(len(a)), np.arange(acc.shape[1]), z
     calm = np.zeros(acc.shape, dtype=bool)
@@ -234,12 +235,14 @@ def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.n
                 contrib[rows] = np.einsum("nr,np->rp", weighed[:, rows], rise)
         # Checked per panel: a NaN would defeat the convergence test below.
         acc = _finite(acc + contrib, live, a, b, z)
-        # A contribution below 1e-18 of the total is under half an ulp of it;
-        # a point is settled after two such panels in a row.
-        quiet = contrib <= 1e-18 * acc
-        settled, calm = calm & quiet, quiet
-        rungs_done = np.all(settled, axis=1) | (hi >= top[live])
-        cols_done = np.all(settled, axis=0)
+        if scaled:
+            rungs_done, cols_done = hi >= top[live], np.zeros(cols.size, dtype=bool)
+        else:
+            # A contribution below 1e-18 of the total is under half an ulp of
+            # it; a point is settled after two such panels in a row.
+            quiet = contrib <= 1e-18 * acc
+            settled, calm = calm & quiet, quiet
+            rungs_done, cols_done = np.all(settled, axis=1), np.all(settled, axis=0)
         if rungs_done.any() or cols_done.any():
             out[live[rungs_done, None], cols] = acc[rungs_done]
             out[live[:, None], cols[cols_done]] = acc[:, cols_done]

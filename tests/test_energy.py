@@ -26,6 +26,7 @@ from crext.energy import (
     _workspace,
     _xp_dx,
     dirichlet_principle_check,
+    mode_derivatives,
     mode_energy,
     prepare_profiles,
     q_symmetry_check,
@@ -339,17 +340,29 @@ def test_random_perturbation_is_seed_deterministic():
 
 
 def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
-    lam, rho_c = 0.5, 0.4
-    nodes, weights = _tail_grid(lam, rho_c)
-    assert nodes[0] > rho_c
-    assert nodes[-1] < math.sqrt(80.0 / lam)
-    assert np.all(np.diff(nodes) > 0.0)
-    assert np.all(weights > 0.0)
-    # the panel sum reproduces a Gaussian moment on the window
-    got = float(np.sum(weights * np.exp(-lam * nodes**2) * nodes))
-    lo, hi = rho_c, math.sqrt(80.0 / lam)
-    want = (math.exp(-lam * lo**2) - math.exp(-lam * hi**2)) / (2.0 * lam)
-    assert got == pytest.approx(want, rel=1e-13)
+    # In s = sqrt(lam) rho, from w_c = min(0.75^2, 2 / level) to w = 80.
+    for level, w_c in ((1, 0.5625), (3, 0.5625), (4, 0.5), (64, 2.0 / 64)):
+        got_c, nodes, weights = _tail_grid(level)
+        assert got_c == w_c
+        assert nodes[0] > math.sqrt(w_c)
+        assert nodes[-1] < math.sqrt(80.0)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.all(weights > 0.0)
+        # 24 nodes per panel; each panel at most doubles w, by at most 8.
+        edges, top = [w_c], w_c
+        while top < 80.0:
+            top = min(2.0 * top, top + 8.0, 80.0)
+            edges.append(top)
+        assert len(nodes) == 24 * (len(edges) - 1)
+        # the panel sum reproduces a Gaussian moment on the window, in s and
+        # in rho = s / sqrt(lam)
+        got = float(np.sum(weights * np.exp(-(nodes**2)) * nodes))
+        want = (math.exp(-w_c) - math.exp(-80.0)) / 2.0
+        assert got == pytest.approx(want, rel=1e-13)
+        lam = 0.5
+        rho, wt = nodes / math.sqrt(lam), weights / math.sqrt(lam)
+        got = float(np.sum(wt * np.exp(-lam * rho**2) * rho))
+        assert got == pytest.approx(want / lam, rel=1e-13)
 
 
 def _clear_workspace_caches():
@@ -403,18 +416,47 @@ def test_an_unprepared_profile_is_built_as_a_batch_of_one(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_profile_built_with_its_mode_is_bitwise_the_one_built_alone(mode):
+    # Built beside its lambda-siblings too: dilations of the mode and, on the
+    # same level 2k + n, a mode with k one lower and n two higher.
     orders = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
+    siblings = [mode] + [ModeIndex(c * mode.lam, mode.k, mode.n) for c in (0.1, 3.0, 40.0)]
+    if mode.k:
+        siblings.append(ModeIndex(1.7, mode.k - 1, mode.n + 2))
+    pairs = [(o, m) for m in siblings for o in orders]
     _clear_workspace_caches()
     try:
-        prepare_profiles([(o, mode) for o in orders])
-        together = [_mode_profile(o, mode) for o in orders]
-        for order, batched in zip(orders, together):
+        prepare_profiles(pairs)
+        together = [_mode_profile(*pair) for pair in pairs]
+        for pair, batched in zip(pairs, together):
             energy._profiles.clear()
-            alone = _mode_profile(order, mode)
+            alone = _mode_profile(*pair)
             assert batched[0].order == alone[0].order
             assert batched[1] == alone[1]
             for x, y in zip(batched[2:], alone[2:]):
                 assert np.array_equal(x, y)
+    finally:
+        _clear_workspace_caches()
+
+
+def test_one_level_at_two_lambdas_shares_its_tail_values_bitwise():
+    # The tail grid lives in s = sqrt(lam) rho, so both frequencies read
+    # their ladders at the same w = s^2: u = norm e^{-w/2} U is one array.
+    orders = (0.25, 0.75, 1.25, 1.75)
+    modes = [ModeIndex(lam=lam, k=1, n=3) for lam in (0.5, 7.3)]
+    w_c, s_t, ws_t = _tail_grid(5)
+    _clear_workspace_caches()
+    try:
+        prepare_profiles([(o, mode) for mode in modes for o in orders])
+        for order in orders:
+            low, high = [_mode_profile(order, mode) for mode in modes]
+            assert np.array_equal(low[5], high[5])
+            assert not np.array_equal(low[6], high[6])
+            for sol, rho_c, _, rho_t, wt_t, *_ in (low, high):
+                root = math.sqrt(sol.lam)
+                assert rho_c == math.sqrt(w_c) / root
+                assert np.array_equal(rho_t, s_t / root)
+                assert np.array_equal(wt_t, ws_t / root)
+                np.testing.assert_allclose(root * rho_t, s_t, rtol=2.3e-16, atol=0.0)
     finally:
         _clear_workspace_caches()
 
@@ -436,15 +478,17 @@ def test_the_profile_cache_keeps_the_most_recently_read(monkeypatch):
         _clear_workspace_caches()
 
 
-def test_the_default_energy_suite_makes_one_u_call_per_spot_mode(monkeypatch):
-    # Eight spot modes; six distinct orders (0.25 .. 1.75) of two rungs each.
+def test_the_default_energy_suite_makes_one_u_call_per_spot_level(monkeypatch):
+    # Eight spot modes on four levels 2k + n, two frequencies each; six
+    # distinct orders (0.25 .. 1.75) of two rungs each, shared by both.
     _clear_workspace_caches()
     calls = _count_u_calls(monkeypatch)
     try:
         cli._suite_energy(cli.SuiteConfig())
     finally:
         _clear_workspace_caches()
-    assert [len(call) for call in calls] == [12] * 8
+    assert [len(call) for call in calls] == [12] * 4
+    assert all(len(set(call)) == 12 for call in calls)
 
 
 def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
@@ -467,15 +511,36 @@ def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
     assert len(set(calls)) == 48
 
 
+def test_the_default_energy_suite_builds_each_workspaces_grams_once():
+    # 48 workspaces (eight spot modes, six orders); the trace and Dirichlet
+    # checks read each, and the symmetry check the 24 above order 1.
+    _clear_workspace_caches()
+    _grams.cache_clear()
+    try:
+        cli._suite_energy(cli.SuiteConfig())
+        info = _grams.cache_info()
+    finally:
+        _clear_workspace_caches()
+    assert (info.misses, info.hits) == (48, 72)
+
+
 @pytest.mark.parametrize("gamma", [1.25, 1.7])
 @pytest.mark.parametrize("mode", MODES)
 def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
+    # On the workspace's own grid: s from its level, rho = s / sqrt(lam).
     param = GammaParam(gamma)
     ws = _workspace(gamma, mode)
+    _, s_t, _ = _tail_grid(2 * mode.k + mode.n)
+    assert np.array_equal(ws.rho_t, s_t / math.sqrt(ws.lam))
     for (_, _, u_t, lop_t), data in zip(ws.basis, ((1.0, 0.0), (0.0, 1.0))):
         fourth = FourthOrderMode(param, mode, *data)
-        assert np.array_equal(u_t, fourth.derivatives(ws.rho_t, 0)[0])
-        assert np.array_equal(lop_t, fourth.lop(ws.rho_t))
+        d1, d2 = mode_derivatives([fourth.w1, fourth.w2], s_t, 1)
+        (value,), lop = fourth.assemble(ws.rho_t, d1, d2, 0)
+        assert np.array_equal(u_t, value)
+        assert np.array_equal(lop_t, lop)
+        # the rho-side entry points read s = sqrt(lam) rho, within an ulp of s_t
+        np.testing.assert_allclose(fourth.derivatives(ws.rho_t, 0)[0], u_t, rtol=1e-13)
+        np.testing.assert_allclose(fourth.lop(ws.rho_t), lop_t, rtol=1e-13)
 
 
 def test_cached_profiles_are_read_only():
@@ -489,6 +554,7 @@ def test_cached_profiles_are_read_only():
     high = _workspace(1.75, mode)
     for ws in (low, high):
         arrays += [ws.rho_t, ws.wt_t, ws.m, ws.m_t, ws.boundary, ws.moments]
+        arrays += [x for gram in _grams(ws) for x in gram]
         for part in ws.basis:
             assert [x.shape for x in part[:2]] == [(2 * _NP,)] * 2
             arrays += list(part)

@@ -5,6 +5,7 @@ the closed U-function stack, the Frobenius series (exact rationals where
 possible), and blind ODE integration.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -371,10 +372,11 @@ def test_derivative_ladder_depth_guard():
         sol.derivatives(np.array([1.0]), upto=5)
 
 
-def _referee_derivatives(sol: ModeSolution, rho, upto: int) -> list:
-    """[u, ..., u^(upto)] from the solution's own ladder of upto + 1 rungs, one call."""
-    w = sol.lam * rho**2
-    wp = 2.0 * sol.lam * rho
+def _referee_derivatives(sol: ModeSolution, s, upto: int) -> list:
+    """[u, ..., u^(upto)] at rho = s / sqrt(lam) from the solution's own ladder of
+    upto + 1 rungs, one call."""
+    w = s * s
+    wp = 2.0 * math.sqrt(sol.lam) * s
     wpp = 2.0 * sol.lam
     rung = np.arange(upto + 1)
     values = kummer_u_batch(sol.a + rung, sol.b + rung, w)
@@ -403,23 +405,31 @@ def _referee_derivatives(sol: ModeSolution, rho, upto: int) -> list:
 @pytest.mark.parametrize("upto", range(5))
 @pytest.mark.parametrize("mode", [ModeIndex(0.5, 0, 1), ModeIndex(2.0, 3, 2)])
 def test_batch_derivatives_are_each_solutions_own_bitwise(upto, mode):
-    # w = lam rho^2 runs from 1e-3 to 18: both forms of the U quadrature.
-    rho = np.geomspace(0.02, 3.0, 13) / np.sqrt(mode.lam / 2.0)
-    sols = [ModeSolution(order, mode) for order in (0.25, 0.5, 1.25, 1.75)]
-    batch = mode_derivatives(sols, rho, upto)
+    # w = s^2 runs from 1e-3 to 18: both forms of the U quadrature.  The
+    # batch holds the mode and its dilation by 3.5, which share every rung.
+    s = np.geomspace(0.02, 3.0, 13) * math.sqrt(2.0)
+    dilated = ModeIndex(3.5 * mode.lam, mode.k, mode.n)
+    sols = [ModeSolution(order, m) for m in (mode, dilated) for order in (0.25, 0.5, 1.25, 1.75)]
+    batch = mode_derivatives(sols, s, upto)
     assert len(batch) == len(sols)
     for sol, got in zip(sols, batch):
-        own = ModeSolution(sol.order, mode).derivatives(rho, upto)
-        referee = _referee_derivatives(sol, rho, upto)
+        own = mode_derivatives([ModeSolution(sol.order, sol.mode)], s, upto)[0]
+        referee = _referee_derivatives(sol, s, upto)
         assert len(got) == len(own) == upto + 1
         for x, y, r in zip(got, own, referee):
             assert np.array_equal(x, y)
             assert np.array_equal(x, r)
+        # At rho, a solution reads its ladder at s = sqrt(lam) rho.
+        rho = s / math.sqrt(sol.lam)
+        root_rho = math.sqrt(sol.lam) * rho
+        for x, r in zip(sol.derivatives(rho, upto), _referee_derivatives(sol, root_rho, upto)):
+            assert np.array_equal(x, r)
+    # The value u = norm e^{-w/2} U does not see lam.
+    for low, high in zip(batch[:4], batch[4:]):
+        assert np.array_equal(low[0], high[0])
 
 
-def test_a_derivative_batch_takes_one_mode():
+def test_a_derivative_batch_stops_at_order_four():
     sols = [ModeSolution(0.5, ModeIndex(1.0, 0, 1)), ModeSolution(0.5, ModeIndex(2.0, 0, 1))]
-    with pytest.raises(ValueError, match="one mode"):
-        mode_derivatives(sols, np.array([1.0]))
     with pytest.raises(ValueError, match="order four"):
-        mode_derivatives(sols[:1], np.array([1.0]), upto=5)
+        mode_derivatives(sols, np.array([1.0]), upto=5)
