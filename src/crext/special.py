@@ -28,21 +28,35 @@ the mass 1/a.  A rule's bits do not depend on its batch.  U(b, 2b, z) over
 b in [0.3, 6], z in [1e-3, 60] is within 4.2e-15 of mpmath (3.7e-13 with
 scipy's `roots_jacobi` rule).
 
+Heads are built by family.  A rung with a >= 2 reads the rule of
+f = a - floor(a - 1) in [1, 2) with weights times s^(a - f), which is exact
+for degree <= 79 - (a - f); both subtractions are exact, so a - f is an
+integer.  A rung with a < 2 keeps its own rule, since its lift s^(a - f)
+would be 1/s.  So a run builds one rule per family, 12 to 49 on the
+benchmark workloads against 72 to 160 built per a.  Past that degree the
+lifted rule is not exact, but its moments of s^(a-1+j), j < 80, stay within
+2e-14 up to a = 101 and 5e-11 at a = 171, where the head's share of U has
+fallen far below that.
+
 Given equal-length arrays a and b it evaluates a ladder of rungs (a[i],
 b[i]), one row each, either all at the points of a 1-D z or each at its own
 row of a 2-D z.  Every panel is one array over (node, rung, point) for the
 rungs still live; on a shared z its node sums are einsum contractions, with
-(1 + s/d)^(b-a-1) taken once per distinct exponent.  The direct form
-tracks quiet panels (a contribution below 1e-18 of the running total) per
-(rung, point): a point column leaves once it has been quiet for two panels
-in every live rung, and a rung once all its live points have.  A later
-panel would add less than half an ulp to a settled point, so retiring it
-changes no bits.  A scaled rung runs to its budget max(2a + 60, 80) in tau,
-at every point: the budget always ends it before two quiet panels would.
-The budget also keeps tau^(a-1) in range: U(104, 0.5, 1e3) would overflow
-at tau = 1024 without it.  Node sums run in node order for every block shape,
-including a single value, so every value is bitwise its lone (rung, point)
-call.
+(1 + s/d)^(b-a-1) taken once per distinct exponent.  On a shared z the rungs
+of one family share their head nodes too: the head takes e^{-s z} once per
+family (direct form) and (1 + s/z)^(b-a-1) once per (family, exponent)
+(scaled form), and gathers them per rung in the product order
+(w e^{-s c}) (1 + s/d)^(b-a-1), so a value's bits still depend on its own
+(a, b, z) only.  The direct form tracks quiet panels (a contribution below
+1e-18 of the running total) per (rung, point): a point column leaves once
+it has been quiet for two panels in every live rung, and a rung once all
+its live points have.  A later panel would add less than half an ulp to a
+settled point, so retiring it changes no bits.  A scaled rung runs to its
+budget max(2a + 60, 80) in tau, at every point: the budget always ends it
+before two quiet panels would.  The budget also keeps tau^(a-1) in range:
+U(104, 0.5, 1e3) would overflow at tau = 1024 without it.  Node sums run in
+node order for every block shape, including a single value, so every value
+is bitwise its lone (rung, point) call.
 
 Both forms run in plain double precision, so for large a and small z the
 factor t^(a-1) can overflow although U itself is representable (for
@@ -126,17 +140,31 @@ def _jacobi_rules(a: np.ndarray):
     return s, weight * ((1.0 / a) / _node_sum(weight))
 
 
+def _family(a: np.ndarray) -> np.ndarray:
+    """The rule each rung's head reads: a below 2, else f = a - floor(a - 1) in [1, 2).
+
+    Both subtractions are exact, so a - f is an integer.
+    """
+    return np.where(a < 2.0, a, a - np.floor(a - 1.0))
+
+
 def _heads(a: np.ndarray):
-    """Gauss-Jacobi nodes and weights of every rung on [0, 1] as (node, rung) arrays;
-    the rules not cached are built in one batch, and the oldest beyond _RULE_CACHE leave."""
-    keys = a.tolist()
+    """Gauss-Jacobi nodes and weights of every rung on [0, 1] as (node, rung) arrays.
+
+    A rung reads the rule of its family f (`_family`), weights times s^(a - f).
+    The rules not cached are built in one batch, and the oldest beyond
+    _RULE_CACHE leave.
+    """
+    family = _family(a)
+    keys = family.tolist()
     new = [key for key in dict.fromkeys(keys) if key not in _rules]
     if new:
         _rules.update(zip(new, np.stack(_jacobi_rules(np.array(new))).transpose(2, 0, 1)))
-    both = np.stack([_rules[key] for key in keys], axis=2)
+    s, w = np.stack([_rules[key] for key in keys], axis=2)
     for key in list(_rules)[: max(0, len(_rules) - _RULE_CACHE)]:
         del _rules[key]
-    return both[0], both[1]
+    lift = a - family
+    return s, w * _power(s, lift, _exact_exponents(lift))
 
 
 # numpy takes x ** e for e in {-1, 0, 0.5, 1, 2} by an exact operation (1/x,
@@ -191,6 +219,15 @@ def _finite(values: np.ndarray, rungs: np.ndarray, a, b, z: np.ndarray) -> np.nd
     )
 
 
+def _groups(z: np.ndarray, *keys: np.ndarray) -> tuple:
+    """(first, index): on a shared z, the first rung of each distinct key and each
+    rung's key; on per-rung rows of z, every rung on its own."""
+    if len(z) > 1:
+        return slice(None), slice(None)
+    _, first, index = np.unique(np.stack(keys), axis=1, return_index=True, return_inverse=True)
+    return first, index.ravel()
+
+
 def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.ndarray:
     """The Laplace integral in the direct or the scaled form, one row per rung.
 
@@ -202,8 +239,14 @@ def _u_panels(a: np.ndarray, b: np.ndarray, z: np.ndarray, scaled: bool) -> np.n
     exact = _exact_exponents(a - 1.0, power, -a)
     s, w = _heads(a)
     c, d = (1.0, z) if scaled else (z, 1.0)
-    head = w[..., None] * np.exp(-s[..., None] * c)
-    acc = _node_sum(head * _power(1.0 + s[..., None] / d, power[:, None], exact))
+    # On a shared z the rungs of one family share their nodes: e^{-s c} is taken
+    # once per family and (1 + s/d)^(b-a-1) once per (family, exponent).
+    family = _family(a)
+    f_first, f_of = _groups(z, family)
+    e_first, e_of = _groups(z, family, power)
+    damp = np.exp(-s[:, f_first, None] * c)[:, f_of]
+    rise = _power(1.0 + s[:, e_first, None] / d, power[e_first, None], exact)[:, e_of]
+    acc = _node_sum(w[..., None] * damp * rise)
 
     xl, wl = legendre_rule(_PANEL_NODES)
     exps, which = np.unique(power, return_inverse=True)

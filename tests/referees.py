@@ -1,8 +1,11 @@
-"""Referees the tests grade crext against: plain exact forms that no check
-of `verify` runs, so the package does not carry them."""
+"""Referees the tests grade crext against: plain exact forms and profiles
+that no check of `verify` runs, so the package does not carry them."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from crext.energy import _xp_dx, _xp_eval
 from crext.opalg import Poly
 
 
@@ -41,3 +44,16 @@ def subs(poly: Poly, index: int, value) -> Poly:
 def as_fractions(terms) -> list[dict[tuple[int, int], Fraction]]:
     """`scatter.raw_recursion`'s (numerators, denominator) pairs as dicts of Fractions."""
     return [{k: Fraction(v, den) for k, v in nums.items()} for nums, den in terms]
+
+
+def w_value(p: np.ndarray, c, rho: np.ndarray) -> np.ndarray:
+    """p(x) e^{-c x} at x = rho^2, for an x-polynomial p (coefficients along the last axis)."""
+    x = rho * rho
+    return _xp_eval(p, x) * np.exp(-c * x)
+
+
+def w_deriv(h: np.ndarray, c, rho: np.ndarray) -> np.ndarray:
+    """d/drho of h(x) e^{-c x} at x = rho^2."""
+    x = rho * rho
+    core = _xp_eval(_xp_dx(h), x) - c * _xp_eval(h, x)
+    return 2.0 * rho * core * np.exp(-c * x)

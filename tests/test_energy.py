@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crext import cli, energy, extend
+from crext import cli, energy, extend, special
 from crext.energy import (
     _GRAM_INDEX,
     _NP,
     _P_LO,
+    _TAIL_NODES,
     _closed_energies,
     _combine,
     _draw_perturbations,
@@ -21,8 +22,6 @@ from crext.energy import (
     _pairing,
     _perturbation_parts,
     _tail_grid,
-    _w_deriv,
-    _w_value,
     _workspace,
     _xp_dx,
     dirichlet_principle_check,
@@ -41,6 +40,8 @@ from crext.spectral import (
     mode_eigenvalue,
     theorem_constant,
 )
+from referees import w_deriv as _w_deriv
+from referees import w_value as _w_value
 
 MODES = (
     ModeIndex(lam=0.5, k=0, n=1),
@@ -348,12 +349,12 @@ def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
         assert nodes[-1] < math.sqrt(80.0)
         assert np.all(np.diff(nodes) > 0.0)
         assert np.all(weights > 0.0)
-        # 24 nodes per panel; each panel at most doubles w, by at most 8.
+        # _TAIL_NODES nodes per panel; each panel at most doubles w, by at most 8.
         edges, top = [w_c], w_c
         while top < 80.0:
             top = min(2.0 * top, top + 8.0, 80.0)
             edges.append(top)
-        assert len(nodes) == 24 * (len(edges) - 1)
+        assert len(nodes) == _TAIL_NODES * (len(edges) - 1)
         # the panel sum reproduces a Gaussian moment on the window, in s and
         # in rho = s / sqrt(lam)
         got = float(np.sum(weights * np.exp(-(nodes**2)) * nodes))
@@ -522,6 +523,93 @@ def test_the_default_energy_suite_builds_each_workspaces_grams_once():
     finally:
         _clear_workspace_caches()
     assert (info.misses, info.hits) == (48, 72)
+
+
+def test_the_default_energy_profiles_build_at_most_twelve_jacobi_rules(monkeypatch):
+    # The 24 rungs of the default spot pairs fall into at most 12 families
+    # f = a - floor(a - 1), and a rule is built once per family.
+    built = []
+    counted = special._jacobi_rules
+
+    def counting(a):
+        built.extend(a.tolist())
+        return counted(a)
+
+    monkeypatch.setattr(special, "_jacobi_rules", counting)
+    monkeypatch.setattr(special, "_rules", {})
+    _clear_workspace_caches()
+    try:
+        prepare_profiles(cli._spot_pairs(cli.SuiteConfig()))
+    finally:
+        _clear_workspace_caches()
+    assert 0 < len(built) <= 12
+    assert len(set(built)) == len(built)
+    assert max(built) < 2.0
+
+
+def _energy_and_size(ws, parts, data):
+    """The form on `parts` (one row per leading index) and the sum of its terms' magnitudes.
+
+    The terms are the two Gram forms on [0, rho_c], the two tail sums with
+    every node's contribution taken in magnitude, and the boundary term.
+    """
+    u, a, t, at = parts
+    (g_a, _, _), (g_m, _, _) = grams = _grams(ws)
+    edge = float(data @ ws.boundary @ data)
+    tail = ws.wt_t * ws.weight_t * (at * at + np.abs(ws.m_t) * (t * t))
+    size = np.abs(np.sum((a @ g_a) * a, axis=-1)) + np.abs(np.sum((u @ g_m) * u, axis=-1))
+    return _pairing(ws, grams, parts, parts) + edge, size + np.sum(tail, axis=-1) + abs(edge)
+
+
+def _tail_energies(modes, gammas) -> list:
+    """(energy, size) of each workspace's form at its data and of one block of shifted forms."""
+    out = []
+    for gamma in gammas:
+        data = np.array((1.0, 0.6) if GammaParam(gamma).is_high else (1.0,))
+        for mode in modes:
+            ws = _workspace(gamma, mode)
+            base = _combine(data, ws.basis)
+            h, c, t = _draw_perturbations(random.Random(f"tail:{gamma}:{mode}"), abs(mode.lam), 32)
+            parts = _perturbation_parts(h, c, ws)
+            shifted = tuple(b + t[:, None] * w for b, w in zip(base, parts))
+            out += [_energy_and_size(ws, base, data), _energy_and_size(ws, shifted, data)]
+    return out
+
+
+def test_the_tail_rule_has_converged_to_rounding(monkeypatch):
+    # Against twice its nodes, the tail rule moves mode_energy and shifted
+    # energies by rounding only (about 7e-16 of the terms' magnitudes); ten
+    # nodes per panel move them by 1.5e-13.  Default spot modes, one mode at
+    # level 64 and the frequencies 0.001 and 1000.
+    modes = [*cli.SuiteConfig().spot_modes(), ModeIndex(0.5, 31, 2)]
+    modes += [ModeIndex(lam, 0, 1) for lam in (0.001, 1000.0)]
+    gammas = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
+    runs = []
+    for nodes in (energy._TAIL_NODES, 2 * energy._TAIL_NODES):
+        monkeypatch.setattr(energy, "_TAIL_NODES", nodes)
+        _clear_workspace_caches()
+        try:
+            runs.append(_tail_energies(modes, gammas))
+        finally:
+            _clear_workspace_caches()
+    for (got, _), (want, size) in zip(*runs):
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
+@pytest.mark.parametrize("mode", MODES)
+def test_perturbation_tails_are_their_profiles_at_the_tail_nodes_bitwise(gamma, mode):
+    # Both tail parts of a row share x = rho^2 and e^{-c x}; each is the
+    # profile formula evaluated on its own.
+    ws = _workspace(gamma, mode)
+    h, c, _ = _draw_perturbations(random.Random(f"tails:{gamma}:{mode}"), abs(mode.lam), 5)
+    _, _, u_t, a_t = _perturbation_parts(h, c, ws)
+    assert np.array_equal(u_t, _w_value(h, c, ws.rho_t))
+    if ws.param.is_high:
+        g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
+        assert np.array_equal(a_t, _w_value(g, c, ws.rho_t))
+    else:
+        assert np.array_equal(a_t, _w_deriv(h, c, ws.rho_t))
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.7])

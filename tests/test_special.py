@@ -480,15 +480,45 @@ def test_the_quiet_rule_keeps_every_bit_of_a_slow_tail(b):
 _RULE_A = [0.1, 0.5, 1.0, 1.375, 2.0, 8.5, 34.0, 101.0, 171.0]
 
 
+def _family_of(a: float) -> float:
+    return a if a < 2.0 else a - math.floor(a - 1.0)
+
+
+def _beta_moments_error(s, w, a: float, degrees) -> float:
+    """The worst relative error of sum w s^j against B(j + a, 1) = 1 / (j + a) over degrees."""
+    nodes = [mpmath.mpf(float(v)) for v in s]
+    weights = [mpmath.mpf(float(v)) for v in w]
+    worst = mpmath.mpf(0)
+    for j in degrees:
+        got = mpmath.fsum(wi * si**j for wi, si in zip(weights, nodes))
+        worst = max(worst, abs(got / mpmath.beta(j + a, 1) - 1))
+    return worst
+
+
 def test_jacobi_rules_integrate_monomials_to_their_beta_integrals():
-    # The 40-node rule is exact for degree <= 79: sum w s^j = B(j + a, 1).
+    # The 40-node rule of each family f is exact for degree <= 79, and a
+    # rung's head, its weights times s^(a - f), for degree <= 79 - (a - f).
+    families = sorted({_family_of(a) for a in _RULE_A})
+    s, w = _jacobi_rules(np.array(families))
+    for r, f in enumerate(families):
+        assert _beta_moments_error(s[:, r], w[:, r], f, range(80)) < 3e-14, f
     s, w = _heads(np.array(_RULE_A))
     for r, a in enumerate(_RULE_A):
-        nodes = [mpmath.mpf(float(v)) for v in s[:, r]]
-        weights = [mpmath.mpf(float(v)) for v in w[:, r]]
-        for j in range(80):
-            got = mpmath.fsum(wi * si**j for wi, si in zip(weights, nodes))
-            assert abs(got / mpmath.beta(j + a, 1) - 1) < 3e-14, (a, j)
+        exact = range(80 - round(a - _family_of(a)))
+        assert _beta_moments_error(s[:, r], w[:, r], a, exact) < 3e-14, a
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 1.375, 1.999, 2.0, 2.75, 8.5, 34.0, 101.375])
+def test_a_rungs_head_is_its_family_rule_with_lifted_weights(a):
+    # Below 2 a rung keeps its own rule; from 2 on it reads the rule of
+    # f = a - floor(a - 1) in [1, 2), with weights times s^(a - f).
+    f = _family_of(a)
+    assert 1.0 <= f < 2.0 or f == a < 1.0
+    assert (a - f).is_integer()
+    s, w = _heads(np.array([a, 0.3]))
+    fs, fw = _jacobi_rules(np.array([f]))
+    assert np.array_equal(s[:, 0], fs[:, 0])
+    assert np.array_equal(w[:, 0], fw[:, 0] * fs[:, 0] ** (a - f))
 
 
 def test_jacobi_nodes_agree_with_scipy():
@@ -509,15 +539,18 @@ def test_a_rule_built_in_a_batch_is_bitwise_the_rule_built_alone(a):
 
 
 def test_the_rule_cache_stays_bounded(monkeypatch):
+    # One rule per family, first seen first; rungs of a cached family add none.
     monkeypatch.setattr(special, "_rules", {})
     monkeypatch.setattr(special, "_RULE_CACHE", 4)
-    a = np.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 1.5])
+    a = np.array([0.5, 1.5, 2.25, 3.75, 4.125, 5.875, 1.5, 2.5, 9.25])
+    families = [0.5, 1.5, 1.25, 1.75, 1.125, 1.875]
     nodes, weights = _heads(a)
-    assert list(special._rules) == [2.5, 3.5, 4.5, 5.5]
-    built = _jacobi_rules(a[:6])
-    assert np.array_equal(nodes, built[0][:, [0, 1, 2, 3, 4, 5, 1]])
-    assert np.array_equal(weights, built[1][:, [0, 1, 2, 3, 4, 5, 1]])
-    assert np.array_equal(_heads(a[1:3])[1], built[1][:, 1:3])
+    assert list(special._rules) == families[2:]
+    built = _jacobi_rules(np.array(families))
+    assert np.array_equal(nodes, built[0][:, [0, 1, 2, 3, 4, 5, 1, 1, 2]])
+    assert np.array_equal(weights[:, [0, 1, 6]], built[1][:, [0, 1, 1]])
+    assert np.array_equal(_heads(a[1:3])[1], weights[:, 1:3])
+    assert list(special._rules) == [1.75, 1.125, 1.875, 1.5]
 
 
 def test_u_with_b_twice_a_matches_mpmath_to_a_few_ulps():
