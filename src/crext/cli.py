@@ -13,8 +13,6 @@ file this run created and leaves one already there untouched); each error
 message is one stderr line naming the offending value, path or suite.
 """
 
-from __future__ import annotations
-
 import gc
 
 # The imports load numpy and scipy, whose objects live until exit, so a

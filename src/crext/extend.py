@@ -20,20 +20,21 @@ Dirichlet-to-Neumann datum -2 gamma' c1.
 
 `fit_boundary_expansion` recovers the same number without touching the
 closed form: an inward Riccati integration of r = u'/u from deep in the
-decay region, followed by a least-squares split of the recovered profile
-into the two Frobenius branches near the boundary.  Each pair starts at
-w = |lam| rho^2 = max(50, 2a + 40), the turning point plus 40 e-folds.
+decay region down to one matching point near the boundary, where r alone
+fixes the ratio of the two Frobenius branches.  Each pair starts at
+w = |lam| rho^2 = max(50, 2a + 40), the turning point plus 40 e-folds, and
+matches at w = min(1, 2.89 |lam| / nu), which depends on the level only.
 Inward the Riccati flow contracts, damping an error in r by the squared
 decay of u before it reaches the boundary, so a loose deep leg carries r
-down to where every pair still has w >= 10 ahead of its fit grid, and a
-tight fit leg carries (r, log u) from there across the fit points.  A whole
-batch of (order, mode) pairs is one stacked system in x = rho / rho_max,
-two ODE solves however many modes it holds; since the step size follows
-the hardest pair, a fit's last digits depend on its batch (and are
-deterministic for a given batch).  Closed and numeric paths share no
-formulas past the ODE itself, which is what makes the comparison a test;
-`verify_dtn_theorem` and `verify_fourth_constants` grade the closed form by
-default and a fit when one is passed.
+down to where the first pair reaches w = 10, and a tight fit leg carries it
+from there to the matching points.  A whole batch of (order, mode) pairs
+is one stacked system in a shared parameter tau in [0, 1], two ODE solves
+however many modes it holds; since the step size follows the hardest pair,
+a fit's last digits depend on its batch (and are deterministic for a given
+batch).  Closed and numeric paths share no formulas past the ODE itself,
+which is what makes the comparison a test; `verify_dtn_theorem` and
+`verify_fourth_constants` grade the closed form by default and a fit when
+one is passed.
 
 Orders gamma in (1, 2) are handled by `FourthOrderMode`: the fourth-order
 mode equation factors through the weight-alpha second-order operator
@@ -69,14 +70,12 @@ __all__ = [
     "exclusion_residuals",
     "fourth_order_data",
     "boundary_functionals",
-    "FIT_POINTS",
     "SERIES_TERMS",
 ]
 
-FIT_POINTS = 12
 SERIES_TERMS = 40
-# w = lam rho^2 that every pair still has ahead of its fit grid where the
-# loose deep leg of the boundary fit hands over to the tight fit leg.
+# w = lam rho^2 where the first pair of a boundary fit batch leaves the loose
+# deep leg for the tight fit leg.
 _SETTLED_W = 10.0
 
 
@@ -192,41 +191,30 @@ class ModeSolution:
 
 
 class NumericFit(NamedTuple):
-    c0: float
     c1: float
     dtn: float
-    fit_residual: float
-
-
-def _fit_grid(lam: float, nu: float) -> np.ndarray:
-    top = min(0.75, 0.7 / math.sqrt(lam), 1.7 / math.sqrt(nu))
-    return top * 2.0 ** (-np.arange(FIT_POINTS) / 2.0)
 
 
 def fit_boundary_expansion(pairs) -> list[NumericFit]:
-    """Recover (c0, c1) of each decaying solution by ODE integration alone.
+    """Recover c1 of each decaying solution by ODE integration alone.
 
     `pairs` is a sequence of (order, mode); one NumericFit comes back per
     pair, in order.  Each pair integrates the Riccati form
-    r' = -r^2 + (2 gamma' - 1) r / rho + lam^2 rho^2 + nu, together with
-    (log u)' = r, inward from rho_max, where w = lam rho^2 is
-    w_max = max(50, 2a + 40) and r starts at its asymptote -lam rho - 2a/rho.
-    Inward the flow contracts: an error in r at w is damped by
-    (u(w) / u(w'))^2 before it reaches w' < w, so neither the start nor the
-    deep stretch need be tight.  In x = rho / rho_max every pair starts at
-    x = 1, and the batch is one stacked DOP853 system in two legs:
+    r' = -r^2 + (2 gamma' - 1) r / rho + lam^2 rho^2 + nu of r = u'/u
+    inward from rho_max, where w = lam rho^2 is w_max = max(50, 2a + 40) and
+    r starts at its asymptote -lam rho - 2a/rho, down to the matching point
+    rho_m = min(1/sqrt(lam), 1.7/sqrt(nu)), where w_m = min(1, 2.89 lam/nu)
+    depends on the level 2k + n only.  Inward the flow contracts: an error
+    in r at w is damped by (u(w) / u(w'))^2 before it reaches w' < w, so
+    neither the start nor the deep stretch need be tight.  Pair i runs
+    rho = rho_max + tau (rho_m - rho_max) over tau in [0, 1], and the batch
+    is one stacked DOP853 system in two legs, neither with output points:
+    a deep leg at rtol 1e-7 up to the tau where the first pair reaches
+    w = 10, and a fit leg at rtol 1e-12 on to tau = 1.
 
-    - the deep leg carries r alone from x = 1 to `split` at rtol 1e-7, with
-      no output points;
-    - the fit leg carries (r, log u) from `split` across the sorted union of
-      the scaled fit grids at rtol 1e-12; log u restarts at 0, an offset
-      that cancels in u / max(u).
-
-    `split` is the larger of sqrt(10 / min w_max) and the largest scaled
-    fit point, so every pair still has w >= 10 ahead of its fit grid.  Each
-    profile is then split over its two Frobenius branches by least squares
-    on its own grid: one two-column modified Gram-Schmidt for the batch,
-    in elementwise products and sums.
+    With u = c0 f_reg + c1 f_sing over the two Frobenius branches, u'/u = r
+    at rho_m gives c1 / c0 = (f_reg' - r f_reg) / (r f_sing - f_sing'); the
+    fit reports that ratio as c1, normalized to c0 = 1 like ModeSolution.
     """
     setups = []
     for gam, mode in pairs:
@@ -234,33 +222,26 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
         lam = abs(mode.lam)
         nu = mode_eigenvalue(mode)
         a = kummer_a(gam, mode)
-        w_max = max(50.0, 2.0 * a + 40.0)
-        rho_max = math.sqrt(w_max / lam)
-        setups.append((float(gam), lam, nu, a, w_max, rho_max, _fit_grid(lam, nu)))
+        rho_max = math.sqrt(max(50.0, 2.0 * a + 40.0) / lam)
+        rho_m = min(1.0 / math.sqrt(lam), 1.7 / math.sqrt(nu))
+        setups.append((float(gam), lam, nu, a, rho_max, rho_m))
     if not setups:
         return []
-    count = len(setups)
-    order, lam, nu, a, w_max, rho_max = map(np.array, list(zip(*setups))[:6])
+    order, lam, nu, a, rho_max, rho_m = map(np.array, zip(*setups))
 
-    # d/dx of (r, log u) at rho = rho_max x is rho_max times d/drho.
+    # d/dtau of r at rho = rho_max + tau span is span times d/drho.
+    span = rho_m - rho_max
     drift = 2.0 * order - 1.0
-    well = lam * lam * rho_max**3
-    shift = nu * rho_max
+    well = lam * lam
 
-    def riccati(x, r):
-        return r * (drift / x - rho_max * r) + (well * (x * x) + shift)
+    def riccati(tau, r):
+        rho = rho_max + tau * span
+        return span * (r * (drift / rho - r) + (well * (rho * rho) + nu))
 
-    def rhs(x, y):
-        r = y[:count]
-        return np.concatenate((riccati(x, r), rho_max * r))
-
-    grids = np.array([grid for *_, grid in setups])
-    scaled = grids / rho_max[:, None]
-    ascending = np.unique(scaled)
-    split = max(math.sqrt(_SETTLED_W / float(np.min(w_max))), float(ascending[-1]))
+    split = float(np.min((rho_max - np.sqrt(_SETTLED_W / lam)) / (rho_max - rho_m)))
     deep = solve_ivp(
         riccati,
-        (1.0, split),
+        (0.0, split),
         -lam * rho_max - 2.0 * a / rho_max,
         method="DOP853",
         rtol=1e-7,
@@ -268,45 +249,26 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
     )
     if not deep.success:
         raise RuntimeError(f"inward integration failed: {deep.message}")
-    sol = solve_ivp(
-        rhs,
-        (split, float(ascending[0])),
-        np.concatenate((deep.y[:, -1], np.zeros(count))),
-        t_eval=ascending[::-1],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-13,
-    )
+    sol = solve_ivp(riccati, (split, 1.0), deep.y[:, -1], method="DOP853", rtol=1e-12, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"inward integration failed: {sol.message}")
 
-    log_profiles = sol.y[count:, ::-1]  # columns follow `ascending`
-    log_u = np.take_along_axis(log_profiles, np.searchsorted(ascending, scaled), axis=1)
-    u = np.exp(log_u - np.max(log_u, axis=1, keepdims=True))  # each row peaks at 1
-
     series = [frobenius_series(gam, nu_i, lam_i * lam_i) for gam, lam_i, nu_i, *_ in setups]
-    coeff_a, coeff_b = (np.array(branch)[:, None, :] for branch in zip(*series))
-    powers = grids[:, :, None] ** (2 * np.arange(SERIES_TERMS))
-    col_reg = np.sum(powers * coeff_a, axis=2)
-    col_sing = grids ** (2.0 * order[:, None]) * np.sum(powers * coeff_b, axis=2)
+    coeff_a, coeff_b = (np.array(branch) for branch in zip(*series))
+    at = rho_m[:, None]
 
-    # Two-column modified Gram-Schmidt, one row per pair, in elementwise
-    # products and sums only.
-    def dot(p, q):
-        return np.sum(p * q, axis=1)
+    def branch(coeff, powers):
+        """A Frobenius branch and its rho-derivative at rho_m."""
+        value = np.sum(coeff * at**powers, axis=1)
+        return value, np.sum(powers * coeff * at ** (powers - 1), axis=1)
 
-    r11 = np.sqrt(dot(col_reg, col_reg))
-    q1 = col_reg / r11[:, None]
-    r12 = dot(q1, col_sing)
-    v = col_sing - r12[:, None] * q1
-    r22 = np.sqrt(dot(v, v))
-    q2 = v / r22[:, None]
-    y1 = dot(q1, u)
-    c1 = dot(q2, u - y1[:, None] * q1) / r22
-    c0 = (y1 - r12 * c1) / r11
-    resid = np.max(np.abs(c0[:, None] * col_reg + c1[:, None] * col_sing - u), axis=1)
-    dtn = -2.0 * order * c1 / c0
-    return [NumericFit(*row) for row in zip(c0.tolist(), c1.tolist(), dtn.tolist(), resid.tolist())]
+    twice_j = 2.0 * np.arange(SERIES_TERMS)
+    f_reg, f_reg_d = branch(coeff_a, twice_j)
+    f_sing, f_sing_d = branch(coeff_b, twice_j + 2.0 * order[:, None])
+    r = sol.y[:, -1]
+    c1 = (f_reg_d - r * f_reg) / (r * f_sing - f_sing_d)
+    dtn = -2.0 * order * c1
+    return [NumericFit(*row) for row in zip(c1.tolist(), dtn.tolist())]
 
 
 def verify_dtn_theorem(
@@ -416,7 +378,7 @@ def _unit_data_functionals(param: GammaParam, mode: ModeIndex, fits=None) -> lis
     if fits is None:
         c1s = [ModeSolution(order, mode).c1 for order in param.orders]
     else:
-        c1s = [fit.c1 / fit.c0 for fit in fits]
+        c1s = [fit.c1 for fit in fits]
     al, nu = param.alpha, mode_eigenvalue(mode)
     units = ((1.0, 0.0), (0.0, 1.0))
     return [boundary_functionals(al, nu, fourth_order_data(al, nu, c1s, *d)) for d in units]

@@ -361,11 +361,12 @@ def test_default_report_keeps_its_skeleton():
     assert all(any(i == f or i.startswith(f + ".") for i in ids) for f in cli._FAMILIES)
 
 
-def _python(*args, check=True):
-    """Run `python args...` in a fresh interpreter that imports this checkout's crext."""
+def _python(*args, check=True, **environ):
+    """Run `python args...` in a fresh interpreter that imports this checkout's
+    crext, with `environ` added to the environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
@@ -427,22 +428,33 @@ print(json.dumps({{"before": before, "after": state(), "raised": raised, "runs":
 """
 
 
-def _watched_import(setup: str) -> dict:
-    return json.loads(_python("-c", _WATCHED_IMPORT.format(setup=setup)).stdout)
+def _watched_import(setup: str, **environ) -> dict:
+    return json.loads(_python("-c", _WATCHED_IMPORT.format(setup=setup), **environ).stdout)
 
 
 @pytest.mark.parametrize(
-    "setup, raised",
+    "setup, raised, warm",
     [
-        ("", False),
-        ("gc.disable(); gc.set_threshold(500, 7, 9)", False),
-        ("sys.modules['numpy'] = None", True),
+        ("", False, False),
+        ("gc.disable(); gc.set_threshold(500, 7, 9)", False, False),
+        ("sys.modules['numpy'] = None", True, False),
+        ("", False, True),
     ],
-    ids=["collector-enabled", "collector-disabled", "failing-layer-import"],
+    ids=["collector-enabled", "collector-disabled", "failing-layer-import", "warm-cache"],
 )
-def test_importing_the_cli_runs_no_collection_and_restores_the_collector(setup, raised):
-    # The collector comes back as it was found, even when a layer fails to import.
-    watched = _watched_import(setup)
+def test_importing_the_cli_runs_no_collection_and_restores_the_collector(
+    setup, raised, warm, tmp_path
+):
+    # The collector comes back as it was found, even when a layer fails to
+    # import.  A warm bytecode cache shifts the collector's young count at the
+    # moment cli.py starts; its lines before the pause must not let a
+    # collection in either.  One import with bytecode writing on compiles
+    # crext, and all it loads, into a cache prefix outside the source tree.
+    environ = {}
+    if warm:
+        environ["PYTHONPYCACHEPREFIX"] = str(tmp_path / "pycache")
+        _python("-c", "import crext.cli", PYTHONDONTWRITEBYTECODE="", **environ)
+    watched = _watched_import(setup, **environ)
     assert watched["raised"] is raised
     assert watched["runs"] == []
     assert watched["after"] == watched["before"]

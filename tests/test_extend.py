@@ -109,9 +109,9 @@ def test_numeric_integration_recovers_closed_dtn(order, mode):
 
 
 def test_numeric_fit_is_tight():
-    (fit,) = fit_boundary_expansion([(0.6, ModeIndex(0.5, 1, 1))])
-    assert fit.fit_residual < 1e-9
-    assert fit.c0 == pytest.approx(1.0, rel=0.1)  # normalization drift stays mild
+    mode = ModeIndex(0.5, 1, 1)
+    (fit,) = fit_boundary_expansion([(0.6, mode)])
+    assert fit.c1 == pytest.approx(ModeSolution(0.6, mode).c1, rel=1e-12)
 
 
 FULL_GRID = tuple(
@@ -129,7 +129,7 @@ def full_batch():
 
 def _worst_c1_error(pairs, fits):
     return max(
-        abs(fit.c1 / fit.c0 / ModeSolution(order, mode).c1 - 1.0)
+        abs(fit.c1 / ModeSolution(order, mode).c1 - 1.0)
         for (order, mode), fit in zip(pairs, fits)
     )
 
@@ -141,8 +141,10 @@ def test_stacked_batch_recovers_every_closed_coefficient(full_batch):
 
 
 def test_stacked_batch_fits_stay_tight(full_batch):
-    _, fits = full_batch
-    assert max(fit.fit_residual for fit in fits) < 1e-9
+    # A fit is normalized to c0 = 1, so its DtN datum is -2 gamma' c1 exactly.
+    pairs, fits = full_batch
+    for (order, _), fit in zip(pairs, fits):
+        assert math.isfinite(fit.c1) and fit.dtn == -2.0 * order * fit.c1
 
 
 @pytest.mark.parametrize("index", [0, 137, 404, 809])
@@ -150,30 +152,41 @@ def test_singleton_batch_agrees_with_the_large_batch(full_batch, index):
     pairs, fits = full_batch
     (alone,) = fit_boundary_expansion([pairs[index]])
     together = fits[index]
-    assert alone.c1 / alone.c0 == pytest.approx(together.c1 / together.c0, rel=1e-9)
+    assert alone.c1 == pytest.approx(together.c1, rel=1e-9)
     assert alone.dtn == pytest.approx(together.dtn, rel=1e-9)
 
 
 def test_stacked_batch_holds_the_two_leg_accuracy(full_batch):
-    assert _worst_c1_error(*full_batch) < 5e-12
+    assert _worst_c1_error(*full_batch) < 1e-13
 
 
 def test_the_default_spot_batch_pins_the_two_leg_settings():
-    # The 48 spot pairs of the default run read 7.1e-14.  A fit leg that starts
-    # at w = 3 instead of 10, or a deep leg at rtol 1e-3 instead of 1e-7, reads
-    # above 6e-13 on them; w = 6 reads 3.9e-13 and passes.
+    # The 48 spot pairs of the default run read 1.4e-14.  A fit leg at rtol
+    # 1e-11 instead of 1e-12 reads 1.3e-13 on them.  The deep leg no longer
+    # shows: a fit leg that starts at w = 3 instead of 10 reads 2.9e-14, and a
+    # deep leg at rtol 1e-3 instead of 1e-7 reads 1.5e-14.
     pairs = cli._spot_pairs(cli.SuiteConfig())
-    assert _worst_c1_error(pairs, fit_boundary_expansion(pairs)) < 5e-13
+    assert _worst_c1_error(pairs, fit_boundary_expansion(pairs)) < 5e-14
+
+
+def test_fits_at_extreme_frequencies_recover_the_closed_coefficient():
+    # lam = 0.001 and 1000 sit at the two ends of the envelope; every fit
+    # there holds the accuracy it has on the default grid.
+    modes = [ModeIndex(lam, k, n) for lam in (0.001, 1000.0) for k in (0, 2) for n in (1, 2)]
+    pairs = [(order, mode) for order in BATCH_ORDERS for mode in modes]
+    fits = fit_boundary_expansion(pairs)
+    for (order, mode), fit in zip(pairs, fits):
+        assert fit.c1 == pytest.approx(ModeSolution(order, mode).c1, rel=1e-12), (order, mode)
 
 
 def _recording_solve_ivp(monkeypatch, perturb=None):
     """Rebind extend's solve_ivp to record each call's arguments and result;
-    `perturb` may rewrite the start of the call without output points."""
+    `perturb` may rewrite the start of the first call."""
     calls = []
     solve = extend.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
-        if perturb is not None and "t_eval" not in kwargs:
+        if perturb is not None and not calls:
             y0 = perturb(y0)
         result = solve(fun, t_span, y0, **kwargs)
         calls.append((t_span, kwargs, result))
@@ -185,26 +198,26 @@ def _recording_solve_ivp(monkeypatch, perturb=None):
 
 def test_a_batch_makes_two_counted_solves_through_the_module_binding(monkeypatch):
     # The benchmark counts ODE work by rebinding extend.solve_ivp; both legs
-    # must go through that name, the deep leg first and without output points.
+    # must go through that name, the deep leg first, neither with output
+    # points, and the fit leg ending at the matching point tau = 1.
     calls = _recording_solve_ivp(monkeypatch)
     pairs = cli._spot_pairs(cli.SuiteConfig())
     assert len(fit_boundary_expansion(pairs)) == len(pairs)
     assert len(calls) == 2
     (deep_span, deep_kwargs, deep), (fit_span, fit_kwargs, fit) = calls
-    assert "t_eval" not in deep_kwargs
-    assert deep_span[0] == 1.0 and deep_span[1] == fit_span[0]
-    assert fit_span[0] >= max(fit_kwargs["t_eval"])
+    assert "t_eval" not in deep_kwargs and "t_eval" not in fit_kwargs
+    assert deep_span[0] == 0.0 and deep_span[1] == fit_span[0] < fit_span[1] == 1.0
+    assert deep_kwargs["rtol"] > fit_kwargs["rtol"]
     assert deep.nfev + fit.nfev > 0
 
 
-def test_the_deep_legs_error_contracts_before_the_fit_grid(monkeypatch):
+def test_the_deep_legs_error_contracts_before_the_matching_point(monkeypatch):
     pairs = cli._spot_pairs(cli.SuiteConfig())
     clean = fit_boundary_expansion(pairs)
     _recording_solve_ivp(monkeypatch, perturb=lambda r: r * (1.0 + 1e-6))
     shaken = fit_boundary_expansion(pairs)
     for a, b in zip(clean, shaken):
-        assert abs(b.c0 / a.c0 - 1.0) < 1e-12
-        assert abs((b.c1 / b.c0) / (a.c1 / a.c0) - 1.0) < 1e-12
+        assert abs(b.c1 / a.c1 - 1.0) < 1e-12
         assert abs(b.dtn / a.dtn - 1.0) < 1e-12
 
 
@@ -212,7 +225,7 @@ def test_the_deep_legs_error_contracts_before_the_fit_grid(monkeypatch):
 def test_a_large_level_fit_recovers_the_closed_coefficient(order):
     mode = ModeIndex(4.0, 120, 3)
     (fit,) = fit_boundary_expansion([(order, mode)])
-    assert fit.c1 / fit.c0 == pytest.approx(ModeSolution(order, mode).c1, rel=1e-11)
+    assert fit.c1 == pytest.approx(ModeSolution(order, mode).c1, rel=1e-11)
 
 
 def test_empty_batch_returns_no_fits():
