@@ -341,22 +341,28 @@ def _suite_energy(cfg: SuiteConfig) -> list:
     entries = []
     spot = cfg.spot_modes()
     count = cfg.perturbations
-    # The tail profiles the checks read take one U batch per level 2k + n.
-    energy.prepare_profiles(_spot_pairs(cfg))
-    for g in cfg.gammas_low + cfg.gammas_high:
-        param = spectral.GammaParam(g)
-        # A mode's checks run in a row, so its workspace's Grams are built once.
+    by_level = {}
+    for mode in spot:
+        by_level.setdefault(2 * mode.k + mode.n, []).append(mode)
+    params = [spectral.GammaParam(g) for g in cfg.gammas_low + cfg.gammas_high]
+    # The unit-frequency profiles the checks read take one U batch per level 2k + n.
+    energy.prepare_profiles(
+        dict.fromkeys((o, level) for p in params for level in by_level for o in p.orders)
+    )
+    for param in params:
+        g = param.gamma
+        # A level's checks run in a row, so its workspace gathers its Grams once.
         traces, gaps, lows, symmetries = [], [], [], []
-        for mode in spot:
-            traces.append(energy.trace_equality_check(param, mode))
-            gap, low = energy.dirichlet_principle_check(param, mode, seed=cfg.seed, count=count)
-            gaps.append(gap)
-            # Coercivity fails when some perturbation's energy falls below zero.
-            lows.append(-low)
+        for modes in by_level.values():
+            traces += energy.trace_equality_check(param, modes)
+            for gap, low in energy.dirichlet_principle_check(
+                param, modes, seed=cfg.seed, count=count
+            ):
+                gaps.append(gap)
+                # Coercivity fails when some perturbation's energy falls below zero.
+                lows.append(-low)
             if param.is_high:
-                symmetries.append(
-                    energy.q_symmetry_check(param, mode, seed=cfg.seed, count=count)
-                )
+                symmetries += energy.q_symmetry_check(param, modes, seed=cfg.seed, count=count)
         entries.append(_gamma_entry("energy.trace", g, spot, traces))
         entries.append(_gamma_entry("energy.dirichlet", g, spot, gaps, perturbations=count))
         entries.append(_gamma_entry("energy.coercivity", g, spot, lows, perturbations=count))

@@ -24,56 +24,68 @@ Its polarization Q pairs two solutions through their boundary data only:
 Q(U, V) = B_conormal(U) B_0(V) - B_second(U) B_2alpha(V) after integration
 by parts, which is what `q_symmetry_check` verifies numerically.
 
-A workspace holds, per (gamma, mode), the tail grid, m (as coefficients of
-rho^0, rho^1, ... and as an array on the tail nodes), B, a moment table and
-a basis of solution parts with unit data, one per boundary datum; every
-part, basis or perturbation, is the tuple (u series, A series, u tail,
-A tail), and a solution with data d is the d-combination of the basis.
+A workspace holds, per (gamma, level 2k + n), the form on the mode of unit
+frequency at that level: the tail grid, m (as coefficients of s^0, s^1, ...
+and as an array on the tail nodes), B, a moment table and a basis of
+solution parts with unit data, one per boundary datum; every part, basis or
+perturbation, is the tuple (u series, A series, u tail, A tail), and a
+solution with data d is the d-combination of the basis.  Every mode of the
+level reads it through the Heisenberg dilation.  In s = sqrt(lam) rho the
+mode equation divided by lam is the unit-frequency one at nu = 2 (2k + n),
+and the form scales as
 
-Quadrature strategy, shared by every functional here: on [0, rho_c] a series
+    E_lam(phi, psi) = lam^gamma E_1(phi, lam^-alpha psi),
+
+alpha = gamma - 1 above order 1 and 0 below (there is no psi), since
+rho^(2 alpha) = lam^-alpha s^(2 alpha).  So a mode's energies are lam^gamma
+times quadratic forms in its unit-frequency data over one matrix per
+workspace, its basis form.  Any (k, n) of a level gives the same bits.
+
+Quadrature strategy, shared by every functional here: on [0, s_c] a series
 is one dense array over the two-branch Frobenius lattice, the coefficient of
-rho^(p + b beta) at index b * 64 + p + 2 for branch b in {0, 1} and power p
+s^(p + b beta) at index b * 64 + p + 2 for branch b in {0, 1} and power p
 in -2..61.  A pair of lattice terms integrates in closed form against the
-weight, to the moment mu(b, p) = rho_c^e / e with e = p + 2 + (b - 1) beta at
+weight, to the moment mu(b, p) = s_c^e / e with e = p + 2 + (b - 1) beta at
 the summed branch and power, so the inner integral is the Gram form
 
     a_P . G_A . a_Q + u_P . G_m . u_Q,   G_A[i, j] = mu(b_i + b_j, p_i + p_j),
 
 and G_m folds in m's coefficients the same way.  The workspace caches the
-1-D table of mu over (b, p); the Gram cells that gather its NaN entries
+1-D table of mu over (b, p); s_c <= 0.75 at every level, so the table is
+finite whatever the lam.  The Gram cells that gather its NaN entries
 depend on beta and on which of m's coefficients are nonzero only, and are
 found once per gamma.  Each 128 x 128 Gram is one gather from its
 m-weighted row of moments, kept for the workspace last read.  A
 degenerate exponent (|e| < 1e-9) leaves the lattice and raises if any
 nonzero pair of coefficients lands on it.
-On [rho_c, rho(80/lam)] the solutions are evaluated through the U-function
-ladder on Gauss-Legendre panels in the dilation-free radius s = sqrt(lam) rho,
-graded in w = lam rho^2 = s^2 from w_c = min(0.5625, 2 / (2k + n)) with
-widths capped in w, riding the Gaussian decay.  Each panel carries
-_TAIL_NODES = 14 nodes.  Against twice as many, the mode and shifted
-perturbation energies of the default spot modes, a mode at level 64 and
-modes at lam = 0.001 and 1000 move by 1.4e-10 of their terms' magnitudes at
-8 nodes, 1.5e-13 at 10 and by rounding alone (7e-16) from 12 on: each two
-nodes gain about three orders, and 14 keeps two nodes of margin.  The tail
-grid in s depends on the level only, and one U batch serves every lam of
-the level: a mode's ladder e^{-w/2} U(a, b, w) sees lam only through w, so
-`prepare_profiles` builds every (order, mode) pair the checks will read on
-a level with one U call, and each pair maps the shared nodes to its own
-rho = s / sqrt(lam).  Profiles are kept per (order, mode), each with its two
-Frobenius branches, and shared between the ranges: the high range at gamma
-reads the profiles of orders 1 + alpha and 1 - alpha = 2 - gamma, the
-second being the low-range profile at 2 - gamma.
+On [s_c, sqrt(80)] the solutions are evaluated through the U-function
+ladder on Gauss-Legendre panels in s, graded in w = s^2 from
+w_c = min(0.5625, 2 / (2k + n)) with widths capped in w, riding the
+Gaussian decay.  Each panel carries _TAIL_NODES = 14 nodes.  Against twice
+as many, the mode and shifted perturbation energies of the default spot
+modes, a mode at level 64 and modes at lam = 0.001 and 1000 move by 1.4e-10
+of their terms' magnitudes at 8 nodes, 1.5e-13 at 10 and by rounding alone
+(7e-16) from 12 on: each two nodes gain about three orders, and 14 keeps
+two nodes of margin.  `prepare_profiles` builds every (order, level) pair
+the checks will read on a level with one U call.  Profiles are kept per
+(order, level), each with its two Frobenius branches, and shared between
+the ranges: the high range at gamma reads the profiles of orders 1 + alpha
+and 1 - alpha = 2 - gamma, the second being the low-range profile at
+2 - gamma.
 
 Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
 x = rho^2, closed under every operation above.  They live as rows from the
 seeded draw to the graded gap: h[:, k] the x^k coefficient (h[:, 0] = 0, so
-each vanishes at the boundary), c[:, 0] the decay and t the step.  Their
+each vanishes at the boundary), c[:, 0] the decay and t the step.  A row
+drawn at lam maps into x = s^2 as h_k -> h_k lam^-k and c -> c / lam.  Their
 exact energies are gamma-function sums, one row-wise call for all rows; the
-quadrature side reads the same rows in blocks of at most 32, one row-wise
-quadratic form per block.
+quadrature side reads the rows of all the modes of a level in blocks of at
+most 32, one row-wise quadratic form per block.
 
-`mode_energy` is the form on the solution with given boundary data; the
-graders compare it with its closed diagonal, `spectral.boundary_targets`.
+The checks take the spot modes of one level and return one value per mode.
+`mode_energy` is the form on the solution with given boundary data at the
+mode's lam; the graders compare it with its closed diagonal,
+`spectral.boundary_targets`, formed at lam.
 """
 
 from __future__ import annotations
@@ -88,7 +100,7 @@ import numpy as np
 from .extend import FourthOrderMode, ModeSolution, frobenius_series, mode_derivatives
 from .report import worst_error
 from .special import gamma_fn, legendre_rule
-from .spectral import GammaParam, ModeIndex, boundary_targets
+from .spectral import GammaParam, ModeIndex, boundary_targets, mode_eigenvalue
 
 __all__ = [
     "mode_energy",
@@ -129,12 +141,12 @@ def _lattice(*terms) -> np.ndarray:
     return out.reshape(lead + (2 * _NP,))
 
 
-def _moments(beta: float, rho_c: float) -> np.ndarray:
-    """mu(b, p) = rho_c^e / e, e = p + 2 + (b - 1) beta, NaN where e degenerates."""
+def _moments(beta: float, s_c: float) -> np.ndarray:
+    """mu(b, p) = s_c^e / e, e = p + 2 + (b - 1) beta, NaN where e degenerates."""
     e = 2 * _P_LO + np.arange(_NCOLS) + 1.0 + (np.arange(3)[:, None] - 1) * beta + 1.0
     bad = np.abs(e) < 1e-9
     e[bad] = 1.0
-    mu = rho_c**e / e
+    mu = s_c**e / e
     mu[bad] = np.nan
     return mu
 
@@ -175,26 +187,26 @@ def _grams(ws: _Workspace) -> tuple:
     return _read_only(tuple(out))
 
 
-def _tail_grid(level: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(w_c, nodes, weights) of the tail panels in s = sqrt(lam) rho, up to s^2 = _W_TOP.
+@lru_cache(maxsize=64)
+def _tail_grid(level: int, per_panel: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(w_c, nodes, weights) of the tail panels in s, up to s^2 = _W_TOP, read-only.
 
     The panels are graded in w = s^2 from w_c = min(0.75^2, 2 / level), the
-    cut rho_c = min(0.75 / sqrt(lam), 2 / sqrt(nu)) in w units.  w_c is
-    formed from the integer level 2k + n alone, so every lam of a level
-    reads the same bits.
+    series cut s_c = sqrt(w_c) <= 0.75 of the unit-frequency mode at that
+    level, with `per_panel` Gauss-Legendre nodes each.
     """
     w_c = min(0.5625, 2.0 / level)
     edges = [w_c]
     while edges[-1] < _W_TOP:
         edges.append(min(2.0 * edges[-1], edges[-1] + _W_STEP_CAP, _W_TOP))
-    x, w = legendre_rule(_TAIL_NODES)
+    x, w = legendre_rule(per_panel)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
         s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
         half = (s_hi - s_lo) / 2.0
         nodes.append(half * x + (s_hi + s_lo) / 2.0)
         weights.append(half * w)
-    return w_c, np.concatenate(nodes), np.concatenate(weights)
+    return _read_only((w_c, np.concatenate(nodes), np.concatenate(weights)))
 
 
 # -- profiles ---------------------------------------------------------------
@@ -279,46 +291,44 @@ def _read_only(x):
 
 
 _PROFILE_CACHE = 1024
-_profiles: dict = {}  # (order, mode) -> profile, least recently read first
+_profiles: dict = {}  # (order, level) -> profile, least recently read first
+
+
+def _unit_mode(level: int) -> ModeIndex:
+    """A mode of unit frequency at level 2k + n = `level`; every such mode reads the same bits."""
+    return ModeIndex(1.0, 0, level)
 
 
 def prepare_profiles(pairs) -> None:
-    """Build the tail profiles of the (order, mode) pairs that later checks read.
+    """Build the unit-frequency profiles of the (order, level) pairs that later checks read.
 
-    The tail grid in s = sqrt(lam) rho depends on the level 2k + n only, and
-    one U batch serves every lam of the level: the pairs are grouped by
-    level, and each group's derivatives take one Kummer U call over its
-    distinct rungs.  Each profile maps the shared nodes and weights to its
-    own rho = s / sqrt(lam).  Pairs already built are skipped.  At most
-    _PROFILE_CACHE profiles are kept, the least recently read leaving first.
+    The pairs are grouped by level, and each group's derivatives on the
+    level's tail grid take one Kummer U call over its distinct rungs.  Pairs
+    already built are skipped.  At most _PROFILE_CACHE profiles are kept,
+    the least recently read leaving first.
     """
     by_level = {}
-    for order, mode in pairs:
-        key = (float(order), mode)
+    for order, level in pairs:
+        key = (float(order), level)
         if key not in _profiles:
-            by_level.setdefault(2 * mode.k + mode.n, {})[key] = None
+            by_level.setdefault(level, {})[key] = None
     for level, keys in by_level.items():
-        w_c, s_t, ws_t = _tail_grid(level)
-        sols = [ModeSolution(order, mode) for order, mode in keys]
-        # (rho_c, rho nodes, rho weights), one set per lam, shared by its orders.
-        roots = {sol.lam: math.sqrt(sol.lam) for sol in sols}
-        grids = {lam: (math.sqrt(w_c) / r, s_t / r, ws_t / r) for lam, r in roots.items()}
+        _, s_t, _ = _tail_grid(level, _TAIL_NODES)
+        sols = [ModeSolution(order, _unit_mode(level)) for order, _ in keys]
         for key, sol, d in zip(keys, sols, mode_derivatives(sols, s_t, upto=1)):
-            series = frobenius_series(sol.order, sol.nu, sol.lam**2, _INNER_TERMS)
-            series = tuple(map(np.asarray, series))
-            rho_c, rho_t, wt_t = grids[sol.lam]
-            _profiles[key] = _read_only((sol, rho_c, series, rho_t, wt_t, *d))
+            series = frobenius_series(sol.order, sol.nu, 1.0, _INNER_TERMS)
+            _profiles[key] = _read_only((sol, tuple(map(np.asarray, series)), *d))
     while len(_profiles) > _PROFILE_CACHE:
         del _profiles[next(iter(_profiles))]
 
 
-def _mode_profile(order: float, mode: ModeIndex) -> tuple:
-    """(solution, rho_c, Frobenius branches, tail nodes, tail weights, u, u'), read-only.
+def _mode_profile(order: float, level: int) -> tuple:
+    """(solution, Frobenius branches, u, u' on the tail nodes) at unit frequency, read-only.
 
-    Built once per (order, mode), as a batch of one if not prepared: the
+    Built once per (order, level), as a batch of one if not prepared: the
     workspaces at gamma below 1 and at 1 +- alpha above it share the entries.
     """
-    key = (float(order), mode)
+    key = (float(order), level)
     prepare_profiles([key])
     profile = _profiles[key] = _profiles.pop(key)
     return profile
@@ -345,18 +355,18 @@ def _fourth_pairs(fourth: FourthOrderMode, series1, series2):
 class _Workspace:
     """Tail grid, potential m (coefficients and tail), unit-data basis, boundary, moments.
 
-    `wt_t` holds the tail quadrature weights and `weight_t` the form's weight
-    rho^(1 - beta) at the tail nodes.  `degenerate` holds the Gram cells that
-    `_degenerate_cells` finds for beta and m.  Workspaces compare by identity,
-    which keys `_grams`.
+    Everything lives at unit frequency in s.  `wt_t` holds the tail
+    quadrature weights and `weight_t` the form's weight s^(1 - beta) at the
+    tail nodes.  `degenerate` holds the Gram cells that `_degenerate_cells`
+    finds for beta and m.  Workspaces compare by identity, which keys `_grams`.
     """
 
     param: GammaParam
-    lam: float
+    level: int
     nu: float
     beta: float
-    rho_c: float
-    rho_t: np.ndarray
+    s_c: float
+    s_t: np.ndarray
     wt_t: np.ndarray
     weight_t: np.ndarray
     m: np.ndarray
@@ -368,39 +378,52 @@ class _Workspace:
 
 
 @lru_cache(maxsize=256)
-def _workspace(gamma: float, mode: ModeIndex) -> _Workspace:
-    """The form at gamma on one mode, with every array read-only."""
+def _workspace(gamma: float, level: int) -> _Workspace:
+    """The form at gamma on the unit-frequency mode of level 2k + n, with every array read-only."""
     param = GammaParam(gamma)
     al = param.alpha
+    mode = _unit_mode(level)
+    nu = mode_eigenvalue(mode)
+    w_c, s_t, wt_t = _tail_grid(level, _TAIL_NODES)
     if param.is_high:
-        w1, rho_c, s1, rho_t, wt_t, *d1 = _mode_profile(param.orders[0], mode)
-        _, _, s2, _, _, *d2 = _mode_profile(param.orders[1], mode)
-        lam, nu = w1.lam, w1.nu
-        m_0 = -4.0 * (lam * lam)
-        m, m_t = np.array([m_0]), np.full_like(rho_t, m_0)
+        _, s1, *d1 = _mode_profile(param.orders[0], level)
+        _, s2, *d2 = _mode_profile(param.orders[1], level)
+        m, m_t = np.array([-4.0]), np.full_like(s_t, -4.0)
         basis = []
         for data in ((1.0, 0.0), (0.0, 1.0)):
             fourth = FourthOrderMode(param, mode, *data)
-            (value,), lop = fourth.assemble(rho_t, d1, d2, 0)
+            (value,), lop = fourth.assemble(s_t, d1, d2, 0)
             basis.append((*_fourth_pairs(fourth, s1, s2), value, lop))
         boundary = np.array([[0.0, 1.0], [1.0, 0.0]]) * (nu / al)
     else:
-        sol, rho_c, series, rho_t, wt_t, u_t, du_t = _mode_profile(gamma, mode)
-        lam, nu = sol.lam, sol.nu
-        m, m_t = np.array([nu, 0.0, lam * lam]), nu + lam * lam * rho_t * rho_t
+        sol, series, u_t, du_t = _mode_profile(gamma, level)
+        m, m_t = np.array([nu, 0.0, 1.0]), nu + s_t * s_t
         basis = [(*_mode_pair_series(sol, series), u_t, du_t)]
         boundary = np.zeros((1, 1))
     beta = 2.0 * al
-    moments = _moments(beta, rho_c)
+    s_c = math.sqrt(w_c)
+    moments = _moments(beta, s_c)
     degenerate = _degenerate_cells(beta, tuple(bool(w) for w in m))
-    weight_t = rho_t ** (1.0 - beta)
+    weight_t = s_t ** (1.0 - beta)
     m, m_t, weight_t, basis, boundary, moments = _read_only(
         (m, m_t, weight_t, tuple(basis), boundary, moments)
     )
     return _Workspace(
-        param, lam, nu, beta, rho_c, rho_t, wt_t, weight_t, m, m_t, basis, boundary, moments,
+        param, level, nu, beta, s_c, s_t, wt_t, weight_t, m, m_t, basis, boundary, moments,
         degenerate,
     )
+
+
+@lru_cache(maxsize=1)
+def _basis_form(ws: _Workspace) -> np.ndarray:
+    """The form's matrix over the unit-data basis, boundary term included, read-only.
+
+    Every check reads a mode's energies off it through the dilation law;
+    like the Grams, only the last workspace's is kept.
+    """
+    rows = [np.stack(field) for field in zip(*ws.basis)]
+    pairs = _pairing(ws, _grams(ws), [r[:, None] for r in rows], [r[None] for r in rows])
+    return _read_only(pairs + ws.boundary)
 
 
 def _combine(scales, parts_list) -> tuple:
@@ -424,56 +447,76 @@ def _pairing(ws: _Workspace, grams, partsP, partsQ):
 # -- public functionals -----------------------------------------------------
 
 
+def _level_of(modes) -> int:
+    """The one level 2k + n of `modes`; a call that mixes levels is refused."""
+    levels = sorted({2 * mode.k + mode.n for mode in modes})
+    if len(levels) != 1:
+        raise ValueError(f"the modes of one call must share one level 2k + n, got {levels}")
+    return levels[0]
+
+
+def _unit_data(param: GammaParam, lam: float, data) -> np.ndarray:
+    """Boundary data (phi, psi) at frequency lam as unit-frequency data (phi, lam^-alpha psi)."""
+    d = np.array(data, dtype=float)
+    if param.is_high:
+        d[1] *= lam**-param.alpha
+    return d
+
+
 def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
-    """Quadrature energy of the solution with boundary data `data`, one datum per order."""
-    ws = _workspace(param.gamma, mode)
+    """Quadrature energy of the solution with boundary data `data`, one datum per order.
+
+    Read off the unit-frequency workspace of the mode's level through the
+    dilation law E_lam(phi, psi) = lam^gamma E_1(phi, lam^-alpha psi).
+    """
+    ws = _workspace(param.gamma, 2 * mode.k + mode.n)
     if len(data) != len(ws.basis):
         raise ValueError(f"gamma = {param.gamma} takes {len(ws.basis)} data, got {len(data)}")
-    parts = _combine(data, ws.basis)
-    d = np.asarray(data)
-    return float(_pairing(ws, _grams(ws), parts, parts)) + float(d @ ws.boundary @ d)
+    lam = abs(mode.lam)
+    d = _unit_data(param, lam, data)
+    return lam**param.gamma * float(d @ _basis_form(ws) @ d)
 
 
 def _perturbation_parts(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> tuple:
-    """The perturbation rows (h, c) in the parts layout of the workspace `ws`.
+    """The perturbation rows (h, c), given in x = s^2, in the parts layout of the workspace `ws`.
 
     A row's value and its A part share e^{-c x}: its first _INNER_TERMS
-    x-coefficients on the series side, its values at x = rho^2 on the tail.
+    x-coefficients on the series side, its values at x = s^2 on the tail.
     """
     decay = (-c) ** _J / _FACT
-    x = ws.rho_t * ws.rho_t
+    x = ws.s_t * ws.s_t
     damp = np.exp(-c * x)
     w = _xp_mul(h, decay)[..., :_INNER_TERMS]
     h_t = _xp_eval(h, x)
     u, u_t = _lattice((0, 0, w)), h_t * damp
     if not ws.param.is_high:
-        # d/drho of h(x) e^{-c x} is 2 rho (h'(x) - c h(x)) e^{-c x}.
+        # d/ds of h(x) e^{-c x} is 2 s (h'(x) - c h(x)) e^{-c x}.
         core = _xp_eval(_xp_dx(h), x) - c * h_t
-        return u, _lattice((0, -1, 2.0 * _J * w)), u_t, 2.0 * ws.rho_t * core * damp
-    g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
+        return u, _lattice((0, -1, 2.0 * _J * w)), u_t, 2.0 * ws.s_t * core * damp
+    g = _lop_poly(h, c, ws.param.alpha, 1.0, ws.nu)
     lop = _lattice((0, 0, _xp_mul(g, decay)[..., :_INNER_TERMS]))
     return u, lop, u_t, _xp_eval(g, x) * damp
 
 
 def _closed_energies(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Exact gamma-function energies of the perturbation rows (h, c), one per row.
+    """Exact gamma-function energies of the perturbation rows (h, c) in x = s^2, one per row.
 
-    The integrand of the form on row i is poly_i(x) e^{-2 c_i x} rho^(1 - beta),
-    x = rho^2, so the energy is sum_j poly_i[j] Gamma(s_j) / (2 (2 c_i)^s_j)
+    The integrand of the form on row i is poly_i(x) e^{-2 c_i x} s^(1 - beta),
+    x = s^2, so the energy is sum_j poly_i[j] Gamma(s_j) / (2 (2 c_i)^s_j)
     with s_j = j + 1 - beta / 2.
     """
     hh = _xp_mul(h, h)
     if ws.param.is_high:
-        g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
+        g = _lop_poly(h, c, ws.param.alpha, 1.0, ws.nu)
         poly = _xp_mul(g, g)
-        poly[..., : hh.shape[-1]] -= 4.0 * ws.lam * ws.lam * hh
+        poly[..., : hh.shape[-1]] -= 4.0 * hh
     else:
         core = -c * h
         core[..., :3] += _xp_dx(h)
         poly = np.zeros(hh.shape[:-1] + (hh.shape[-1] + 2,))
         poly[..., 1:-1] += 4.0 * _xp_mul(core, core)
         poly[..., :-2] += ws.nu * hh
-        poly[..., 1:-1] += ws.lam * ws.lam * hh
+        poly[..., 1:-1] += hh
     two_c = 2.0 * c[..., 0]
     weight_exp = 1.0 - ws.beta
     total = np.zeros(hh.shape[:-1])
@@ -483,71 +526,107 @@ def _closed_energies(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> np.ndarray
     return total
 
 
-def trace_equality_check(param: GammaParam, mode: ModeIndex) -> float:
-    """Relative gap between the quadrature energy at unit data and its closed spectral value."""
-    targets = boundary_targets(param, mode)
-    got = mode_energy(param, mode, (1.0,) * len(targets))
-    return abs(got / sum(targets) - 1.0)
+def trace_equality_check(param: GammaParam, modes) -> list[float]:
+    """Relative gap between the quadrature energy at unit data and its closed spectral value.
+
+    `modes` share one level 2k + n; one gap comes back per mode.
+    """
+    if not modes:
+        return []
+    _level_of(modes)
+    out = []
+    for mode in modes:
+        targets = boundary_targets(param, mode)
+        got = mode_energy(param, mode, (1.0,) * len(targets))
+        out.append(abs(got / sum(targets) - 1.0))
+    return out
 
 
 def dirichlet_principle_check(
-    param: GammaParam, mode: ModeIndex, seed: int = 0, count: int = 20
-) -> tuple[float, float]:
+    param: GammaParam, modes, seed: int = 0, count: int = 20
+) -> list[tuple[float, float]]:
     """Strict second-order excess for seeded admissible perturbations.
 
-    Returns (worst relative error of E(U + tW) - E(U) = t^2 E(W), smallest
-    perturbation energy); the principle requires the first to be numerical
-    zero and the second to be strictly positive.  The shifted energies are
-    evaluated in blocks of at most _BLOCK perturbations, one row each.
+    `modes` share one level 2k + n.  Returns, per mode, (worst relative
+    error of E(U + tW) - E(U) = t^2 E(W), smallest perturbation energy); the
+    principle requires the first to be numerical zero and the second to be
+    strictly positive.  Both sides are homogeneous in the dilation, so the
+    gap is graded at unit frequency with no power of lam, and the energy is
+    given at unit frequency too: lam^gamma > 0 leaves its sign.  Each mode
+    draws its rows under a seed that names it and maps them into s; the
+    shifted energies of all the modes' rows are evaluated in blocks of at
+    most _BLOCK rows.
     """
-    rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    ws = _workspace(param.gamma, mode)
-    d = np.array((1.0, 0.6) if param.is_high else (1.0,))
-    base = _combine(d, ws.basis)
-    h, c, t = _draw_perturbations(rng, abs(mode.lam), count)
-    e_w = _closed_energies(h, c, ws)
+    if not modes:
+        return []
+    ws = _workspace(param.gamma, _level_of(modes))
+    form = _basis_form(ws)
     grams = _grams(ws)
-    edge = float(d @ ws.boundary @ d)
-    e_base = float(_pairing(ws, grams, base, base)) + edge
+    powers = np.arange(4)
+    bases, e_base, edges, hs, cs, ts = [], [], [], [], [], []
+    for mode in modes:
+        lam = abs(mode.lam)
+        rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
+        h, c, t = _draw_perturbations(rng, lam, count)
+        # h(x) e^{-c x} at x = s^2 / lam: h_k -> h_k lam^-k and c -> c / lam.
+        hs.append(h * lam ** -powers)
+        cs.append(c / lam)
+        ts.append(t)
+        d = _unit_data(param, lam, (1.0, 0.6) if param.is_high else (1.0,))
+        bases.append(_combine(d, ws.basis))
+        e_base.append(float(d @ form @ d))
+        edges.append(float(d @ ws.boundary @ d))
+    h, c, t = np.concatenate(hs), np.concatenate(cs), np.concatenate(ts)
+    owner = np.repeat(np.arange(len(modes)), count)
+    base = tuple(np.stack(field)[owner] for field in zip(*bases))
+    e_base, edge = np.array(e_base)[owner], np.array(edges)[owner]
+    e_w = _closed_energies(h, c, ws)
     e_shift = []
-    for start in range(0, count, _BLOCK):
+    for start in range(0, len(t), _BLOCK):
         rows = slice(start, start + _BLOCK)
         parts = _perturbation_parts(h[rows], c[rows], ws)
-        shifted = tuple(b + t[rows, None] * w for b, w in zip(base, parts))
-        e_shift.append(_pairing(ws, grams, shifted, shifted) + edge)
+        shifted = tuple(b[rows] + t[rows, None] * w for b, w in zip(base, parts))
+        e_shift.append(_pairing(ws, grams, shifted, shifted) + edge[rows])
     e_shift = np.concatenate(e_shift)
-    gap = np.abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * np.abs(e_w))
-    return float(np.max(gap)), float(np.min(e_w))
+    gap = np.abs(e_shift - e_base - t * t * e_w) / (np.abs(e_base) + t * t * np.abs(e_w))
+    return [
+        (float(np.max(gap[rows])), float(np.min(e_w[rows])))
+        for rows in np.split(np.arange(len(t)), len(modes))
+    ]
 
 
-def q_symmetry_check(
-    param: GammaParam, mode: ModeIndex, seed: int = 0, count: int = 20
-) -> float:
+def q_symmetry_check(param: GammaParam, modes, seed: int = 0, count: int = 20) -> list[float]:
     """Symmetry and boundary representation of the polarized form Q.
 
-    Builds the 2x2 matrix of Q over the boundary-data basis by quadrature,
-    compares it against its transpose and against the diagonal closed form
-    from the two constants, then sweeps seeded data pairs through all three.
-    Returns the worst normalized discrepancy.
+    `modes` share one level 2k + n.  The 2x2 matrix of Q over the
+    boundary-data basis is built once by quadrature at unit frequency and
+    read at each mode's lam through the dilation law, lam^gamma D Q D with
+    D = diag(1, lam^-alpha).  Per mode it is compared against its transpose
+    and against the diagonal closed form from the two constants, then
+    seeded data pairs sweep all three.  Returns the worst normalized
+    discrepancy per mode.
     """
     if not param.is_high:
         raise ValueError("the polarized form lives in the range gamma in (1, 2)")
-    ws = _workspace(param.gamma, mode)
-    rows = [np.stack(field) for field in zip(*ws.basis)]
-    measured = (
-        _pairing(ws, _grams(ws), [r[:, None] for r in rows], [r[None] for r in rows])
-        + ws.boundary
-    )
-    closed = np.diag(boundary_targets(param, mode))
-    rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    # Pair by pair in draw order: du then dv, two components each.
-    drawn = np.array([rng.uniform(-1, 1) for _ in range(4 * count)]).reshape(count, 4)
-    du, dv = drawn[:, :2], drawn[:, 2:]
+    if not modes:
+        return []
+    unit = _basis_form(_workspace(param.gamma, _level_of(modes)))
 
     def form(matrix, x, y):
         return np.sum((x @ matrix) * y, axis=1)
 
-    scale = form(np.abs(measured) + np.abs(closed), np.abs(du), np.abs(dv)) + 1e-300
-    q_uv = form(measured, du, dv)
-    errors = np.abs([q_uv - form(measured, dv, du), q_uv - form(closed, du, dv)]) / scale
-    return worst_error(errors.ravel())
+    out = []
+    for mode in modes:
+        lam = abs(mode.lam)
+        d = _unit_data(param, lam, (1.0, 1.0))
+        measured = lam**param.gamma * (d[:, None] * unit * d)
+        closed = np.diag(boundary_targets(param, mode))
+        rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
+        # Pair by pair in draw order: du then dv, two components each.
+        drawn = np.array([rng.uniform(-1, 1) for _ in range(4 * count)]).reshape(count, 4)
+        du, dv = drawn[:, :2], drawn[:, 2:]
+        scale = form(np.abs(measured) + np.abs(closed), np.abs(du), np.abs(dv)) + 1e-300
+        q_uv = form(measured, du, dv)
+        errors = np.abs([q_uv - form(measured, dv, du), q_uv - form(closed, du, dv)]) / scale
+        out.append(worst_error(errors.ravel()))
+    return out

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crext import cli, energy, extend, special
@@ -22,6 +24,7 @@ from crext.energy import (
     _pairing,
     _perturbation_parts,
     _tail_grid,
+    _unit_data,
     _workspace,
     _xp_dx,
     dirichlet_principle_check,
@@ -50,16 +53,30 @@ MODES = (
 )
 
 
+def _level(mode) -> int:
+    return 2 * mode.k + mode.n
+
+
+def _ws(gamma, mode):
+    """The unit-frequency workspace that `mode` reads at gamma."""
+    return _workspace(gamma, _level(mode))
+
+
+def _to_s(h, c, lam):
+    """Perturbation rows (h, c) drawn in x = rho^2 at frequency lam, mapped into x = s^2."""
+    return h * lam ** -np.arange(h.shape[-1]), c / lam
+
+
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("mode", MODES)
 def test_trace_equality_low_range(gamma, mode):
-    assert trace_equality_check(GammaParam(gamma), mode) < 1e-10
+    assert trace_equality_check(GammaParam(gamma), [mode])[0] < 1e-10
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.5, 1.75])
 @pytest.mark.parametrize("mode", MODES)
 def test_trace_equality_high_range(gamma, mode):
-    assert trace_equality_check(GammaParam(gamma), mode) < 1e-10
+    assert trace_equality_check(GammaParam(gamma), [mode])[0] < 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.9, 1.1, 1.25, 1.5, 1.9])
@@ -115,14 +132,14 @@ def test_both_energy_terms_are_positive():
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.25, 1.5, 1.75])
 def test_dirichlet_principle_excess(gamma):
     mode = ModeIndex(lam=0.5, k=0, n=1)
-    gap, floor = dirichlet_principle_check(GammaParam(gamma), mode, seed=2, count=12)
+    ((gap, floor),) = dirichlet_principle_check(GammaParam(gamma), [mode], seed=2, count=12)
     assert gap < 1e-10
     assert floor > 0.0
 
 
 def test_dirichlet_principle_on_a_larger_mode():
-    gap, floor = dirichlet_principle_check(
-        GammaParam(1.75), ModeIndex(lam=2.0, k=2, n=2), seed=5, count=12
+    ((gap, floor),) = dirichlet_principle_check(
+        GammaParam(1.75), [ModeIndex(lam=2.0, k=2, n=2)], seed=5, count=12
     )
     assert gap < 1e-10
     assert floor > 0.0
@@ -131,19 +148,84 @@ def test_dirichlet_principle_on_a_larger_mode():
 @pytest.mark.parametrize("gamma", [1.25, 1.5, 1.75])
 @pytest.mark.parametrize("mode", MODES)
 def test_q_symmetry_and_boundary_representation(gamma, mode):
-    assert q_symmetry_check(GammaParam(gamma), mode, seed=3, count=20) < 1e-10
+    assert q_symmetry_check(GammaParam(gamma), [mode], seed=3, count=20)[0] < 1e-10
 
 
 def test_q_symmetry_fails_an_all_nan_form(monkeypatch):
     # A running max from 0.0 drops every NaN and would report a perfect pass.
+    # Fresh workspaces, so that no basis form built before is read.
+    _clear_workspace_caches()
     pairing = energy._pairing
     monkeypatch.setattr(energy, "_pairing", lambda *args: pairing(*args) * math.nan)
-    assert math.isnan(q_symmetry_check(GammaParam(1.5), ModeIndex(lam=0.5, k=0, n=1)))
+    assert math.isnan(q_symmetry_check(GammaParam(1.5), [ModeIndex(lam=0.5, k=0, n=1)])[0])
 
 
 def test_q_symmetry_rejects_the_low_range():
     with pytest.raises(ValueError, match="gamma in"):
-        q_symmetry_check(GammaParam(0.5), ModeIndex(lam=1.0, k=0, n=1))
+        q_symmetry_check(GammaParam(0.5), [ModeIndex(lam=1.0, k=0, n=1)])
+
+
+def test_the_checks_take_the_modes_of_one_level():
+    # One value per mode, none for no modes, and a call across levels is refused.
+    same = [ModeIndex(0.5, 1, 1), ModeIndex(3.0, 0, 3)]
+    mixed = [ModeIndex(0.5, 1, 1), ModeIndex(0.5, 0, 1)]
+    param = GammaParam(1.5)
+    assert len(trace_equality_check(param, same)) == 2
+    assert len(dirichlet_principle_check(param, same, count=2)) == 2
+    assert len(q_symmetry_check(param, same, count=2)) == 2
+    for check in (trace_equality_check, dirichlet_principle_check, q_symmetry_check):
+        assert check(param, []) == []
+        with pytest.raises(ValueError, match=r"one level 2k \+ n, got \[1, 3\]"):
+            check(param, mixed)
+
+
+def test_one_level_at_two_lambdas_shares_its_tail_values_bitwise(monkeypatch):
+    # Different frequencies and different (k, n) on level 3 read one
+    # unit-frequency workspace object, built once, so every tail array is
+    # shared; a third mode there gives the same bits.
+    read = []
+    built = energy._workspace
+
+    def recording(gamma, level):
+        read.append(built(gamma, level))
+        return read[-1]
+
+    monkeypatch.setattr(energy, "_workspace", recording)
+    _clear_workspace_caches()
+    try:
+        for gamma in (0.4, 1.6):
+            param = GammaParam(gamma)
+            data = (1.0, 0.3)[: len(param.orders)]
+            read.clear()
+            first = mode_energy(param, ModeIndex(0.5, 1, 1), data)
+            mode_energy(param, ModeIndex(7.0, 0, 3), data)
+            assert len(read) == 2 and read[0] is read[1]
+            assert read[0].level == 3
+            assert first == mode_energy(param, ModeIndex(0.5, 0, 3), data)
+            assert built.cache_info().currsize == (1 if gamma < 1 else 2)
+    finally:
+        _clear_workspace_caches()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    exponent=st.floats(-12.0, 12.0),
+    gamma=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.25, 1.5, 1.75, 1.9]),
+    kn=st.tuples(st.integers(0, 2), st.integers(1, 3)),
+    data=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_mode_energy_follows_the_heisenberg_dilation(exponent, gamma, kn, data):
+    # E_lam(phi, psi) = lam^gamma E_1(phi, lam^-alpha psi); at unit data the
+    # energy still meets the closed value, whose symbol is formed at lam.
+    lam = 10.0**exponent
+    param = GammaParam(gamma)
+    k, n = kn
+    phi, psi = data
+    got = mode_energy(param, ModeIndex(lam, k, n), (phi, psi)[: len(param.orders)])
+    unit = (phi, lam**-param.alpha * psi)[: len(param.orders)]
+    want = lam**gamma * mode_energy(param, ModeIndex(1.0, k, n), unit)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert trace_equality_check(param, [ModeIndex(lam, k, n)])[0] < 1e-11
 
 
 def test_energy_functionals_reject_the_wrong_range():
@@ -209,22 +291,27 @@ def test_perturbation_energy_closed_matches_quadrature(gamma):
     par = GammaParam(gamma)
     rng = random.Random(f"pq:{gamma}")
     for mode in MODES:
-        ws = _workspace(gamma, mode)
-        h, c = _object_rows(rng, abs(mode.lam), 1)
-        closed = float(_closed_energies(h, c, ws)[0])
-        parts = tuple(x[0] for x in _perturbation_parts(h, c, ws))
+        ws = _ws(gamma, mode)
+        lam = abs(mode.lam)
+        h, c = _object_rows(rng, lam, 1)
+        h_s, c_s = _to_s(h, c, lam)
+        closed = float(_closed_energies(h_s, c_s, ws)[0])
+        parts = tuple(x[0] for x in _perturbation_parts(h_s, c_s, ws))
         quadrature = _pairing(ws, _grams(ws), parts, parts)
         assert quadrature == pytest.approx(closed, rel=1e-10)
         assert closed > 0.0
-        assert closed == pytest.approx(_referee_closed(h[0], c[0, 0], par, mode), rel=1e-12)
+        # the referee integrates the row in rho at lam: the dilation law
+        want = _referee_closed(h[0], c[0, 0], par, mode)
+        assert lam**gamma * closed == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.001, 0.25, 0.75, 0.999, 1.001, 1.25, 1.75, 1.999])
 @pytest.mark.parametrize("mode", MODES)
 def test_closed_energies_match_the_convolved_referee(gamma, mode):
     param = GammaParam(gamma)
-    h, c, _ = _draw_perturbations(random.Random(f"closed:{gamma}:{mode}"), abs(mode.lam), 20)
-    got = _closed_energies(h, c, _workspace(gamma, mode))
+    lam = abs(mode.lam)
+    h, c, _ = _draw_perturbations(random.Random(f"closed:{gamma}:{mode}"), lam, 20)
+    got = lam**gamma * _closed_energies(*_to_s(h, c, lam), _ws(gamma, mode))
     want = [_referee_closed(row, decay, param, mode) for row, decay in zip(h, c[:, 0])]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -232,8 +319,8 @@ def test_closed_energies_match_the_convolved_referee(gamma, mode):
 @pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
 @pytest.mark.parametrize("mode", MODES)
 def test_each_row_of_a_closed_energy_call_is_its_one_row_call_bitwise(gamma, mode):
-    ws = _workspace(gamma, mode)
-    h, c, _ = _draw_perturbations(random.Random(f"rows:{gamma}:{mode}"), abs(mode.lam), 70)
+    ws = _ws(gamma, mode)
+    h, c, _ = _draw_perturbations(random.Random(f"rows:{gamma}:{mode}"), 1.0, 70)
     rows = _closed_energies(h, c, ws)
     assert rows.shape == (70,)
     for i in range(70):
@@ -247,19 +334,19 @@ def test_closed_weighted_integral_against_adaptive_quadrature():
     mode = ModeIndex(lam=1.0, k=1, n=1)
     for gamma in (0.3, 0.7, 1.3, 1.7):
         param = GammaParam(gamma)
-        ws = _workspace(gamma, mode)
-        h, c, _ = _draw_perturbations(random.Random(f"quad:{gamma}"), ws.lam, 1)
+        ws = _ws(gamma, mode)
+        h, c, _ = _draw_perturbations(random.Random(f"quad:{gamma}"), 1.0, 1)
         row, decay = h[0], c[0, 0]
-        g = _lop_poly(row, decay, param.alpha, ws.lam * ws.lam, ws.nu)
+        g = _lop_poly(row, decay, param.alpha, 1.0, ws.nu)
 
-        def integrand(rho):
-            r = np.array([rho])
+        def integrand(s):
+            r = np.array([s])
             u2 = _w_value(row, decay, r)[0] ** 2
             if param.is_high:
-                density = _w_value(g, decay, r)[0] ** 2 - 4.0 * ws.lam**2 * u2
+                density = _w_value(g, decay, r)[0] ** 2 - 4.0 * u2
             else:
-                density = _w_deriv(row, decay, r)[0] ** 2 + (ws.nu + ws.lam**2 * rho * rho) * u2
-            return density * rho ** (1.0 - ws.beta)
+                density = _w_deriv(row, decay, r)[0] ** 2 + (ws.nu + s * s) * u2
+            return density * s ** (1.0 - ws.beta)
 
         reach = math.sqrt(60.0 / decay)
         reference, _ = quad(integrand, 0.0, reach, epsabs=0.0, epsrel=1e-13, limit=200)
@@ -286,7 +373,7 @@ def test_dirichlet_check_runs_without_numpy_convolve(monkeypatch):
     monkeypatch.setattr(np, "convolve", refuse)
     mode = ModeIndex(lam=0.5, k=0, n=1)
     for gamma in (0.5, 1.5):
-        gap, floor = dirichlet_principle_check(GammaParam(gamma), mode, seed=1, count=8)
+        ((gap, floor),) = dirichlet_principle_check(GammaParam(gamma), [mode], seed=1, count=8)
         assert gap < 1e-10
         assert floor > 0.0
 
@@ -299,7 +386,7 @@ def test_perturbation_vanishes_at_the_boundary_with_no_singular_branch():
 
     assert value(np.array([0.0]))[0] == 0.0
     for gamma in (0.4, 1.4):
-        parts = _perturbation_parts(h, c, _workspace(gamma, ModeIndex(lam=1.0, k=0, n=1)))
+        parts = _perturbation_parts(h, c, _workspace(gamma, 1))
         for series in parts[:2]:
             assert series.shape == (1, 2 * _NP)
             assert np.all(series[0, _NP :] == 0.0)
@@ -343,7 +430,7 @@ def test_random_perturbation_is_seed_deterministic():
 def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
     # In s = sqrt(lam) rho, from w_c = min(0.75^2, 2 / level) to w = 80.
     for level, w_c in ((1, 0.5625), (3, 0.5625), (4, 0.5), (64, 2.0 / 64)):
-        got_c, nodes, weights = _tail_grid(level)
+        got_c, nodes, weights = _tail_grid(level, _TAIL_NODES)
         assert got_c == w_c
         assert nodes[0] > math.sqrt(w_c)
         assert nodes[-1] < math.sqrt(80.0)
@@ -387,14 +474,13 @@ def _count_u_calls(monkeypatch) -> list:
 def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
     # The high range at 1.5 needs W1 (order 1.5) and W2 (order 0.5), and W2
     # is the low-range solution at 0.5.  Prepared together, the two orders of
-    # the mode take one call carrying their four rungs.
-    mode = ModeIndex(lam=0.5, k=1, n=2)
+    # the level take one call carrying their four rungs.
     _clear_workspace_caches()
     calls = _count_u_calls(monkeypatch)
     try:
-        prepare_profiles([(o, mode) for g in (0.5, 1.5) for o in GammaParam(g).orders])
-        _workspace(0.5, mode)
-        _workspace(1.5, mode)
+        prepare_profiles([(o, 4) for g in (0.5, 1.5) for o in GammaParam(g).orders])
+        _workspace(0.5, 4)
+        _workspace(1.5, 4)
     finally:
         _clear_workspace_caches()
     assert len(calls) == 1
@@ -402,12 +488,11 @@ def test_low_and_high_workspaces_share_their_u_ladders(monkeypatch):
 
 
 def test_an_unprepared_profile_is_built_as_a_batch_of_one(monkeypatch):
-    mode = ModeIndex(lam=0.5, k=1, n=2)
     _clear_workspace_caches()
     calls = _count_u_calls(monkeypatch)
     try:
-        _workspace(0.5, mode)
-        _workspace(1.5, mode)
+        _workspace(0.5, 4)
+        _workspace(1.5, 4)
     finally:
         _clear_workspace_caches()
     # order 0.5 for the low workspace, then only order 1.5 is missing
@@ -417,13 +502,10 @@ def test_an_unprepared_profile_is_built_as_a_batch_of_one(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_profile_built_with_its_mode_is_bitwise_the_one_built_alone(mode):
-    # Built beside its lambda-siblings too: dilations of the mode and, on the
-    # same level 2k + n, a mode with k one lower and n two higher.
+    # The profile of the mode's level, built beside those of other levels
+    # and every order.
     orders = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
-    siblings = [mode] + [ModeIndex(c * mode.lam, mode.k, mode.n) for c in (0.1, 3.0, 40.0)]
-    if mode.k:
-        siblings.append(ModeIndex(1.7, mode.k - 1, mode.n + 2))
-    pairs = [(o, m) for m in siblings for o in orders]
+    pairs = [(o, lv) for lv in (_level(mode), 2, 7, 64) for o in orders]
     _clear_workspace_caches()
     try:
         prepare_profiles(pairs)
@@ -432,49 +514,42 @@ def test_a_profile_built_with_its_mode_is_bitwise_the_one_built_alone(mode):
             energy._profiles.clear()
             alone = _mode_profile(*pair)
             assert batched[0].order == alone[0].order
-            assert batched[1] == alone[1]
-            for x, y in zip(batched[2:], alone[2:]):
+            for x, y in zip((*batched[1], *batched[2:]), (*alone[1], *alone[2:])):
                 assert np.array_equal(x, y)
     finally:
         _clear_workspace_caches()
 
 
-def test_one_level_at_two_lambdas_shares_its_tail_values_bitwise():
-    # The tail grid lives in s = sqrt(lam) rho, so both frequencies read
-    # their ladders at the same w = s^2: u = norm e^{-w/2} U is one array.
-    orders = (0.25, 0.75, 1.25, 1.75)
-    modes = [ModeIndex(lam=lam, k=1, n=3) for lam in (0.5, 7.3)]
-    w_c, s_t, ws_t = _tail_grid(5)
+def test_a_profile_is_the_unit_frequency_mode_solution_on_the_tail_grid():
+    # Any (k, n) of the level gives the same solution; the tail values are
+    # its derivatives at rho = s, and its series carry lam^2 = 1.
+    _, s_t, _ = _tail_grid(5, _TAIL_NODES)
     _clear_workspace_caches()
     try:
-        prepare_profiles([(o, mode) for mode in modes for o in orders])
-        for order in orders:
-            low, high = [_mode_profile(order, mode) for mode in modes]
-            assert np.array_equal(low[5], high[5])
-            assert not np.array_equal(low[6], high[6])
-            for sol, rho_c, _, rho_t, wt_t, *_ in (low, high):
-                root = math.sqrt(sol.lam)
-                assert rho_c == math.sqrt(w_c) / root
-                assert np.array_equal(rho_t, s_t / root)
-                assert np.array_equal(wt_t, ws_t / root)
-                np.testing.assert_allclose(root * rho_t, s_t, rtol=2.3e-16, atol=0.0)
+        for order in (0.25, 1.75):
+            sol, series, u_t, du_t = _mode_profile(order, 5)
+            other = ModeSolution(order, ModeIndex(1.0, 2, 1))
+            assert (sol.a, sol.nu, sol.c1, sol.norm) == (other.a, other.nu, other.c1, other.norm)
+            ((u, du),) = mode_derivatives([other], s_t, upto=1)
+            assert np.array_equal(u_t, u) and np.array_equal(du_t, du)
+            want = extend.frobenius_series(order, 10.0, 1.0, energy._INNER_TERMS)
+            assert all(np.array_equal(x, y) for x, y in zip(series, want))
     finally:
         _clear_workspace_caches()
 
 
 def test_the_profile_cache_keeps_the_most_recently_read(monkeypatch):
-    mode = ModeIndex(lam=2.0, k=0, n=1)
     monkeypatch.setattr(energy, "_PROFILE_CACHE", 3)
     _clear_workspace_caches()
     try:
-        prepare_profiles([(o, mode) for o in (0.2, 0.4, 0.6, 0.8, 1.2)])
-        assert list(energy._profiles) == [(o, mode) for o in (0.6, 0.8, 1.2)]
-        kept = _mode_profile(0.6, mode)
+        prepare_profiles([(o, 1) for o in (0.2, 0.4, 0.6, 0.8, 1.2)])
+        assert list(energy._profiles) == [(o, 1) for o in (0.6, 0.8, 1.2)]
+        kept = _mode_profile(0.6, 1)
         for order in (0.2, 1.4):
-            assert _mode_profile(order, mode)[0].order == order
+            assert _mode_profile(order, 1)[0].order == order
             assert len(energy._profiles) == 3
-        assert _mode_profile(0.6, mode) is kept
-        assert list(energy._profiles) == [(o, mode) for o in (0.2, 1.4, 0.6)]
+        assert _mode_profile(0.6, 1) is kept
+        assert list(energy._profiles) == [(o, 1) for o in (0.2, 1.4, 0.6)]
     finally:
         _clear_workspace_caches()
 
@@ -492,9 +567,17 @@ def test_the_default_energy_suite_makes_one_u_call_per_spot_level(monkeypatch):
     assert all(len(set(call)) == 12 for call in calls)
 
 
-def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
-    # Eight spot modes times six distinct orders: 48 pairs, each of whose
-    # Frobenius branches the low and high workspaces read off its profile.
+# numeric_wide of the benchmark: spot lam 0.25 and 4, eight levels 2k + n.
+_WIDE = {
+    "spot_lambdas": (0.25, 4.0),
+    "spot_levels": (0, 3, 12, 32),
+    "spot_dimensions": (1, 3),
+    "perturbations": 4,
+}
+
+
+def _series_calls(monkeypatch, fields) -> list:
+    """The (order, nu, lam^2) of every frobenius_series call an energy suite makes."""
     calls = []
     counted = energy.frobenius_series
 
@@ -505,24 +588,51 @@ def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
     monkeypatch.setattr(energy, "frobenius_series", counting)
     _clear_workspace_caches()
     try:
-        cli._suite_energy(cli.SuiteConfig())
+        cli._suite_energy(cli.SuiteConfig(**fields))
     finally:
         _clear_workspace_caches()
+    return calls
+
+
+def test_the_default_energy_suite_forms_each_pairs_series_once(monkeypatch):
+    # Four spot levels times six distinct orders: 24 (order, level) pairs,
+    # whatever the number of spot frequencies, each of whose Frobenius
+    # branches the low and high workspaces read off its profile.
+    calls = _series_calls(monkeypatch, {})
+    assert len(calls) == 24
+    assert len(set(calls)) == 24
+
+
+def test_the_numeric_wide_energy_suite_forms_each_pairs_series_once(monkeypatch):
+    # Eight spot levels times six orders: 48 pairs for 16 spot modes.
+    calls = _series_calls(monkeypatch, _WIDE)
     assert len(calls) == 48
     assert len(set(calls)) == 48
 
 
-def test_the_default_energy_suite_builds_each_workspaces_grams_once():
-    # 48 workspaces (eight spot modes, six orders); the trace and Dirichlet
-    # checks read each, and the symmetry check the 24 above order 1.
+def _gram_builds(fields) -> tuple:
     _clear_workspace_caches()
     _grams.cache_clear()
     try:
-        cli._suite_energy(cli.SuiteConfig())
+        cli._suite_energy(cli.SuiteConfig(**fields))
         info = _grams.cache_info()
     finally:
         _clear_workspace_caches()
-    assert (info.misses, info.hits) == (48, 72)
+    return info.misses, info.hits
+
+
+def test_the_default_energy_suite_builds_each_workspaces_grams_once():
+    # One workspace per (gamma, level): six gammas on four levels, 24.  The
+    # trace check's first mode builds the basis form, which gathers the
+    # Grams (the miss); every later energy of the level reads that form,
+    # and only the Dirichlet check's blocks read the Grams again (the hit):
+    # one miss and one hit per workspace.
+    assert _gram_builds({}) == (24, 24)
+
+
+def test_the_numeric_wide_energy_suite_builds_each_workspaces_grams_once():
+    # The same count on eight levels of two spot frequencies each.
+    assert _gram_builds(_WIDE) == (48, 48)
 
 
 def test_the_default_energy_profiles_build_at_most_twelve_jacobi_rules(monkeypatch):
@@ -539,7 +649,7 @@ def test_the_default_energy_profiles_build_at_most_twelve_jacobi_rules(monkeypat
     monkeypatch.setattr(special, "_rules", {})
     _clear_workspace_caches()
     try:
-        prepare_profiles(cli._spot_pairs(cli.SuiteConfig()))
+        prepare_profiles([(o, _level(m)) for o, m in cli._spot_pairs(cli.SuiteConfig())])
     finally:
         _clear_workspace_caches()
     assert 0 < len(built) <= 12
@@ -550,7 +660,7 @@ def test_the_default_energy_profiles_build_at_most_twelve_jacobi_rules(monkeypat
 def _energy_and_size(ws, parts, data):
     """The form on `parts` (one row per leading index) and the sum of its terms' magnitudes.
 
-    The terms are the two Gram forms on [0, rho_c], the two tail sums with
+    The terms are the two Gram forms on [0, s_c], the two tail sums with
     every node's contribution taken in magnitude, and the boundary term.
     """
     u, a, t, at = parts
@@ -567,12 +677,14 @@ def _tail_energies(modes, gammas) -> list:
     for gamma in gammas:
         data = np.array((1.0, 0.6) if GammaParam(gamma).is_high else (1.0,))
         for mode in modes:
-            ws = _workspace(gamma, mode)
-            base = _combine(data, ws.basis)
-            h, c, t = _draw_perturbations(random.Random(f"tail:{gamma}:{mode}"), abs(mode.lam), 32)
-            parts = _perturbation_parts(h, c, ws)
+            ws = _ws(gamma, mode)
+            lam = abs(mode.lam)
+            d = _unit_data(GammaParam(gamma), lam, data)
+            base = _combine(d, ws.basis)
+            h, c, t = _draw_perturbations(random.Random(f"tail:{gamma}:{mode}"), lam, 32)
+            parts = _perturbation_parts(*_to_s(h, c, lam), ws)
             shifted = tuple(b + t[:, None] * w for b, w in zip(base, parts))
-            out += [_energy_and_size(ws, base, data), _energy_and_size(ws, shifted, data)]
+            out += [_energy_and_size(ws, base, d), _energy_and_size(ws, shifted, d)]
     return out
 
 
@@ -601,48 +713,51 @@ def test_the_tail_rule_has_converged_to_rounding(monkeypatch):
 def test_perturbation_tails_are_their_profiles_at_the_tail_nodes_bitwise(gamma, mode):
     # Both tail parts of a row share x = rho^2 and e^{-c x}; each is the
     # profile formula evaluated on its own.
-    ws = _workspace(gamma, mode)
-    h, c, _ = _draw_perturbations(random.Random(f"tails:{gamma}:{mode}"), abs(mode.lam), 5)
+    ws = _ws(gamma, mode)
+    lam = abs(mode.lam)
+    h, c, _ = _draw_perturbations(random.Random(f"tails:{gamma}:{mode}"), lam, 5)
+    h, c = _to_s(h, c, lam)
     _, _, u_t, a_t = _perturbation_parts(h, c, ws)
-    assert np.array_equal(u_t, _w_value(h, c, ws.rho_t))
+    assert np.array_equal(u_t, _w_value(h, c, ws.s_t))
     if ws.param.is_high:
-        g = _lop_poly(h, c, ws.param.alpha, ws.lam * ws.lam, ws.nu)
-        assert np.array_equal(a_t, _w_value(g, c, ws.rho_t))
+        g = _lop_poly(h, c, ws.param.alpha, 1.0, ws.nu)
+        assert np.array_equal(a_t, _w_value(g, c, ws.s_t))
     else:
-        assert np.array_equal(a_t, _w_deriv(h, c, ws.rho_t))
+        assert np.array_equal(a_t, _w_deriv(h, c, ws.s_t))
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.7])
 @pytest.mark.parametrize("mode", MODES)
 def test_high_workspace_tail_matches_the_fourth_order_mode_bitwise(gamma, mode):
-    # On the workspace's own grid: s from its level, rho = s / sqrt(lam).
+    # On the workspace's own grid, s from its level, at unit frequency; the
+    # mode's own (k, n) of that level gives the same bits.
     param = GammaParam(gamma)
-    ws = _workspace(gamma, mode)
-    _, s_t, _ = _tail_grid(2 * mode.k + mode.n)
-    assert np.array_equal(ws.rho_t, s_t / math.sqrt(ws.lam))
+    ws = _ws(gamma, mode)
+    _, s_t, _ = _tail_grid(_level(mode), _TAIL_NODES)
+    assert np.array_equal(ws.s_t, s_t)
+    unit = ModeIndex(1.0, mode.k, mode.n)
     for (_, _, u_t, lop_t), data in zip(ws.basis, ((1.0, 0.0), (0.0, 1.0))):
-        fourth = FourthOrderMode(param, mode, *data)
+        fourth = FourthOrderMode(param, unit, *data)
         d1, d2 = mode_derivatives([fourth.w1, fourth.w2], s_t, 1)
-        (value,), lop = fourth.assemble(ws.rho_t, d1, d2, 0)
+        (value,), lop = fourth.assemble(s_t, d1, d2, 0)
         assert np.array_equal(u_t, value)
         assert np.array_equal(lop_t, lop)
-        # the rho-side entry points read s = sqrt(lam) rho, within an ulp of s_t
-        np.testing.assert_allclose(fourth.derivatives(ws.rho_t, 0)[0], u_t, rtol=1e-13)
-        np.testing.assert_allclose(fourth.lop(ws.rho_t), lop_t, rtol=1e-13)
+        # the rho-side entry points read rho = s at unit frequency
+        np.testing.assert_allclose(fourth.derivatives(s_t, 0)[0], u_t, rtol=1e-13)
+        np.testing.assert_allclose(fourth.lop(s_t), lop_t, rtol=1e-13)
 
 
 def test_cached_profiles_are_read_only():
-    mode = ModeIndex(lam=2.0, k=2, n=1)
     arrays = []
     for order in (0.25, 1.75):
-        _, _, series, *tail = _mode_profile(order, mode)
+        _, series, *tail = _mode_profile(order, 5)
         assert [x.shape for x in series] == [(energy._INNER_TERMS,)] * 2
         arrays += [*series, *tail]
-    low = _workspace(0.25, mode)
-    high = _workspace(1.75, mode)
+    low = _workspace(0.25, 5)
+    high = _workspace(1.75, 5)
     for ws in (low, high):
-        arrays += [ws.rho_t, ws.wt_t, ws.m, ws.m_t, ws.boundary, ws.moments]
-        arrays += [x for gram in _grams(ws) for x in gram]
+        arrays += [ws.s_t, ws.wt_t, ws.m, ws.m_t, ws.boundary, ws.moments]
+        arrays += [x for gram in _grams(ws) for x in gram] + [energy._basis_form(ws)]
         for part in ws.basis:
             assert [x.shape for x in part[:2]] == [(2 * _NP,)] * 2
             arrays += list(part)
@@ -657,14 +772,17 @@ def test_cached_profiles_are_read_only():
 @pytest.mark.parametrize("gamma", [1.25, 1.7])
 @pytest.mark.parametrize("mode", MODES)
 def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
-    ws = _workspace(gamma, mode)
+    # At lam through the dilation: lam^gamma d Q d with d = (phi, lam^-alpha psi).
+    ws = _ws(gamma, mode)
     grams = _grams(ws)
     q = np.array([[_pairing(ws, grams, p, r) for r in ws.basis] for p in ws.basis]) + ws.boundary
     rng = random.Random(f"qdata:{gamma}:{mode}")
+    lam = abs(mode.lam)
     for _ in range(5):
         data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
         energy = mode_energy(GammaParam(gamma), mode, data)
-        assert energy == pytest.approx(float(data @ q @ data), rel=1e-12)
+        d = _unit_data(GammaParam(gamma), lam, data)
+        assert energy == pytest.approx(lam**gamma * float(d @ q @ d), rel=1e-12)
 
 
 def _referee_bulk(ws, partsP, partsQ) -> float:
@@ -690,17 +808,18 @@ def _referee_bulk(ws, partsP, partsQ) -> float:
         for i in np.flatnonzero(row):
             e = 2 * _P_LO + i + 2.0 + (b - 1) * ws.beta
             assert abs(e) > 1e-9
-            inner += row[i] * ws.rho_c**e / e
-    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.rho_t ** (1.0 - ws.beta)
+            inner += row[i] * ws.s_c**e / e
+    integrand = (atP * atQ + ws.m_t * (tP * tQ)) * ws.s_t ** (1.0 - ws.beta)
     return inner + float(np.sum(ws.wt_t * integrand))
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
 @pytest.mark.parametrize("mode", MODES)
 def test_gram_form_matches_the_convolved_series(gamma, mode):
-    ws = _workspace(gamma, mode)
-    h, c = _object_rows(random.Random(f"gram:{gamma}:{mode}"), abs(mode.lam), 3)
-    stacked = _perturbation_parts(h, c, ws)
+    ws = _ws(gamma, mode)
+    lam = abs(mode.lam)
+    h, c = _object_rows(random.Random(f"gram:{gamma}:{mode}"), lam, 3)
+    stacked = _perturbation_parts(*_to_s(h, c, lam), ws)
     others = list(ws.basis) + [tuple(x[i] for x in stacked) for i in range(len(h))]
     for p in ws.basis:
         for q in others:
@@ -713,7 +832,7 @@ def test_gram_form_matches_the_convolved_series(gamma, mode):
 def test_degenerate_cells_are_the_nan_cells_of_the_gathered_grams(gamma, mode):
     # The workspace locates them once from its moment table; a scan of each
     # freshly gathered Gram must find the same cells and the same values.
-    ws = _workspace(gamma, mode)
+    ws = _ws(gamma, mode)
     for weights, (gram, rows, cols) in zip(((1.0,), ws.m), _grams(ws)):
         raw = sum(w * np.take(ws.moments, _GRAM_INDEX + k) for k, w in enumerate(weights) if w)
         bad = np.isnan(raw)
@@ -726,12 +845,12 @@ def test_degenerate_cells_are_the_nan_cells_of_the_gathered_grams(gamma, mode):
 def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
     # e = p + 2 + (b - 1) beta vanishes at branch sum 1 and power sum -2 for
     # every beta, so A coefficients at (0, rho^0) and (1, rho^-2) pair there.
-    ws = _workspace(gamma, ModeIndex(lam=1.0, k=1, n=1))
+    ws = _workspace(gamma, 3)
     cells = np.zeros((2, _NP))
     cells[0, 0 - _P_LO] = 0.7
     cells[1, -2 - _P_LO] = 1.3
     a = cells.reshape(-1)
-    tail = np.zeros_like(ws.rho_t)
+    tail = np.zeros_like(ws.s_t)
     part = (np.zeros_like(a), a, tail, tail)
     with pytest.raises(RuntimeError, match="lattice violated"):
         _pairing(ws, _grams(ws), part, part)
@@ -741,36 +860,51 @@ def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
 
 
 def _dirichlet_one_at_a_time(param, mode, seed, count):
-    """The Dirichlet check with every perturbation drawn, graded and evaluated on its own."""
+    """The Dirichlet check of one mode with every perturbation drawn, graded and evaluated on its own.
+
+    The gap is graded at lam: E(U) by mode_energy, E(W) by the referee in
+    rho, and E(U + tW) as lam^gamma times the pairing of the row mapped into
+    s.  The floor is the smallest E(W) / lam^gamma, the unit-frequency energy.
+    """
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    ws = _workspace(param.gamma, mode)
+    lam = abs(mode.lam)
+    scale = lam**param.gamma
+    ws = _ws(param.gamma, mode)
     data = (1.0, 0.6) if param.is_high else (1.0,)
-    base = _combine(data, ws.basis)
+    d = _unit_data(param, lam, data)
+    base = _combine(d, ws.basis)
     e_base = mode_energy(param, mode, data)
-    edge = float(np.array(data) @ ws.boundary @ np.array(data))
+    edge = float(d @ ws.boundary @ d)
     worst, floor = 0.0, math.inf
     for _ in range(count):
-        h, decay = _object_draw(rng, abs(mode.lam))
+        h, decay = _object_draw(rng, lam)
         t = rng.uniform(0.3, 1.0)
         e_w = _referee_closed(h, decay, param, mode)
-        w = tuple(x[0] for x in _perturbation_parts(h[None], np.array([[decay]]), ws))
+        w = tuple(x[0] for x in _perturbation_parts(*_to_s(h[None], np.array([[decay]]), lam), ws))
         shifted = _combine((1.0, t), (base, w))
-        e_shift = float(_pairing(ws, _grams(ws), shifted, shifted)) + edge
+        e_shift = scale * (float(_pairing(ws, _grams(ws), shifted, shifted)) + edge)
         worst = max(worst, abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w)))
-        floor = min(floor, e_w)
+        floor = min(floor, e_w / scale)
     return worst, floor
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.75, 1.25, 1.75])
-@pytest.mark.parametrize("mode", MODES[:2])
+@pytest.mark.parametrize(
+    "modes",
+    [[ModeIndex(0.5, 0, 1)], [ModeIndex(2.0, 2, 1), ModeIndex(0.7, 1, 3)]],
+    ids=["mode0", "mode1"],
+)
 @pytest.mark.parametrize("count", [20, 70])
-def test_batched_dirichlet_check_matches_one_at_a_time(gamma, mode, count):
-    # count = 70 spans three blocks of at most 32 perturbations
+def test_batched_dirichlet_check_matches_one_at_a_time(gamma, modes, count):
+    # The rows of a level's modes share blocks of at most 32: 70 rows of one
+    # mode span three blocks, 140 rows of two modes five.
     param = GammaParam(gamma)
-    worst, floor = dirichlet_principle_check(param, mode, seed=4, count=count)
-    want_worst, want_floor = _dirichlet_one_at_a_time(param, mode, 4, count)
-    assert worst == pytest.approx(want_worst, abs=1e-12)
-    assert floor == pytest.approx(want_floor, rel=1e-12)
+    got = dirichlet_principle_check(param, modes, seed=4, count=count)
+    assert len(got) == len(modes)
+    for (worst, floor), mode in zip(got, modes):
+        want_worst, want_floor = _dirichlet_one_at_a_time(param, mode, 4, count)
+        assert worst == pytest.approx(want_worst, abs=1e-12)
+        assert floor == pytest.approx(want_floor, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -778,11 +912,13 @@ def test_batched_dirichlet_check_matches_one_at_a_time(gamma, mode, count):
     [
         {"gammas_low": (0.001, 0.999), "gammas_high": (1.001, 1.999)},
         {"spot_lambdas": (1e-4, 1e4)},
+        {"spot_lambdas": (1e-12, 3e-6, 1e12)},
     ],
 )
 def test_energy_suite_passes_at_the_ends_of_its_envelope(fields):
     # gamma near 0, 1 and 2 puts lattice exponents e near 0, where the
-    # moments rho_c^e / e are large; extreme lambdas move rho_c and the tail.
+    # moments s_c^e / e are large; extreme lambdas scale the data and the
+    # perturbation rows that the unit-frequency workspace reads.
     report = cli.run_suites(cli.SuiteConfig(**fields), ["energy"])
     assert report.entries
     for entry in report.entries:
