@@ -11,6 +11,11 @@ opened before any suite runs), and 3 when a suite raised an unexpected
 exception (an internal error, not a graded failure, which removes a report
 file this run created and leaves one already there untouched); each error
 message is one stderr line naming the offending value, path or suite.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 when it is unset, before
+numpy loads, so the OpenBLAS libraries of numpy and scipy start no worker
+threads; a value already in the environment is kept.  Reports do not depend
+on the thread count.
 """
 
 import gc
@@ -35,6 +40,12 @@ try:
     from fractions import Fraction
     from pathlib import Path
     from typing import get_args, get_origin, get_type_hints
+
+    # numpy and scipy each load an OpenBLAS that starts a pool of worker
+    # threads, which slows the import on a small host.  verify's BLAS calls
+    # are too small for a second thread to pay (a 32 x 128 by 128 x 128
+    # product at most), so one thread, unless the user sets another count.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     from . import energy, extend, opalg, scatter, special, spectral
     from .report import CheckEntry, VerificationReport, render_json, render_table, worst_error

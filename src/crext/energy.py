@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -455,6 +456,26 @@ def _level_of(modes) -> int:
     return levels[0]
 
 
+@contextmanager
+def _read_at(param: GammaParam, modes):
+    """Guard a block that reads `modes` off their level's unit-frequency workspace.
+
+    The reading forms powers of lam: lam^gamma, lam^-alpha and a row's
+    lam^-k, squared in the forms.  Where one leaves double range, the block
+    raises one OverflowError stating the modes' lam instead of a NaN or an
+    unnamed error.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        lams = ", ".join(f"{mode.lam:g}" for mode in modes)
+        raise OverflowError(
+            f"the energy reading at lambda = {lams} (gamma = {param.gamma:g}, "
+            f"level {_level_of(modes)}) leaves double range"
+        ) from exc
+
+
 def _unit_data(param: GammaParam, lam: float, data) -> np.ndarray:
     """Boundary data (phi, psi) at frequency lam as unit-frequency data (phi, lam^-alpha psi)."""
     d = np.array(data, dtype=float)
@@ -472,9 +493,11 @@ def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
     ws = _workspace(param.gamma, 2 * mode.k + mode.n)
     if len(data) != len(ws.basis):
         raise ValueError(f"gamma = {param.gamma} takes {len(ws.basis)} data, got {len(data)}")
+    form = _basis_form(ws)
     lam = abs(mode.lam)
-    d = _unit_data(param, lam, data)
-    return lam**param.gamma * float(d @ _basis_form(ws) @ d)
+    with _read_at(param, [mode]):
+        d = _unit_data(param, lam, data)
+        return lam**param.gamma * float(d @ form @ d)
 
 
 def _perturbation_parts(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> tuple:
@@ -536,7 +559,8 @@ def trace_equality_check(param: GammaParam, modes) -> list[float]:
     _level_of(modes)
     out = []
     for mode in modes:
-        targets = boundary_targets(param, mode)
+        with _read_at(param, [mode]):
+            targets = boundary_targets(param, mode)
         got = mode_energy(param, mode, (1.0,) * len(targets))
         out.append(abs(got / sum(targets) - 1.0))
     return out
@@ -568,27 +592,29 @@ def dirichlet_principle_check(
         lam = abs(mode.lam)
         rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
         h, c, t = _draw_perturbations(rng, lam, count)
-        # h(x) e^{-c x} at x = s^2 / lam: h_k -> h_k lam^-k and c -> c / lam.
-        hs.append(h * lam ** -powers)
-        cs.append(c / lam)
+        with _read_at(param, [mode]):
+            # h(x) e^{-c x} at x = s^2 / lam: h_k -> h_k lam^-k and c -> c / lam.
+            hs.append(h * lam ** -powers)
+            cs.append(c / lam)
+            d = _unit_data(param, lam, (1.0, 0.6) if param.is_high else (1.0,))
+            bases.append(_combine(d, ws.basis))
+            e_base.append(float(d @ form @ d))
+            edges.append(float(d @ ws.boundary @ d))
         ts.append(t)
-        d = _unit_data(param, lam, (1.0, 0.6) if param.is_high else (1.0,))
-        bases.append(_combine(d, ws.basis))
-        e_base.append(float(d @ form @ d))
-        edges.append(float(d @ ws.boundary @ d))
     h, c, t = np.concatenate(hs), np.concatenate(cs), np.concatenate(ts)
     owner = np.repeat(np.arange(len(modes)), count)
     base = tuple(np.stack(field)[owner] for field in zip(*bases))
     e_base, edge = np.array(e_base)[owner], np.array(edges)[owner]
-    e_w = _closed_energies(h, c, ws)
     e_shift = []
-    for start in range(0, len(t), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        parts = _perturbation_parts(h[rows], c[rows], ws)
-        shifted = tuple(b[rows] + t[rows, None] * w for b, w in zip(base, parts))
-        e_shift.append(_pairing(ws, grams, shifted, shifted) + edge[rows])
-    e_shift = np.concatenate(e_shift)
-    gap = np.abs(e_shift - e_base - t * t * e_w) / (np.abs(e_base) + t * t * np.abs(e_w))
+    with _read_at(param, modes):
+        e_w = _closed_energies(h, c, ws)
+        for start in range(0, len(t), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            parts = _perturbation_parts(h[rows], c[rows], ws)
+            shifted = tuple(b[rows] + t[rows, None] * w for b, w in zip(base, parts))
+            e_shift.append(_pairing(ws, grams, shifted, shifted) + edge[rows])
+        e_shift = np.concatenate(e_shift)
+        gap = np.abs(e_shift - e_base - t * t * e_w) / (np.abs(e_base) + t * t * np.abs(e_w))
     return [
         (float(np.max(gap[rows])), float(np.min(e_w[rows])))
         for rows in np.split(np.arange(len(t)), len(modes))
@@ -618,15 +644,16 @@ def q_symmetry_check(param: GammaParam, modes, seed: int = 0, count: int = 20) -
     out = []
     for mode in modes:
         lam = abs(mode.lam)
-        d = _unit_data(param, lam, (1.0, 1.0))
-        measured = lam**param.gamma * (d[:, None] * unit * d)
-        closed = np.diag(boundary_targets(param, mode))
         rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
         # Pair by pair in draw order: du then dv, two components each.
         drawn = np.array([rng.uniform(-1, 1) for _ in range(4 * count)]).reshape(count, 4)
         du, dv = drawn[:, :2], drawn[:, 2:]
-        scale = form(np.abs(measured) + np.abs(closed), np.abs(du), np.abs(dv)) + 1e-300
-        q_uv = form(measured, du, dv)
-        errors = np.abs([q_uv - form(measured, dv, du), q_uv - form(closed, du, dv)]) / scale
+        with _read_at(param, [mode]):
+            d = _unit_data(param, lam, (1.0, 1.0))
+            measured = lam**param.gamma * (d[:, None] * unit * d)
+            closed = np.diag(boundary_targets(param, mode))
+            scale = form(np.abs(measured) + np.abs(closed), np.abs(du), np.abs(dv)) + 1e-300
+            q_uv = form(measured, du, dv)
+            errors = np.abs([q_uv - form(measured, dv, du), q_uv - form(closed, du, dv)]) / scale
         out.append(worst_error(errors.ravel()))
     return out

@@ -215,6 +215,9 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
     With u = c0 f_reg + c1 f_sing over the two Frobenius branches, u'/u = r
     at rho_m gives c1 / c0 = (f_reg' - r f_reg) / (r f_sing - f_sing'); the
     fit reports that ratio as c1, normalized to c0 = 1 like ModeSolution.
+    The branches are summed in rho before either leg runs; where a pair's
+    leave double range (rho_m^(2j) at small lam, the coefficients, which
+    grow with lam^2, at large lam), OverflowError names the first such pair.
     """
     setups = []
     for gam, mode in pairs:
@@ -228,6 +231,27 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
     if not setups:
         return []
     order, lam, nu, a, rho_max, rho_m = map(np.array, zip(*setups))
+
+    series = [frobenius_series(gam, nu_i, lam_i * lam_i) for gam, lam_i, nu_i, *_ in setups]
+    coeff_a, coeff_b = (np.array(branch) for branch in zip(*series))
+    at = rho_m[:, None]
+
+    def branch(coeff, powers):
+        """A Frobenius branch and its rho-derivative at rho_m."""
+        value = np.sum(coeff * at**powers, axis=1)
+        return value, np.sum(powers * coeff * at ** (powers - 1), axis=1)
+
+    twice_j = 2.0 * np.arange(SERIES_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_reg, f_reg_d = branch(coeff_a, twice_j)
+        f_sing, f_sing_d = branch(coeff_b, twice_j + 2.0 * order[:, None])
+    finite = np.isfinite([f_reg, f_reg_d, f_sing, f_sing_d]).all(axis=0)
+    if not finite.all():
+        gam, mode = pairs[int(np.argmin(finite))]
+        raise OverflowError(
+            f"the Frobenius branches of order {gam:g} at lambda = {mode.lam:g}, k = {mode.k}, "
+            f"n = {mode.n} leave double range at the matching point"
+        )
 
     # d/dtau of r at rho = rho_max + tau span is span times d/drho.
     span = rho_m - rho_max
@@ -253,18 +277,6 @@ def fit_boundary_expansion(pairs) -> list[NumericFit]:
     if not sol.success:
         raise RuntimeError(f"inward integration failed: {sol.message}")
 
-    series = [frobenius_series(gam, nu_i, lam_i * lam_i) for gam, lam_i, nu_i, *_ in setups]
-    coeff_a, coeff_b = (np.array(branch) for branch in zip(*series))
-    at = rho_m[:, None]
-
-    def branch(coeff, powers):
-        """A Frobenius branch and its rho-derivative at rho_m."""
-        value = np.sum(coeff * at**powers, axis=1)
-        return value, np.sum(powers * coeff * at ** (powers - 1), axis=1)
-
-    twice_j = 2.0 * np.arange(SERIES_TERMS)
-    f_reg, f_reg_d = branch(coeff_a, twice_j)
-    f_sing, f_sing_d = branch(coeff_b, twice_j + 2.0 * order[:, None])
     r = sol.y[:, -1]
     c1 = (f_reg_d - r * f_reg) / (r * f_sing - f_sing_d)
     dtn = -2.0 * order * c1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from crext import cli, extend, special
 from crext.cli import (
@@ -363,18 +364,43 @@ def test_default_report_keeps_its_skeleton():
 
 def _python(*args, check=True, **environ):
     """Run `python args...` in a fresh interpreter that imports this checkout's
-    crext, with `environ` added to the environment."""
+    crext, with `environ` added to the environment; a None value removes
+    the variable."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {key: value for key, value in env.items() if value is not None}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
 
 
+def _blas_names() -> list:
+    """The BLAS that numpy and scipy name in their build configs."""
+    try:
+        configs = [np.show_config(mode="dicts"), scipy.show_config(mode="dicts")]
+        return [config["Build Dependencies"]["blas"]["name"] for config in configs]
+    except (TypeError, KeyError):
+        return []
+
+
 def test_importing_the_cli_does_not_load_sympy():
-    code = "import sys, crext.cli; print('sympy' in sys.modules, 'mpmath' in sys.modules)"
-    assert _python("-c", code).stdout.split() == ["False", "False"]
+    # With OPENBLAS_NUM_THREADS unset, the import sets it to 1 before numpy
+    # loads, so neither bundled OpenBLAS starts a worker thread.
+    code = (
+        "import os, sys, crext.cli; "
+        "print('sympy' in sys.modules, 'mpmath' in sys.modules, "
+        "os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "*[line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')] "
+        "if sys.platform == 'linux' else '-')"
+    )
+    *loaded, blas, threads = _python("-c", code, OPENBLAS_NUM_THREADS=None).stdout.split()
+    assert loaded == ["False", "False"]
+    assert blas == "1"
+    names = _blas_names()
+    if sys.platform != "linux" or not names or not all("openblas" in n for n in names):
+        pytest.skip(f"the thread count is read for OpenBLAS builds on Linux only, not {names}")
+    assert threads == "1"
 
 
 def test_importing_the_cli_leaves_the_collector_running_and_unfrozen():
@@ -486,17 +512,40 @@ def test_main_freezes_the_import_graph_and_still_flushes_its_report():
     assert len(payload["entries"]) == 9
 
 
-@pytest.mark.parametrize(
-    "argv", [["algebra", "expansion", "spectral"], []], ids=["exact-suites", "default"]
-)
-def test_verify_runs_without_sympy_or_mpmath(argv, tmp_path):
+def _verify(argv, out: Path, threads=None) -> tuple[list, bytes]:
+    """(status, sympy and mpmath loaded, OPENBLAS_NUM_THREADS after the run; report bytes)
+    of `verify argv` in a fresh interpreter, OPENBLAS_NUM_THREADS set to `threads`."""
     code = (
-        "import sys; from crext.cli import main; "
+        "import os, sys; from crext.cli import main; "
         "status = main(sys.argv[1:]); "
-        "print(status, 'sympy' in sys.modules, 'mpmath' in sys.modules)"
+        "print(status, 'sympy' in sys.modules, 'mpmath' in sys.modules, "
+        "os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
-    out = _python("-c", code, *argv, "--out", str(tmp_path / "report.json"))
-    assert out.stdout.split() == ["0", "False", "False"]
+    done = _python("-c", code, *argv, "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+    return done.stdout.split(), out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_verify(tmp_path_factory):
+    """`_verify` of the default run under the one-thread default."""
+    return _verify([], tmp_path_factory.mktemp("default") / "report.json")
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [(["algebra", "expansion", "spectral"], None), ([], None), ([], "2")],
+    ids=["exact-suites", "default", "default-two-blas-threads"],
+)
+def test_verify_runs_without_sympy_or_mpmath(argv, threads, tmp_path, default_verify):
+    # A thread count the user sets is kept, and the report is byte-identical
+    # to the one-thread run's, as the README promises.
+    if argv or threads:
+        fields, report = _verify(argv, tmp_path / "report.json", threads)
+    else:
+        fields, report = default_verify
+    assert fields == ["0", "False", "False", threads or "1"]
+    if threads:
+        assert report == default_verify[1]
 
 
 def test_validation_accepts_the_default_configuration():
@@ -572,23 +621,40 @@ def test_empty_report_renders_and_passes():
     assert "total: 0 checks" in render_table(empty)
 
 
-def test_kummer_overflow_at_a_high_level_exits_3_with_one_line(tmp_path):
+@pytest.mark.parametrize(
+    "suite, gamma, lam, level, named",
+    [
+        ("energy", 0.5, 1.0, 80, "U(8"),
+        ("energy", 0.5, 1e-100, 0, "lambda = 1e-100"),
+        ("energy", 1.25, 1e300, 0, "lambda = 1e+300"),
+        ("dtn", 0.5, 1e-12, 0, "lambda = 1e-12, k = 0, n = 1"),
+        ("dtn", 0.5, 1e12, 0, "lambda = 1e+12, k = 0, n = 1"),
+    ],
+    ids=["kummer-level-80", "energy-lambda-1e-100", "energy-lambda-1e300", "dtn-lambda-1e-12",
+         "dtn-lambda-1e12"],
+)
+def test_a_run_outside_double_range_exits_3_with_one_named_line(
+    suite, gamma, lam, level, named, tmp_path, capsys
+):
     # Level 80 drives U(a, ., .) to a ~ 80, where the double-precision panels
-    # overflow; the run must stop with one named error and no numpy warnings.
+    # overflow.  Far from lam = 1 the energy reading's powers of lam, and the
+    # boundary fit's Frobenius branches summed in rho, leave double range.
+    # Each run must stop with one named error; a numpy warning would raise
+    # here (RuntimeWarning is an error in the test run) and name itself.
     path = tmp_path / "cfg.json"
     config = {
-        "suites": ["energy"],
-        "gammas_low": [0.5],
-        "gammas_high": [],
-        "spot_lambdas": [1.0],
-        "spot_levels": [80],
+        "suites": [suite],
+        "gammas_low": [gamma] if gamma < 1.0 else [],
+        "gammas_high": [gamma] if gamma > 1.0 else [],
+        "spot_lambdas": [lam],
+        "spot_levels": [level],
         "spot_dimensions": [1],
         "perturbations": 1,
     }
     path.write_text(json.dumps(config))
-    done = _python("-m", "crext.cli", "--config", str(path), check=False)
-    assert done.returncode == 3
-    assert done.stdout == ""
-    lines = done.stderr.strip().splitlines()
+    assert main(["--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "energy" in lines[0] and "OverflowError" in lines[0]
+    assert f"suite {suite} raised OverflowError" in lines[0] and named in lines[0]
