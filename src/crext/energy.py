@@ -74,24 +74,26 @@ and 1 - alpha = 2 - gamma, the second being the low-range profile at
 2 - gamma.
 
 Perturbations are Laguerre-type profiles x (r0 + r1 x + r2 x^2) e^{-c x} in
-x = rho^2, closed under every operation above.  They live as rows from the
+x = s^2, closed under every operation above.  They live as rows from the
 seeded draw to the graded gap: h[:, k] the x^k coefficient (h[:, 0] = 0, so
-each vanishes at the boundary), c[:, 0] the decay and t the step.  A row
-drawn at lam maps into x = s^2 as h_k -> h_k lam^-k and c -> c / lam.  Their
-exact energies are gamma-function sums, one row-wise call for all rows; the
-quadrature side reads the rows of all the modes of a level in blocks of at
-most 32, one row-wise quadratic form per block.
+each vanishes at the boundary), c[:, 0] the decay and t the step, all drawn
+at unit frequency.  Their exact energies are gamma-function sums and their
+quadrature energies one quadratic form, each one row-wise call for all the
+rows of a level.
 
 The checks take the spot modes of one level and return one value per mode.
 `mode_energy` is the form on the solution with given boundary data at the
 mode's lam; the graders compare it with its closed diagonal,
-`spectral.boundary_targets`, formed at lam.
+`spectral.boundary_targets`, formed at lam.  lam enters only there and in
+the dilation law, and a lam for which lam^gamma, lam^-alpha or a target
+leaves the normal double range raises one OverflowError that states it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -115,7 +117,6 @@ _INNER_TERMS = 30
 _TAIL_NODES = 14
 _W_TOP = 80.0
 _W_STEP_CAP = 8.0
-_BLOCK = 32
 
 # Dense lattice layout: powers rho^_P_LO .. rho^(_P_LO + _NP - 1) per branch.
 _P_LO = -2
@@ -251,20 +252,20 @@ def _lop_poly(h: np.ndarray, c, alpha: float, lam_sq: float, nu: float) -> np.nd
     return g
 
 
-def _draw_perturbations(rng: random.Random, lam: float, count: int) -> tuple:
-    """(h, c, t) of `count` seeded perturbations, one row each.
+def _draw_perturbations(rng: random.Random, count: int) -> tuple:
+    """(h, c, t) of `count` seeded perturbations in x = s^2, one row each.
 
     Row i is the profile h[i](x) e^{-c[i, 0] x} = x (r0 + r1 x + r2 x^2)
     e^{-c x}: it vanishes at the boundary and carries no fractional branch,
     so it is an admissible variation in both ranges.  t[i] is its step.
+    The rows live at unit frequency.
     """
     rows = []
     for _ in range(count):
         r0 = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
         r1 = rng.uniform(-1.0, 1.0)
         r2 = rng.uniform(-1.0, 1.0)
-        decay = lam * rng.uniform(0.4, 2.0)
-        rows.append((0.0, r0, r1, r2, decay, rng.uniform(0.3, 1.0)))
+        rows.append((0.0, r0, r1, r2, rng.uniform(0.4, 2.0), rng.uniform(0.3, 1.0)))
     drawn = np.array(rows)
     return drawn[:, :4], drawn[:, 4:5], drawn[:, 5]
 
@@ -457,31 +458,37 @@ def _level_of(modes) -> int:
 
 
 @contextmanager
-def _read_at(param: GammaParam, modes):
-    """Guard a block that reads `modes` off their level's unit-frequency workspace.
+def _read_at(param: GammaParam, mode: ModeIndex):
+    """Guard a block that reads `mode` off its level's unit-frequency workspace.
 
-    The reading forms powers of lam: lam^gamma, lam^-alpha and a row's
-    lam^-k, squared in the forms.  Where one leaves double range, the block
-    raises one OverflowError stating the modes' lam instead of a NaN or an
-    unnamed error.
+    The reading forms lam^gamma and lam^-alpha, and the graders the closed
+    targets at lam.  Where one overflows, or underflows to a subnormal or
+    zero and so loses its bits silently, the block raises one OverflowError
+    stating lam instead of a NaN, a degraded error or an unnamed error.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, OverflowError) as exc:
-        lams = ", ".join(f"{mode.lam:g}" for mode in modes)
         raise OverflowError(
-            f"the energy reading at lambda = {lams} (gamma = {param.gamma:g}, "
-            f"level {_level_of(modes)}) leaves double range"
+            f"the energy reading at lambda = {mode.lam:g} (gamma = {param.gamma:g}, "
+            f"level {2 * mode.k + mode.n}) leaves the normal double range"
         ) from exc
 
 
-def _unit_data(param: GammaParam, lam: float, data) -> np.ndarray:
-    """Boundary data (phi, psi) at frequency lam as unit-frequency data (phi, lam^-alpha psi)."""
+def _normal(*values: float) -> tuple:
+    """`values`, or FloatingPointError if one is no normal double (inf, NaN, subnormal or 0)."""
+    if not all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in values):
+        raise FloatingPointError(f"{values} leave the normal double range")
+    return values
+
+
+def _dilation(param: GammaParam, lam: float, data) -> tuple[float, np.ndarray]:
+    """(lam^gamma, unit-frequency data (phi, lam^-alpha psi)) of the data (phi, psi) at lam."""
+    powers = _normal(lam**param.gamma, *([lam**-param.alpha] if param.is_high else []))
     d = np.array(data, dtype=float)
-    if param.is_high:
-        d[1] *= lam**-param.alpha
-    return d
+    d[1:] *= powers[1:]
+    return powers[0], d
 
 
 def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
@@ -494,10 +501,9 @@ def mode_energy(param: GammaParam, mode: ModeIndex, data) -> float:
     if len(data) != len(ws.basis):
         raise ValueError(f"gamma = {param.gamma} takes {len(ws.basis)} data, got {len(data)}")
     form = _basis_form(ws)
-    lam = abs(mode.lam)
-    with _read_at(param, [mode]):
-        d = _unit_data(param, lam, data)
-        return lam**param.gamma * float(d @ form @ d)
+    with _read_at(param, mode):
+        scale, d = _dilation(param, abs(mode.lam), data)
+        return scale * float(d @ form @ d)
 
 
 def _perturbation_parts(h: np.ndarray, c: np.ndarray, ws: _Workspace) -> tuple:
@@ -559,8 +565,8 @@ def trace_equality_check(param: GammaParam, modes) -> list[float]:
     _level_of(modes)
     out = []
     for mode in modes:
-        with _read_at(param, [mode]):
-            targets = boundary_targets(param, mode)
+        with _read_at(param, mode):
+            targets = _normal(*boundary_targets(param, mode))
         got = mode_energy(param, mode, (1.0,) * len(targets))
         out.append(abs(got / sum(targets) - 1.0))
     return out
@@ -574,50 +580,32 @@ def dirichlet_principle_check(
     `modes` share one level 2k + n.  Returns, per mode, (worst relative
     error of E(U + tW) - E(U) = t^2 E(W), smallest perturbation energy); the
     principle requires the first to be numerical zero and the second to be
-    strictly positive.  Both sides are homogeneous in the dilation, so the
-    gap is graded at unit frequency with no power of lam, and the energy is
-    given at unit frequency too: lam^gamma > 0 leaves its sign.  Each mode
-    draws its rows under a seed that names it and maps them into s; the
-    shifted energies of all the modes' rows are evaluated in blocks of at
-    most _BLOCK rows.
+    strictly positive.  Both are homogeneous in the dilation (lam^gamma > 0
+    leaves the sign of E(W)), so the check runs at unit frequency: each mode
+    draws its rows in s under a seed that names it, U has the data (1, 0.6)
+    above order 1 and (1,) below it, and the shifted energies of all the
+    level's rows are one row-wise pairing.
     """
     if not modes:
         return []
     ws = _workspace(param.gamma, _level_of(modes))
-    form = _basis_form(ws)
-    grams = _grams(ws)
-    powers = np.arange(4)
-    bases, e_base, edges, hs, cs, ts = [], [], [], [], [], []
-    for mode in modes:
-        lam = abs(mode.lam)
-        rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-        h, c, t = _draw_perturbations(rng, lam, count)
-        with _read_at(param, [mode]):
-            # h(x) e^{-c x} at x = s^2 / lam: h_k -> h_k lam^-k and c -> c / lam.
-            hs.append(h * lam ** -powers)
-            cs.append(c / lam)
-            d = _unit_data(param, lam, (1.0, 0.6) if param.is_high else (1.0,))
-            bases.append(_combine(d, ws.basis))
-            e_base.append(float(d @ form @ d))
-            edges.append(float(d @ ws.boundary @ d))
-        ts.append(t)
-    h, c, t = np.concatenate(hs), np.concatenate(cs), np.concatenate(ts)
-    owner = np.repeat(np.arange(len(modes)), count)
-    base = tuple(np.stack(field)[owner] for field in zip(*bases))
-    e_base, edge = np.array(e_base)[owner], np.array(edges)[owner]
-    e_shift = []
-    with _read_at(param, modes):
-        e_w = _closed_energies(h, c, ws)
-        for start in range(0, len(t), _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            parts = _perturbation_parts(h[rows], c[rows], ws)
-            shifted = tuple(b[rows] + t[rows, None] * w for b, w in zip(base, parts))
-            e_shift.append(_pairing(ws, grams, shifted, shifted) + edge[rows])
-        e_shift = np.concatenate(e_shift)
-        gap = np.abs(e_shift - e_base - t * t * e_w) / (np.abs(e_base) + t * t * np.abs(e_w))
+    drawn = [
+        _draw_perturbations(
+            random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}"), count
+        )
+        for mode in modes
+    ]
+    h, c, t = (np.concatenate(field) for field in zip(*drawn))
+    d = np.array((1.0, 0.6) if param.is_high else (1.0,))
+    e_base = float(d @ _basis_form(ws) @ d)
+    e_w = _closed_energies(h, c, ws)
+    parts = _perturbation_parts(h, c, ws)
+    shifted = tuple(b + t[:, None] * w for b, w in zip(_combine(d, ws.basis), parts))
+    e_shift = _pairing(ws, _grams(ws), shifted, shifted) + float(d @ ws.boundary @ d)
+    gap = np.abs(e_shift - e_base - t * t * e_w) / (np.abs(e_base) + t * t * np.abs(e_w))
     return [
-        (float(np.max(gap[rows])), float(np.min(e_w[rows])))
-        for rows in np.split(np.arange(len(t)), len(modes))
+        (float(np.max(g)), float(np.min(e)))
+        for g, e in zip(np.split(gap, len(modes)), np.split(e_w, len(modes)))
     ]
 
 
@@ -643,15 +631,14 @@ def q_symmetry_check(param: GammaParam, modes, seed: int = 0, count: int = 20) -
 
     out = []
     for mode in modes:
-        lam = abs(mode.lam)
         rng = random.Random(f"qsym:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
         # Pair by pair in draw order: du then dv, two components each.
         drawn = np.array([rng.uniform(-1, 1) for _ in range(4 * count)]).reshape(count, 4)
         du, dv = drawn[:, :2], drawn[:, 2:]
-        with _read_at(param, [mode]):
-            d = _unit_data(param, lam, (1.0, 1.0))
-            measured = lam**param.gamma * (d[:, None] * unit * d)
-            closed = np.diag(boundary_targets(param, mode))
+        with _read_at(param, mode):
+            factor, d = _dilation(param, abs(mode.lam), (1.0, 1.0))
+            measured = factor * (d[:, None] * unit * d)
+            closed = np.diag(_normal(*boundary_targets(param, mode)))
             scale = form(np.abs(measured) + np.abs(closed), np.abs(du), np.abs(dv)) + 1e-300
             q_uv = form(measured, du, dv)
             errors = np.abs([q_uv - form(measured, dv, du), q_uv - form(closed, du, dv)]) / scale

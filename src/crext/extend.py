@@ -161,7 +161,10 @@ def mode_derivatives(solutions: Sequence[ModeSolution], s, upto: int = 2) -> lis
 
 
 class ModeSolution:
-    """Decaying solution of the order-gamma' mode equation, boundary value 1."""
+    """Decaying solution of the order-gamma' mode equation, boundary value 1.
+
+    OverflowError names the mode where Gamma(a + gamma') overflows, past 171.6.
+    """
 
     def __init__(self, order: float, mode: ModeIndex):
         _validate_order(order)
@@ -171,12 +174,17 @@ class ModeSolution:
         self.nu = mode_eigenvalue(mode)
         self.a = kummer_a(self.order, mode)
         self.b = 1.0 - self.order
-        self.norm = gamma_fn(self.a + self.order) / gamma_fn(self.order)
+        try:
+            rise = gamma_fn(self.a + self.order)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"Gamma({self.a + self.order:g}) of the closed form of order {self.order:g} at "
+                f"lambda = {mode.lam:g}, k = {mode.k}, n = {mode.n} leaves double range"
+            ) from exc
+        self.norm = rise / gamma_fn(self.order)
         # rho^(2 gamma') expansion coefficient of the normalized solution.
         self.c1 = (
-            gamma_fn(-self.order)
-            * gamma_fn(self.a + self.order)
-            / (gamma_fn(self.a) * gamma_fn(self.order))
+            gamma_fn(-self.order) * rise / (gamma_fn(self.a) * gamma_fn(self.order))
             * self.lam**self.order
         )
 

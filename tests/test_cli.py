@@ -625,22 +625,25 @@ def test_empty_report_renders_and_passes():
     "suite, gamma, lam, level, named",
     [
         ("energy", 0.5, 1.0, 80, "U(8"),
-        ("energy", 0.5, 1e-100, 0, "lambda = 1e-100"),
+        ("energy", 1.75, 1e-200, 0, "lambda = 1e-200"),
         ("energy", 1.25, 1e300, 0, "lambda = 1e+300"),
         ("dtn", 0.5, 1e-12, 0, "lambda = 1e-12, k = 0, n = 1"),
         ("dtn", 0.5, 1e12, 0, "lambda = 1e+12, k = 0, n = 1"),
+        ("dtn", 1.75, 1.0, 170, "order 1.75 at lambda = 1, k = 170, n = 1"),
     ],
-    ids=["kummer-level-80", "energy-lambda-1e-100", "energy-lambda-1e300", "dtn-lambda-1e-12",
-         "dtn-lambda-1e12"],
+    ids=["kummer-level-80", "energy-lambda-1e-200", "energy-lambda-1e300", "dtn-lambda-1e-12",
+         "dtn-lambda-1e12", "dtn-level-170"],
 )
 def test_a_run_outside_double_range_exits_3_with_one_named_line(
     suite, gamma, lam, level, named, tmp_path, capsys
 ):
     # Level 80 drives U(a, ., .) to a ~ 80, where the double-precision panels
-    # overflow.  Far from lam = 1 the energy reading's powers of lam, and the
-    # boundary fit's Frobenius branches summed in rho, leave double range.
-    # Each run must stop with one named error; a numpy warning would raise
-    # here (RuntimeWarning is an error in the test run) and name itself.
+    # overflow.  Far from lam = 1 the energy reading's powers of lam (lam^1.75
+    # underflows at 1e-200), and the boundary fit's Frobenius branches summed
+    # in rho, leave double range; at level 170 the closed dtn form's
+    # Gamma(a + 1.75) overflows.  Each run must stop with one named error; a
+    # numpy warning would raise here (RuntimeWarning is an error in the test
+    # run) and name itself.
     path = tmp_path / "cfg.json"
     config = {
         "suites": [suite],
@@ -658,3 +661,24 @@ def test_a_run_outside_double_range_exits_3_with_one_named_line(
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert f"suite {suite} raised OverflowError" in lines[0] and named in lines[0]
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.75])
+def test_energy_across_the_lambda_decades_passes_or_names_lambda(gamma, capsys):
+    # Every decade either exits 0 with finite entries or stops with one
+    # OverflowError line that states lambda; none may exit 1 with a NaN or a
+    # silently degraded entry, as lam^1.75 below the normal range once did.
+    grid = ("--gammas-low", str(gamma) if gamma < 1.0 else "")
+    grid += ("--gammas-high", str(gamma) if gamma > 1.0 else "")
+    for lam in (1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e100, 1e170, 1e300):
+        argv = ["energy", *grid, "--spot-lambdas", repr(lam), "--spot-levels", "0"]
+        status = main([*argv, "--spot-dimensions", "1", "--perturbations", "1"])
+        out, err = capsys.readouterr()
+        if status == 0:
+            errors = [e["measured_error"] for e in json.loads(out)["entries"]]
+            assert errors and all(isinstance(e, float) and math.isfinite(e) for e in errors)
+            continue
+        assert status == 3 and out == "", (lam, status, err)
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "raised OverflowError" in lines[0], lines
+        assert f"lambda = {lam:g}" in lines[0]

@@ -24,7 +24,6 @@ from crext.energy import (
     _pairing,
     _perturbation_parts,
     _tail_grid,
-    _unit_data,
     _workspace,
     _xp_dx,
     dirichlet_principle_check,
@@ -310,7 +309,7 @@ def test_perturbation_energy_closed_matches_quadrature(gamma):
 def test_closed_energies_match_the_convolved_referee(gamma, mode):
     param = GammaParam(gamma)
     lam = abs(mode.lam)
-    h, c, _ = _draw_perturbations(random.Random(f"closed:{gamma}:{mode}"), lam, 20)
+    h, c = _object_rows(random.Random(f"closed:{gamma}:{mode}"), lam, 20)
     got = lam**gamma * _closed_energies(*_to_s(h, c, lam), _ws(gamma, mode))
     want = [_referee_closed(row, decay, param, mode) for row, decay in zip(h, c[:, 0])]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -320,7 +319,7 @@ def test_closed_energies_match_the_convolved_referee(gamma, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_each_row_of_a_closed_energy_call_is_its_one_row_call_bitwise(gamma, mode):
     ws = _ws(gamma, mode)
-    h, c, _ = _draw_perturbations(random.Random(f"rows:{gamma}:{mode}"), 1.0, 70)
+    h, c, _ = _draw_perturbations(random.Random(f"rows:{gamma}:{mode}"), 70)
     rows = _closed_energies(h, c, ws)
     assert rows.shape == (70,)
     for i in range(70):
@@ -335,7 +334,7 @@ def test_closed_weighted_integral_against_adaptive_quadrature():
     for gamma in (0.3, 0.7, 1.3, 1.7):
         param = GammaParam(gamma)
         ws = _ws(gamma, mode)
-        h, c, _ = _draw_perturbations(random.Random(f"quad:{gamma}"), 1.0, 1)
+        h, c, _ = _draw_perturbations(random.Random(f"quad:{gamma}"), 1)
         row, decay = h[0], c[0, 0]
         g = _lop_poly(row, decay, param.alpha, 1.0, ws.nu)
 
@@ -357,8 +356,8 @@ def test_drawn_perturbations_follow_the_object_path_draw_order():
     # Row by row: r0 magnitude, its sign, r1, r2, the decay, then the step t.
     for count in (1, 33):
         rng, ref = random.Random("order:1"), random.Random("order:1")
-        h, c, t = _draw_perturbations(rng, 1.5, count)
-        want = [(*_object_draw(ref, 1.5), ref.uniform(0.3, 1.0)) for _ in range(count)]
+        h, c, t = _draw_perturbations(rng, count)
+        want = [(*_object_draw(ref, 1.0), ref.uniform(0.3, 1.0)) for _ in range(count)]
         assert h.shape == (count, 4) and c.shape == (count, 1) and t.shape == (count,)
         assert np.array_equal(h, np.array([w[0] for w in want]))
         assert np.array_equal(c[:, 0], np.array([w[1] for w in want]))
@@ -416,15 +415,15 @@ def test_perturbation_operator_value_solves_its_defining_formula():
 
 
 def test_random_perturbation_is_seed_deterministic():
-    first = _draw_perturbations(random.Random("s:1"), 2.0, 1)
-    second = _draw_perturbations(random.Random("s:1"), 2.0, 1)
-    other = _draw_perturbations(random.Random("s:2"), 2.0, 1)
+    first = _draw_perturbations(random.Random("s:1"), 1)
+    second = _draw_perturbations(random.Random("s:1"), 1)
+    other = _draw_perturbations(random.Random("s:2"), 1)
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
     assert not all(np.array_equal(x, y) for x, y in zip(first, other))
     h, c, _ = first
     assert h[0, 0] == 0.0
     assert abs(h[0, 1]) >= 0.2
-    assert 0.4 * 2.0 <= c[0, 0] <= 2.0 * 2.0
+    assert 0.4 <= c[0, 0] <= 2.0
 
 
 def test_tail_grid_covers_the_gaussian_window_with_capped_steps():
@@ -672,19 +671,24 @@ def _energy_and_size(ws, parts, data):
 
 
 def _tail_energies(modes, gammas) -> list:
-    """(energy, size) of each workspace's form at its data and of one block of shifted forms."""
+    """(energy, size) of each workspace's form at a mode's data and of the Dirichlet shifted forms.
+
+    The mode's data are read at its lam through the dilation, as mode_energy
+    reads them; the shifted forms at unit frequency, as the Dirichlet check
+    reads them.
+    """
     out = []
     for gamma in gammas:
         data = np.array((1.0, 0.6) if GammaParam(gamma).is_high else (1.0,))
         for mode in modes:
             ws = _ws(gamma, mode)
-            lam = abs(mode.lam)
-            d = _unit_data(GammaParam(gamma), lam, data)
-            base = _combine(d, ws.basis)
-            h, c, t = _draw_perturbations(random.Random(f"tail:{gamma}:{mode}"), lam, 32)
-            parts = _perturbation_parts(*_to_s(h, c, lam), ws)
-            shifted = tuple(b + t[:, None] * w for b, w in zip(base, parts))
-            out += [_energy_and_size(ws, base, d), _energy_and_size(ws, shifted, d)]
+            d = data.copy()
+            d[1:] *= abs(mode.lam) ** (1.0 - gamma)
+            h, c, t = _draw_perturbations(random.Random(f"tail:{gamma}:{mode}"), 32)
+            parts = _perturbation_parts(h, c, ws)
+            shifted = tuple(b + t[:, None] * w for b, w in zip(_combine(data, ws.basis), parts))
+            out += [_energy_and_size(ws, _combine(d, ws.basis), d)]
+            out += [_energy_and_size(ws, shifted, data)]
     return out
 
 
@@ -714,9 +718,7 @@ def test_perturbation_tails_are_their_profiles_at_the_tail_nodes_bitwise(gamma, 
     # Both tail parts of a row share x = rho^2 and e^{-c x}; each is the
     # profile formula evaluated on its own.
     ws = _ws(gamma, mode)
-    lam = abs(mode.lam)
-    h, c, _ = _draw_perturbations(random.Random(f"tails:{gamma}:{mode}"), lam, 5)
-    h, c = _to_s(h, c, lam)
+    h, c, _ = _draw_perturbations(random.Random(f"tails:{gamma}:{mode}"), 5)
     _, _, u_t, a_t = _perturbation_parts(h, c, ws)
     assert np.array_equal(u_t, _w_value(h, c, ws.s_t))
     if ws.param.is_high:
@@ -781,7 +783,7 @@ def test_mode_energy_is_the_polarized_matrix_on_the_data(gamma, mode):
     for _ in range(5):
         data = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
         energy = mode_energy(GammaParam(gamma), mode, data)
-        d = _unit_data(GammaParam(gamma), lam, data)
+        d = data * np.array([1.0, lam ** (1.0 - gamma)])
         assert energy == pytest.approx(lam**gamma * float(d @ q @ d), rel=1e-12)
 
 
@@ -862,29 +864,27 @@ def test_a_nonzero_pair_on_a_degenerate_exponent_raises(gamma):
 def _dirichlet_one_at_a_time(param, mode, seed, count):
     """The Dirichlet check of one mode with every perturbation drawn, graded and evaluated on its own.
 
-    The gap is graded at lam: E(U) by mode_energy, E(W) by the referee in
-    rho, and E(U + tW) as lam^gamma times the pairing of the row mapped into
-    s.  The floor is the smallest E(W) / lam^gamma, the unit-frequency energy.
+    At unit frequency, as the check grades it: E(U) by mode_energy on the
+    unit-frequency mode of the same (k, n), E(W) by the referee in rho = s,
+    and E(U + tW) by the pairing of the row.
     """
     rng = random.Random(f"dirichlet:{seed}:{param.gamma}:{mode.lam}:{mode.k}:{mode.n}")
-    lam = abs(mode.lam)
-    scale = lam**param.gamma
+    unit = ModeIndex(1.0, mode.k, mode.n)
     ws = _ws(param.gamma, mode)
-    data = (1.0, 0.6) if param.is_high else (1.0,)
-    d = _unit_data(param, lam, data)
-    base = _combine(d, ws.basis)
-    e_base = mode_energy(param, mode, data)
-    edge = float(d @ ws.boundary @ d)
+    data = np.array((1.0, 0.6) if param.is_high else (1.0,))
+    base = _combine(data, ws.basis)
+    e_base = mode_energy(param, unit, data)
+    edge = float(data @ ws.boundary @ data)
     worst, floor = 0.0, math.inf
     for _ in range(count):
-        h, decay = _object_draw(rng, lam)
+        h, decay = _object_draw(rng, 1.0)
         t = rng.uniform(0.3, 1.0)
-        e_w = _referee_closed(h, decay, param, mode)
-        w = tuple(x[0] for x in _perturbation_parts(*_to_s(h[None], np.array([[decay]]), lam), ws))
+        e_w = _referee_closed(h, decay, param, unit)
+        w = tuple(x[0] for x in _perturbation_parts(h[None], np.array([[decay]]), ws))
         shifted = _combine((1.0, t), (base, w))
-        e_shift = scale * (float(_pairing(ws, _grams(ws), shifted, shifted)) + edge)
+        e_shift = float(_pairing(ws, _grams(ws), shifted, shifted)) + edge
         worst = max(worst, abs(e_shift - e_base - t * t * e_w) / (abs(e_base) + t * t * abs(e_w)))
-        floor = min(floor, e_w / scale)
+        floor = min(floor, e_w)
     return worst, floor
 
 
@@ -896,8 +896,8 @@ def _dirichlet_one_at_a_time(param, mode, seed, count):
 )
 @pytest.mark.parametrize("count", [20, 70])
 def test_batched_dirichlet_check_matches_one_at_a_time(gamma, modes, count):
-    # The rows of a level's modes share blocks of at most 32: 70 rows of one
-    # mode span three blocks, 140 rows of two modes five.
+    # All the rows of a level's modes are one row-wise pairing: 70 rows of
+    # one mode, 140 rows of two.
     param = GammaParam(gamma)
     got = dirichlet_principle_check(param, modes, seed=4, count=count)
     assert len(got) == len(modes)
@@ -913,12 +913,13 @@ def test_batched_dirichlet_check_matches_one_at_a_time(gamma, modes, count):
         {"gammas_low": (0.001, 0.999), "gammas_high": (1.001, 1.999)},
         {"spot_lambdas": (1e-4, 1e4)},
         {"spot_lambdas": (1e-12, 3e-6, 1e12)},
+        {"spot_lambdas": (1e-100,)},
     ],
 )
 def test_energy_suite_passes_at_the_ends_of_its_envelope(fields):
     # gamma near 0, 1 and 2 puts lattice exponents e near 0, where the
-    # moments s_c^e / e are large; extreme lambdas scale the data and the
-    # perturbation rows that the unit-frequency workspace reads.
+    # moments s_c^e / e are large; extreme lambdas scale the data that the
+    # unit-frequency workspace reads.
     report = cli.run_suites(cli.SuiteConfig(**fields), ["energy"])
     assert report.entries
     for entry in report.entries:
